@@ -4,10 +4,8 @@ half-plane spectral radius formulas."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -38,18 +36,11 @@ class HyperbolicAuto:
         return lambda z: (z - r) / (1.0 - r * z)
 
 
-def semigroup_param(r: float, s: float) -> float:
-    """Composition law phi_r . phi_s = phi_t with t = (r + s)/(1 + r s)."""
-    if not (abs(r) < 1 and abs(s) < 1):
-        raise ValueError("parameters must lie in (-1, 1)")
-    return (r + s) / (1.0 + r * s)
-
-
 def annulus(r: float) -> tuple[float, float]:
     """Inner and outer radii ((1-r)/(1+r))^{+-1/2} of the spectral annulus."""
-    rho = np.sqrt((1.0 - r) / (1.0 + r))
     if not 0.0 < r < 1.0:
         raise ValueError(f"parameter must lie in (0, 1), got {r}")
+    rho = np.sqrt((1.0 - r) / (1.0 + r))
     return float(rho), float(1.0 / rho)
 
 
@@ -90,44 +81,22 @@ def eigenfunction_values(spec: EigenfunctionSpec, z: np.ndarray) -> np.ndarray:
     return np.exp(spec.exponent * np.log((1.0 + z) / (1.0 - z)))
 
 
-def eigenfunction_coeffs(
-    spec: EigenfunctionSpec,
-    n_coeffs: int,
-    rho: float | None = None,
-    oversample: int = 8,
-) -> np.ndarray:
-    """First Taylor coefficients by circle sampling and discrete Fourier inversion.
+def eigenfunction_coeffs_recurrence(w: complex, n_coeffs: int) -> np.ndarray:
+    """Taylor coefficients of exp(w log((1+z)/(1-z))), up to a positive scalar.
 
-    The sampling radius defaults to max(0.9, 10^(-3/N)) so that rho^{-N}
-    stays around 10^3; the fixed radius 0.9 drowns high-order coefficients
-    in rounding noise once N is large.
+    From (1 - z^2) f' = 2 w f: (k+1) a_{k+1} = (k-1) a_{k-1} + 2 w a_k with
+    a_0 = 1. For large |Im w| the coefficients peak around index 2 pi |Im w|,
+    far beyond double range, so all of them are rescaled by 1e-150 whenever
+    one exceeds 1e150.
     """
-    if rho is None:
-        rho = max(0.9, 10.0 ** (-3.0 / n_coeffs))
-    if not 0.0 < rho < 1.0:
-        raise ValueError("sampling radius must lie in (0, 1)")
-    m = oversample * n_coeffs
-    theta = 2.0 * np.pi * np.arange(m) / m
-    samples = eigenfunction_values(spec, rho * np.exp(1j * theta))
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("sampling failed near the branch points; reduce rho")
-    coeffs = np.fft.fft(samples)[:n_coeffs] / m
-    coeffs /= rho ** np.arange(n_coeffs)
-    return coeffs
-
-
-def eigenfunction_coeffs_recurrence(spec: EigenfunctionSpec, n_coeffs: int) -> np.ndarray:
-    """Independent oracle: coefficients from (1 - z^2) f' = 2 w f.
-
-    (k+1) a_{k+1} = (k-1) a_{k-1} + 2 w a_k with a_0 = 1.
-    """
-    w = spec.exponent
     a = np.zeros(n_coeffs, dtype=complex)
     a[0] = 1.0
     if n_coeffs > 1:
         a[1] = 2.0 * w
     for k in range(1, n_coeffs - 1):
         a[k + 1] = ((k - 1) * a[k - 1] + 2.0 * w * a[k]) / (k + 1)
+        if abs(a[k + 1]) > 1e150:
+            a[: k + 2] *= 1e-150
     return a
 
 
@@ -145,14 +114,7 @@ class ZeroSet:
     r: float
     lam: complex
     entries: tuple[ZeroEntry, ...]
-
-    def to_csv(self, path: str | Path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "re_z", "im_z", "residual"])
-            for e in self.entries:
-                writer.writerow([e.k, mp.nstr(e.z.real, 17), mp.nstr(e.z.imag, 17),
-                                 repr(e.residual)])
+    dps: int  # decimal precision the zeros were computed at
 
 
 def covering_value(r: float, z, dps: int | None = None):
@@ -195,7 +157,7 @@ def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:
                 raise ValueError(f"zero index {k} escaped the disc (precision issue)")
             residual = float(mp.fabs(covering_value(r, z) - lam_mp))
             entries.append(ZeroEntry(k, z, residual))
-    return ZeroSet(r=r, lam=lam, entries=tuple(entries))
+    return ZeroSet(r=r, lam=lam, entries=tuple(entries), dps=dps)
 
 
 def ratio_condition(r: float, s: float, max_denominator: int = 50,

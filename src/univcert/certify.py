@@ -389,24 +389,6 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
 
 # -- multiplicity witnesses for composition adjoints --------------------------
 
-def _oscillating_coeffs(w: complex, n: int) -> np.ndarray:
-    """Taylor coefficients of exp(w log((1+z)/(1-z))) up to a positive scalar.
-
-    Same three-term recurrence as the eigenfunction oracle, with periodic
-    rescaling: for large |Im w| the coefficients peak around index
-    2 pi |Im w|, far beyond double range.
-    """
-    a = np.zeros(n, dtype=complex)
-    a[0] = 1.0
-    if n > 1:
-        a[1] = 2.0 * w
-    for k in range(1, n - 1):
-        a[k + 1] = ((k - 1) * a[k - 1] + 2.0 * w * a[k]) / (k + 1)
-        if abs(a[k + 1]) > 1e150:
-            a[: k + 2] *= 1e-150
-    return a
-
-
 @dataclass(frozen=True)
 class WitnessFamily:
     """Normalized near-kernel vectors of a compressed composition adjoint."""
@@ -452,7 +434,7 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     truncation resolves witnesses only up to a frequency proportional to its
     size: the verified count grows with the ladder.
     """
-    from .analytic import HyperbolicAuto, in_annulus
+    from .analytic import HyperbolicAuto, eigenfunction_coeffs_recurrence, in_annulus
 
     if not in_annulus(r, lam) or abs(lam) == 1.0:
         raise ValueError("lambda must lie in the open annulus, off the unit circle")
@@ -471,7 +453,7 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     residuals = np.ones(len(indices))
     window_mass = np.zeros(len(indices))
     for col, n in enumerate(indices):
-        g = _oscillating_coeffs(base + 2j * np.pi * n / t_r, trunc)
+        g = eigenfunction_coeffs_recurrence(base + 2j * np.pi * n / t_r, trunc)
         v = g[1:] / k
         mass = wts * np.abs(v) ** 2
         total = mass.sum()

@@ -7,6 +7,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,22 +37,42 @@ def _report_payload(report: certify.CertificateReport) -> dict:
     return json.loads(report.to_json())
 
 
-def _check_r(params, key="r"):
-    r = params[key]
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"{key} must lie in (0, 1), got {r}")
+# -- parameter checks: each returns a problem message or None -----------------
+
+def _real_unit(key):
+    def check(p):
+        v = p[key]
+        if not (isinstance(v, numbers.Real) and 0.0 < v < 1.0):
+            return f"{key} must be a real number in (0, 1), got {v!r}"
+    return check
 
 
-def _check_lambda_in_annulus(params, rkey="r", lkey="lam"):
-    _check_r(params, rkey)
-    if not analytic.in_annulus(params[rkey], params[lkey]):
-        raise ValueError(f"{lkey}={params[lkey]} lies outside the open annulus")
+def _in_annulus(rkey, lkey):
+    def check(p):
+        if not analytic.in_annulus(p[rkey], p[lkey]):
+            return f"{lkey}={p[lkey]} lies outside the open annulus"
+    return check
+
+
+def _real(key):
+    def check(p):
+        values = p[key] if isinstance(p[key], tuple) else (p[key],)
+        if not all(isinstance(v, numbers.Real) for v in values):
+            return f"{key} must be real, got {p[key]!r}"
+    return check
+
+
+def _ladder(p):
+    if len(p["ladder"]) < 3:
+        return "the ladder needs at least 3 rungs"
+    if not certify._strictly_increasing(p["ladder"]):
+        return "the ladder must be strictly increasing"
 
 
 # -- scenario bodies ----------------------------------------------------------
 
-def _sc_thm22_eigenfield(p, out, fmt):
-    spec = opbuild.BlockShiftSpec(int(p["K"]), int(p["d"]))
+def _sc_thm22_eigenfield(p):
+    spec = opbuild.BlockShiftSpec(p["K"], p["d"])
     b = opbuild.block_backward_shift(spec)
     x0 = 1.0 / (1.0 + np.arange(spec.d))
     v = analytic.holomorphic_eigenfield(x0, p["z"], spec.K)
@@ -69,8 +90,8 @@ def _sc_thm22_eigenfield(p, out, fmt):
     return summary, []
 
 
-def _sc_prop21_block(p, out, fmt):
-    n = int(p["n"])
+def _sc_prop21_block(p):
+    n = p["n"]
     u = opbuild.backward_shift(n)
     bdiag = 0.25 + 0.5 * np.arange(n) / n
     b = opbuild.OpMatrix(np.diag(bdiag), opbuild._hardy(n), opbuild._hardy(n),
@@ -89,7 +110,7 @@ def _sc_prop21_block(p, out, fmt):
     return summary, []
 
 
-def _sc_ex25_notC(p, out, fmt):
+def _sc_ex25_notC(p):
     ladder = p["ladder"]
     rep_c = certify.check_C(certify.family_halfshift_plus_rank1, ladder)
     rep_cplus = certify.check_Cplus(certify.family_halfshift_plus_rank1, ladder)
@@ -105,14 +126,14 @@ def _sc_ex25_notC(p, out, fmt):
     return summary, []
 
 
-def _sc_ex26_perturbation(p, out, fmt):
-    trunc = int(p["trunc"])
+def _sc_ex26_perturbation(p):
+    trunc = p["trunc"]
     base = opbuild.block2x2(opbuild.backward_shift(trunc), np.eye(trunc),
                             np.zeros((trunc, trunc)), np.zeros((trunc, trunc)),
                             provenance="unperturbed limit")
     rows = []
     defects = []
-    for n in range(1, int(p["n_max"]) + 1):
+    for n in range(1, p["n_max"] + 1):
         vn = certify.family_ex26(n)(trunc)
         smin = numlin.sigma_min(vn)
         dn = np.linalg.norm(vn.entries - base.entries, 2)
@@ -129,8 +150,8 @@ def _sc_ex26_perturbation(p, out, fmt):
     return summary, extra
 
 
-def _sc_multiplicativity(p, out, fmt):
-    n = int(p["n"])
+def _sc_multiplicativity(p):
+    n = p["n"]
     u0 = opbuild.backward_shift(n)
     zero = np.zeros((n, n))
     u = opbuild.block2x2(u0, zero, zero, zero, provenance="upper corner factor")
@@ -148,8 +169,7 @@ def _sc_multiplicativity(p, out, fmt):
     return summary, []
 
 
-def _sc_annulus(p, out, fmt):
-    _check_r(p)
+def _sc_annulus(p):
     inner, outer = analytic.annulus(p["r"])
     summary = {
         "scenario": "annulus", "r": p["r"], "inner": inner, "outer": outer,
@@ -162,9 +182,8 @@ def _sc_annulus(p, out, fmt):
     return summary, extra
 
 
-def _sc_ex31_falsify(p, out, fmt):
-    _check_r(p)
-    grid = certify.annulus_grid(p["r"], int(p["n_radial"]), int(p["n_angular"]))
+def _sc_ex31_falsify(p):
+    grid = certify.annulus_grid(p["r"], p["n_radial"], p["n_angular"])
     fam = certify.family_composition(p["r"], beta=1.0, variant="derivative")
     rep = certify.spectral_falsifier(fam, grid, p["ladder"])
     top = p["ladder"][-1]
@@ -173,7 +192,7 @@ def _sc_ex31_falsify(p, out, fmt):
     for lam in grid:
         sv = np.linalg.svd(fs - lam * np.eye(top), compute_uv=False)
         dims = [int(np.sum(sv <= tol * sv[0])) for tol in (1e-6, 1e-8)]
-        rows.append([repr(lam.real), repr(lam.imag)] + dims)
+        rows.append([repr(float(lam.real)), repr(float(lam.imag))] + dims)
     summary = {
         "scenario": "ex31-falsify-dirichlet",
         "report": _report_payload(rep),
@@ -186,15 +205,14 @@ def _sc_ex31_falsify(p, out, fmt):
     return summary, extra
 
 
-def _sc_thm32_certify(p, out, fmt):
-    _check_lambda_in_annulus(p)
+def _sc_thm32_certify(p):
     lam = p["lam"]
     fam = certify.shifted(certify.family_adjoint_compressed(p["r"]), lam)
     counter = lambda n: certify.composition_witness_count(
-        p["r"], lam, n, int(p["index_max"]))
+        p["r"], lam, n, p["index_max"])
     rep = certify.check_C(fam, p["ladder"], witness_counter=counter)
     family = certify.adjoint_multiplicity_witnesses(
-        p["r"], lam, p["ladder"][-1], int(p["index_max"]))
+        p["r"], lam, p["ladder"][-1], p["index_max"])
     rows = [[n, repr(float(res)), repr(float(massf))]
             for n, res, massf in zip(family.indices, family.residuals,
                                      family.window_mass)]
@@ -209,24 +227,14 @@ def _sc_thm32_certify(p, out, fmt):
     return summary, extra
 
 
-def _sc_cor34_heller(p, out, fmt):
-    _check_r(p)
-    r, trunc = p["r"], int(p["trunc"])
+def _sc_cor34_heller(p):
+    r, trunc = p["r"], p["trunc"]
     space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
     reference = opbuild.weighted_adjoint(opbuild.composition_matrix(-r, space))
     displayed = opbuild.heller_principal(r, 0.0, space)
-    prof = certify.compactness_proxy(displayed, reference, count=int(p["count"]))
-    # same combination with the middle sign flipped
-    c1 = (1 + r * r) / (1 - r * r)
-    c2 = r / (1 - r * r)
-    comp = opbuild.composition_matrix(r, space)
-    mz = opbuild.mult_z(space)
-    mzs = opbuild.weighted_adjoint(mz)
-    flipped = opbuild.OpMatrix(
-        c1 * comp.entries + c2 * (mzs.entries + mz.entries) @ comp.entries,
-        space, space, comp.build_pad, "sign-flipped principal combination")
-    prof_flipped = certify.compactness_proxy(flipped, reference,
-                                             count=int(p["count"]))
+    flipped = opbuild.heller_principal(r, 0.0, space, sign=1)
+    prof = certify.compactness_proxy(displayed, reference, count=p["count"])
+    prof_flipped = certify.compactness_proxy(flipped, reference, count=p["count"])
     rows = [[j + 1, repr(float(s)), repr(float(t))]
             for j, (s, t) in enumerate(zip(prof.values, prof_flipped.values))]
     summary = {
@@ -243,8 +251,8 @@ def _sc_cor34_heller(p, out, fmt):
     return summary, extra
 
 
-def _sc_mzstar_compare(p, out, fmt):
-    trunc = int(p["trunc"])
+def _sc_mzstar_compare(p):
+    trunc = p["trunc"]
     space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
     mzs = opbuild.weighted_adjoint(opbuild.mult_z(space))
     rows = []
@@ -269,7 +277,7 @@ def _sc_mzstar_compare(p, out, fmt):
     return summary, extra
 
 
-def _sc_prop35_halfplane(p, out, fmt):
+def _sc_prop35_halfplane(p):
     mu = p["mu"]
     rows = [["hardy", repr(mu), "", repr(analytic.halfplane_radius(mu))]]
     for alpha in p["alphas"]:
@@ -288,8 +296,8 @@ def _sc_prop35_halfplane(p, out, fmt):
     return summary, extra
 
 
-def _sc_prop41_falsifiers(p, out, fmt):
-    n = int(p["n"])
+def _sc_prop41_falsifiers(p):
+    n = p["n"]
     b = opbuild.backward_shift(n)
     b2 = opbuild.OpMatrix(b.entries @ b.entries, b.domain_space,
                           b.codomain_space, n, "squared backward shift")
@@ -311,33 +319,31 @@ def _sc_prop41_falsifiers(p, out, fmt):
     return summary, []
 
 
-def _sc_ex43_diagonal(p, out, fmt):
+def _sc_ex43_diagonal(p):
     rep = certify.check_M(certify.pair_diagonal_blocks, p["ladder"])
     return {"scenario": "ex43-diagonal", "report": _report_payload(rep),
             "narrative": "the commuting diagonal pair keeps disjoint kernels, "
                          "so the common-kernel requirement fails"}, []
 
 
-def _sc_thm44_scalar(p, out, fmt):
+def _sc_thm44_scalar(p):
     rep = certify.check_M(certify.hs_pair_scalar, p["ladder"])
     return {"scenario": "thm44-scalar-pair", "report": _report_payload(rep),
             "narrative": "the scalar shift pair pins its kernel intersection at "
                          "one dimension at every truncation"}, []
 
 
-def _sc_thm44_block(p, out, fmt):
+def _sc_thm44_block(p):
     rep = certify.check_M(certify.hs_pair_block, p["ladder"])
     return {"scenario": "thm44-block-pair", "report": _report_payload(rep),
             "narrative": "the block shift pair shows growing kernel overlap "
                          "with exact product-kernel bookkeeping"}, []
 
 
-def _sc_ex46_zeros(p, out, fmt):
-    _check_lambda_in_annulus(p, "r", "lam")
-    _check_lambda_in_annulus(p, "s", "mu")
+def _sc_ex46_zeros(p):
     frac = analytic.ratio_condition(p["r"], p["s"])
-    zr = analytic.covering_map_zeros(p["r"], p["lam"], int(p["k_max"]))
-    zs = analytic.covering_map_zeros(p["s"], p["mu"], int(p["k_max"]) // 2)
+    zr = analytic.covering_map_zeros(p["r"], p["lam"], p["k_max"])
+    zs = analytic.covering_map_zeros(p["s"], p["mu"], p["k_max"] // 2)
     by_k_r = {e.k: e for e in zr.entries}
     by_k_s = {e.k: e for e in zs.entries}
     pair_rows = []
@@ -345,16 +351,13 @@ def _sc_ex46_zeros(p, out, fmt):
     max_cross = mp.mpf(0)
     # the zeros crowd +-1 at double-exponential speed, so the comparison must
     # run at the same precision the zero sets were built with
-    t_r = analytic.HyperbolicAuto(p["r"]).t_param
-    max_re = (np.pi / t_r) * (abs(np.angle(complex(p["lam"]))) + 2.0 * np.pi * int(p["k_max"]))
-    dps = max(60, int(30 + 1.2 * max_re / np.log(10.0)))
-    with mp.workdps(dps):
+    with mp.workdps(zr.dps):
         for j in sorted(by_k_s):
             if 2 * j not in by_k_r:
                 continue
             za, zb = by_k_r[2 * j].z, by_k_s[j].z
             gap = mp.fabs(za - zb)
-            cross = mp.fabs(analytic.covering_value(p["s"], za, dps=dps) - p["mu"])
+            cross = mp.fabs(analytic.covering_value(p["s"], za, dps=zr.dps) - p["mu"])
             max_gap = max(max_gap, gap)
             max_cross = max(max_cross, cross)
             pair_rows.append([j, 2 * j, mp.nstr(gap, 6), mp.nstr(cross, 6)])
@@ -369,21 +372,29 @@ def _sc_ex46_zeros(p, out, fmt):
                      "the finer covering map is a zero of the coarser one, so "
                      "the two symbols share infinitely many zeros",
     }
-    extra = [("pairs.csv", ["j", "matched_k", "gap", "cross_residual"], pair_rows)]
-    paths = []
-    if fmt in ("csv", "both"):
-        zr.to_csv(out / "zeros_r.csv")
-        zs.to_csv(out / "zeros_s.csv")
-        paths = [out / "zeros_r.csv", out / "zeros_s.csv"]
-    return summary, extra, paths
+    def zero_rows(zset):
+        return [[e.k, mp.nstr(e.z.real, 17), mp.nstr(e.z.imag, 17), repr(e.residual)]
+                for e in zset.entries]
+
+    zero_header = ["k", "re_z", "im_z", "residual"]
+    extra = [("zeros_r.csv", zero_header, zero_rows(zr)),
+             ("zeros_s.csv", zero_header, zero_rows(zs)),
+             ("pairs.csv", ["j", "matched_k", "gap", "cross_residual"], pair_rows)]
+    return summary, extra
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A registered experiment: run(params) returns (summary, tables), each
+    table a (file name, header, rows) triple. Every parameter has a default,
+    whose kind decides how a given value is parsed; checks are the domain
+    rules validate() runs on the parsed parameters, in order."""
+
     name: str
     run: callable
     defaults: dict
     description: str
+    checks: tuple = ()
 
 
 _DEF_LADDER = (64, 128, 256)
@@ -395,42 +406,53 @@ REGISTRY = {s.name: s for s in (
     Scenario("prop21-block", _sc_prop21_block, {"n": 24},
              "triangular block operators keep the union of part spectra"),
     Scenario("ex25-notC", _sc_ex25_notC, {"ladder": (32, 64, 128)},
-             "rank-1 compact bump: kernel keeps growing, one range direction lost"),
+             "rank-1 compact bump: kernel keeps growing, one range direction lost",
+             (_ladder,)),
     Scenario("ex26-perturbation", _sc_ex26_perturbation,
              {"trunc": 128, "n_max": 10},
              "injective perturbations at distance 1/n from a universal operator"),
     Scenario("multiplicativity-failure", _sc_multiplicativity, {"n": 16},
              "two universal-type diagonal factors with product exactly zero"),
     Scenario("annulus", _sc_annulus, {"r": 0.5},
-             "spectral annulus radii of the hyperbolic composition operator"),
+             "spectral annulus radii of the hyperbolic composition operator",
+             (_real_unit("r"),)),
     Scenario("ex31-falsify-dirichlet", _sc_ex31_falsify,
              {"r": 0.5, "ladder": _DEF_LADDER, "n_radial": 5, "n_angular": 12},
-             "annulus grid of kernel dimensions falsifies the forward operator"),
+             "annulus grid of kernel dimensions falsifies the forward operator",
+             (_real_unit("r"), _ladder)),
     Scenario("thm32-adjoint-certify", _sc_thm32_certify,
              {"r": 0.5, "lam": 3.0 ** 0.25, "ladder": (256, 512, 1024),
               "index_max": 64},
-             "growing resolved-witness counts certify the compressed adjoint"),
+             "growing resolved-witness counts certify the compressed adjoint",
+             (_real_unit("r"), _in_annulus("r", "lam"), _ladder)),
     Scenario("cor34-heller", _sc_cor34_heller,
              {"r": 0.5, "trunc": 512, "count": 64},
-             "singular-value decay of the adjoint minus its principal part"),
+             "singular-value decay of the adjoint minus its principal part",
+             (_real_unit("r"),)),
     Scenario("mzstar-adjoint-compare", _sc_mzstar_compare, {"trunc": 12},
              "superdiagonal of the adjoint of multiplication by z, two formulas"),
     Scenario("prop35-halfplane", _sc_prop35_halfplane,
              {"mu": 4.0, "alphas": (0.0, 2.0)},
-             "half-plane dilation spectral radii"),
+             "half-plane dilation spectral radii",
+             (_real("mu"), _real("alphas"))),
     Scenario("prop41-falsifiers", _sc_prop41_falsifiers, {"n": 32},
              "algebraic dependence witnesses falsify shift power pairs"),
     Scenario("ex43-diagonal", _sc_ex43_diagonal, {"ladder": (8, 16, 32)},
-             "commuting diagonal pair with disjoint kernels"),
+             "commuting diagonal pair with disjoint kernels",
+             (_ladder,)),
     Scenario("thm44-scalar-pair", _sc_thm44_scalar, {"ladder": (8, 16, 32)},
-             "scalar multiplication pair: intersection pinned at one"),
+             "scalar multiplication pair: intersection pinned at one",
+             (_ladder,)),
     Scenario("thm44-block-pair", _sc_thm44_block,
              {"ladder": ((4, 4), (6, 6), (8, 8))},
-             "block multiplication pair: the model universal commuting pair"),
+             "block multiplication pair: the model universal commuting pair",
+             (_ladder,)),
     Scenario("ex46-common-zeros", _sc_ex46_zeros,
              {"r": 0.5, "s": 2.0 - 3.0 ** 0.5, "lam": 1.0 + 0j, "mu": 1.0 + 0j,
               "k_max": 20},
-             "covering-map zero sets sharing every other zero at ratio 2:1"),
+             "covering-map zero sets sharing every other zero at ratio 2:1",
+             (_real_unit("r"), _real_unit("s"), _in_annulus("r", "lam"),
+              _in_annulus("s", "mu"))),
 )}
 
 
@@ -450,15 +472,36 @@ def _parse_value(text: str):
 
 
 def _parse_ladder(text: str):
+    """Comma list of values or KxD rungs."""
     rungs = []
     for token in text.split(","):
         token = token.strip()
         if "x" in token:
-            k, d = token.split("x")
-            rungs.append((int(k), int(d)))
+            rungs.append(tuple(_parse_value(part.strip()) for part in token.split("x")))
         else:
-            rungs.append(int(token))
+            rungs.append(_parse_value(token))
     return tuple(rungs)
+
+
+def _as_kind(default, value):
+    """value in the kind of default: strings are parsed first, then tuples
+    need sequences of the default's element kind, ints need integers and
+    float or complex defaults take any number. Raises ValueError."""
+    if isinstance(default, tuple):
+        if isinstance(value, str):
+            value = _parse_ladder(value)
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"expected a sequence like {default!r}, got {value!r}")
+        return tuple(_as_kind(default[0], v) for v in value)
+    if isinstance(value, str):
+        value = _parse_value(value)
+    if isinstance(default, int):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    if not isinstance(value, numbers.Number):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
 
 
 def _read_config(path: str) -> dict:
@@ -485,45 +528,47 @@ def list_scenarios() -> str:
     return "\n".join(lines)
 
 
-def validate(name: str, params: dict) -> list[str]:
-    problems = []
+def _resolve(name: str, params: dict) -> tuple[dict, list[str]]:
+    """Registry defaults overridden by params parsed by the kind of each
+    default, and the problems found: unknown keys, values of the wrong kind,
+    then the first failing check of the scenario."""
     if name not in REGISTRY:
-        return [f"unknown scenario {name!r}"]
-    known = REGISTRY[name].defaults
-    for key in params:
-        if key not in known:
+        return {}, [f"unknown scenario {name!r}"]
+    sc = REGISTRY[name]
+    merged = dict(sc.defaults)
+    problems = []
+    for key, value in params.items():
+        if key not in sc.defaults:
             problems.append(f"unknown parameter {key!r} for {name}")
-    merged = {**known, **{k: v for k, v in params.items() if k in known}}
-    try:
-        for rkey in ("r", "s"):
-            if rkey in merged:
-                _check_r(merged, rkey)
-        if name == "thm32-adjoint-certify":
-            _check_lambda_in_annulus(merged)
-        if name == "ex46-common-zeros":
-            _check_lambda_in_annulus(merged, "r", "lam")
-            _check_lambda_in_annulus(merged, "s", "mu")
-        if "ladder" in merged and len(merged["ladder"]) < 3:
-            problems.append("the ladder needs at least 3 rungs")
-    except ValueError as exc:
-        problems.append(str(exc))
-    return problems
+            continue
+        try:
+            merged[key] = _as_kind(sc.defaults[key], value)
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
+    if not problems:
+        for check in sc.checks:
+            msg = check(merged)
+            if msg is not None:
+                return merged, [msg]
+    return merged, problems
+
+
+def validate(name: str, params: dict) -> list[str]:
+    """Problems with params for scenario name; empty when it can run."""
+    return _resolve(name, params)[1]
 
 
 def run_scenario(name: str, params: dict, out_dir: Path,
                  fmt: str = "both") -> list[Path]:
     if name not in REGISTRY:
         raise KeyError(f"unknown scenario {name!r}")
-    problems = validate(name, params)
+    merged, problems = _resolve(name, params)
     if problems:
         raise ValueError("; ".join(problems))
-    sc = REGISTRY[name]
-    merged = {**sc.defaults, **params}
     target = out_dir / name
     target.mkdir(parents=True, exist_ok=True)
-    result = sc.run(merged, target, fmt)
-    summary, tables = result[0], result[1]
-    written = list(result[2]) if len(result) > 2 else []
+    summary, tables = REGISTRY[name].run(merged)
+    written = []
     if fmt in ("json", "both"):
         written.append(_write_json(target / "summary.json", summary))
     if fmt in ("csv", "both"):
@@ -546,13 +591,14 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", action="append", default=[],
                         help="scenario name; repeatable")
     parser.add_argument("--param", action="append", default=[], metavar="K=V",
-                        help="scenario parameter; repeatable")
-    parser.add_argument("--out", default="reports", help="output directory")
+                        help="scenario parameter, parsed by the kind of its "
+                             "default; repeatable")
+    parser.add_argument("--out", help="output directory (default: reports)")
     parser.add_argument("--format", choices=("json", "csv", "both"),
-                        default="both")
-    parser.add_argument("--ladder", default=None,
+                        help="report files to write (default: both)")
+    parser.add_argument("--ladder",
                         help="comma-separated rungs, e.g. 64,128,256 or 4x4,6x6,8x8")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, help="worker processes (default: 1)")
     parser.add_argument("--config", default=None,
                         help="key = value file mirroring the flags")
     parser.add_argument("--list", action="store_true", dest="list_flag",
@@ -565,34 +611,27 @@ def main(argv=None) -> int:
         print(list_scenarios())
         return 0
 
-    scenarios = list(ns.scenario)
-    params_raw = list(ns.param)
-    out_dir, fmt, ladder, jobs = ns.out, ns.format, ns.ladder, ns.jobs
-    if ns.config:
-        cfg = _read_config(ns.config)
-        if not scenarios and "scenario" in cfg:
-            scenarios = [cfg["scenario"]]
-        params_raw = cfg.get("param", []) + params_raw
-        if out_dir == "reports" and "out" in cfg:
-            out_dir = cfg["out"]
-        if fmt == "both" and "format" in cfg:
-            fmt = cfg["format"]
-        if ladder is None and "ladder" in cfg:
-            ladder = cfg["ladder"]
-        if jobs == 1 and "jobs" in cfg:
-            jobs = int(cfg["jobs"])
+    cfg = _read_config(ns.config) if ns.config else {"param": []}
 
+    def setting(key, builtin):
+        """An explicit flag, then the config file, then the built-in default."""
+        flag = getattr(ns, key)
+        return flag if flag is not None else cfg.get(key, builtin)
+
+    out_dir, fmt = setting("out", "reports"), setting("format", "both")
+    ladder, jobs = setting("ladder", None), int(setting("jobs", 1))
+    scenarios = ns.scenario or ([cfg["scenario"]] if "scenario" in cfg else [])
     if not scenarios:
         parser.error("no scenario given (use --scenario or --list)")
 
     params = {}
-    for item in params_raw:
+    for item in cfg["param"] + ns.param:
         if "=" not in item:
             parser.error(f"malformed --param {item!r}, expected K=V")
         key, value = item.split("=", 1)
-        params[key.strip()] = _parse_value(value.strip())
+        params[key.strip()] = value.strip()
     if ladder is not None:
-        params["ladder"] = _parse_ladder(ladder)
+        params["ladder"] = ladder
 
     if ns.validate:
         status = 0
@@ -607,11 +646,16 @@ def main(argv=None) -> int:
         return status
 
     tasks = [(name, params, out_dir, fmt) for name in scenarios]
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
-    else:
-        results = [_run_one(task) for task in tasks]
+    try:
+        if jobs > 1 and len(tasks) > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_run_one, tasks))
+        else:
+            results = [_run_one(task) for task in tasks]
+    except (ValueError, KeyError) as exc:
+        print(f"univcert-lab: error: {exc.args[0] if exc.args else exc}",
+              file=sys.stderr)
+        return 2
     for name, paths in results:
         for path in paths:
             print(f"{name}: {path}")

@@ -1,21 +1,19 @@
 """Truncation matrices for the concrete operators under study.
 
-Shifts, composition operators for hyperbolic disc automorphisms, analytic
-Toeplitz matrices, multiplication by z and weighted adjoints, 2x2 block
-assemblies, compressions to the z-invariant subspace, and left/right
-multiplication operators on vectorized Hilbert-Schmidt truncations.
+Shifts, composition operators for hyperbolic disc automorphisms,
+multiplication by z and weighted adjoints, 2x2 block assemblies,
+compressions to the z-invariant subspace, and left/right multiplication
+operators on vectorized Hilbert-Schmidt truncations.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import numlin
-from .spaces import SpaceSpec, Variant, make_space
+from .spaces import SpaceSpec
 
 
 @dataclass(frozen=True)
@@ -154,22 +152,6 @@ def composition_matrix(r: float, space: SpaceSpec, pad_factor: int = 4) -> OpMat
     return OpMatrix(m, space, space, pad, f"composition by phi_{r}, n={n}")
 
 
-def sign_conjugator(n: int, space: SpaceSpec | None = None) -> OpMatrix:
-    """Diagonal (-1)^k, the matrix of f -> f(-z); an involution."""
-    return _square(np.diag((-1.0) ** np.arange(n)), space or _hardy(n), f"sign conjugation, n={n}")
-
-
-def toeplitz_analytic(symbol_coeffs: np.ndarray, n: int) -> OpMatrix:
-    """Lower-triangular Toeplitz matrix of multiplication by an analytic symbol."""
-    c = np.asarray(symbol_coeffs)
-    if c.shape[0] < n:
-        raise ValueError(f"need at least {n} symbol coefficients, got {c.shape[0]}")
-    m = np.zeros((n, n), dtype=c.dtype)
-    for k in range(n):
-        m[k:, k] = c[: n - k]
-    return _square(m, _hardy(n), f"analytic Toeplitz, n={n}")
-
-
 def mult_z(space: SpaceSpec) -> OpMatrix:
     """Coefficient forward shift f -> z f; e_{N-1} falls off the truncation."""
     m = np.eye(space.trunc, k=-1)
@@ -197,11 +179,14 @@ def weighted_frame(a: OpMatrix) -> np.ndarray:
     return a.entries * (wo[:, None] / wi[None, :])
 
 
-def heller_principal(r: float, lam: complex, space: SpaceSpec) -> OpMatrix:
+def heller_principal(r: float, lam: complex, space: SpaceSpec,
+                     sign: int = -1) -> OpMatrix:
     """Principal part of the adjoint of the inverse composition operator.
 
-    (1+r^2)/(1-r^2) C - r/(1-r^2) (M_z^* + M_z) C - lambda I; the compact
-    remainder is not constructible and is assessed by singular-value decay.
+    (1+r^2)/(1-r^2) C + sign r/(1-r^2) (M_z^* + M_z) C - lambda I with
+    sign = -1 as displayed, +1 for the combination with the middle sign
+    flipped; the compact remainder is not constructible and is assessed by
+    singular-value decay.
     """
     if space.beta != 1.0:
         raise ValueError("the principal-part formula lives on the beta = 1 space")
@@ -211,10 +196,11 @@ def heller_principal(r: float, lam: complex, space: SpaceSpec) -> OpMatrix:
     mz = mult_z(space)
     mzs = weighted_adjoint(mz, space)
     n = space.trunc
-    ent = c1 * comp.entries - c2 * (mzs.entries + mz.entries) @ comp.entries
+    ent = c1 * comp.entries + sign * (c2 * (mzs.entries + mz.entries) @ comp.entries)
     ent = ent - lam * np.eye(n)
     return OpMatrix(ent, space, space, comp.build_pad,
-                    f"principal part of inverse-composition adjoint, r={r}, lambda={lam}")
+                    f"principal part of inverse-composition adjoint, r={r}, "
+                    f"lambda={lam}, middle sign {sign:+d}")
 
 
 # -- block assemblies --------------------------------------------------------
@@ -340,41 +326,3 @@ def hs_product(left: HSOperator, right: HSOperator) -> HSOperator:
     n = left.base_dim
     return HSOperator(np.kron(v.entries.T, u.entries), u, v, n,
                       f"({left.provenance}) . ({right.provenance})")
-
-
-# -- serialization -----------------------------------------------------------
-
-def save_opmatrix(a: OpMatrix, path_prefix: str | Path) -> tuple[Path, Path]:
-    """JSON header plus raw column-major complex array."""
-    prefix = Path(path_prefix)
-    header = {
-        "shape": list(a.entries.shape),
-        "dtype": "complex128",
-        "order": "F",
-        "build_pad": a.build_pad,
-        "provenance": a.provenance,
-        "domain_space": json.loads(a.domain_space.to_json()),
-        "codomain_space": json.loads(a.codomain_space.to_json()),
-    }
-    hpath = prefix.with_suffix(".json")
-    bpath = prefix.with_suffix(".bin")
-    hpath.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    # tofile ignores the memory layout, so serialize explicitly column-major
-    bpath.write_bytes(a.entries.astype(complex).tobytes(order="F"))
-    return hpath, bpath
-
-
-def load_opmatrix(path_prefix: str | Path) -> OpMatrix:
-    prefix = Path(path_prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
-    shape = tuple(header["shape"])
-    raw = np.fromfile(prefix.with_suffix(".bin"), dtype=np.complex128)
-    entries = np.reshape(raw, shape, order="F")
-
-    def _space(d):
-        return SpaceSpec(beta=d["beta"], trunc=d["trunc"], variant=Variant(d["variant"]),
-                         offset=d.get("offset", 0))
-
-    return OpMatrix(np.ascontiguousarray(entries), _space(header["domain_space"]),
-                    _space(header["codomain_space"]), header["build_pad"],
-                    header["provenance"])

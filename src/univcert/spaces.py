@@ -7,7 +7,6 @@ derivative space (1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -46,18 +45,6 @@ class SpaceSpec:
             raise ValueError("weight sequence length must equal the truncation")
         self.weights.setflags(write=False)
 
-    def to_json(self) -> str:
-        d = {"beta": self.beta, "trunc": self.trunc, "variant": self.variant.value}
-        if self.offset:
-            d["offset"] = self.offset
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "SpaceSpec":
-        d = json.loads(payload)
-        return cls(beta=d["beta"], trunc=d["trunc"], variant=Variant(d["variant"]),
-                   offset=d.get("offset", 0))
-
 
 def _weights(beta: float, n: int, variant: Variant, offset: int = 0) -> np.ndarray:
     idx = np.arange(offset, offset + n, dtype=float)
@@ -70,55 +57,3 @@ def _weights(beta: float, n: int, variant: Variant, offset: int = 0) -> np.ndarr
     if not np.all(w > 0):
         raise ValueError("weights must be strictly positive")
     return w
-
-
-def make_space(beta: float, n: int, variant: Variant | str = Variant.POWER) -> SpaceSpec:
-    return SpaceSpec(beta=float(beta), trunc=int(n), variant=Variant(variant))
-
-
-@dataclass(frozen=True)
-class CoeffVec:
-    """Taylor coefficients a_0..a_{N-1} attached to a space."""
-
-    coeffs: np.ndarray
-    space: SpaceSpec
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.space.trunc,):
-            raise ValueError(
-                f"coefficient length {c.shape} does not match truncation {self.space.trunc}"
-            )
-        object.__setattr__(self, "coeffs", c)
-        self.coeffs.setflags(write=False)
-
-    def norm(self) -> float:
-        return float(np.sqrt(inner(self, self).real))
-
-
-def basis_vector(space: SpaceSpec, k: int) -> CoeffVec:
-    e = np.zeros(space.trunc, dtype=complex)
-    e[k] = 1.0
-    return CoeffVec(e, space)
-
-
-def inner(f: CoeffVec, g: CoeffVec, space: SpaceSpec | None = None) -> complex:
-    """Weighted sesquilinear form sum w_n a_n conj(b_n)."""
-    s = space if space is not None else f.space
-    if f.coeffs.shape != g.coeffs.shape or f.coeffs.shape != (s.trunc,):
-        raise ValueError("length mismatch between vectors and space")
-    return complex(np.sum(s.weights * f.coeffs * np.conj(g.coeffs)))
-
-
-def gram(space: SpaceSpec) -> np.ndarray:
-    """Diagonal Gram matrix of the weight sequence."""
-    return np.diag(space.weights)
-
-
-def retruncate(f: CoeffVec, target: SpaceSpec) -> CoeffVec:
-    """Move a vector to another truncation, padding with zeros or cutting the tail."""
-    n = target.trunc
-    c = np.zeros(n, dtype=complex)
-    m = min(n, f.coeffs.shape[0])
-    c[:m] = f.coeffs[:m]
-    return CoeffVec(c, target)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univcert import analytic
+from univcert import analytic, cli
 
 
 def test_translation_length_log_three():
@@ -27,12 +27,15 @@ def test_automorphism_fixes_boundary_and_inverse():
     assert abs(auto.inverse()(auto(z)) - z) < 1e-15
 
 
-def test_semigroup_param_tangent_addition():
-    assert analytic.semigroup_param(0.5, 0.5) == pytest.approx(0.8)
-    r, s = 0.3, 0.2
-    t = analytic.semigroup_param(r, s)
-    a, b = analytic.HyperbolicAuto(r), analytic.HyperbolicAuto(s)
-    assert a.t_param + b.t_param == pytest.approx(analytic.HyperbolicAuto(t).t_param)
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+def test_semigroup_param_tangent_addition(r, s):
+    # phi_r . phi_s = phi_t with t = (r + s)/(1 + r s): translation lengths add
+    t = (r + s) / (1.0 + r * s)
+    a, b, c = (analytic.HyperbolicAuto(x) for x in (r, s, t))
+    assert a.t_param + b.t_param == pytest.approx(c.t_param)
+    z = np.array([0.1, -0.3 + 0.2j, 0.5j])
+    assert np.abs(a(b(z)) - c(z)).max() < 1e-12
 
 
 def test_annulus_radii_reciprocal():
@@ -42,6 +45,8 @@ def test_annulus_radii_reciprocal():
     assert analytic.in_annulus(0.5, 1.0)
     assert not analytic.in_annulus(0.5, 2.0)
     assert not analytic.in_annulus(0.5, 0.5)
+    with pytest.raises(ValueError):
+        analytic.annulus(2.0)
 
 
 def test_eigenfunction_spec_eigenvalue():
@@ -61,18 +66,23 @@ def test_eigenfunction_functional_equation_pointwise():
     assert np.abs((lhs - rhs) / rhs).max() < 1e-12
 
 
+def _sampled_coeffs(spec, n_coeffs, oversample=8):
+    """Independent oracle: Taylor coefficients by circle sampling and discrete
+    Fourier inversion, at radius max(0.9, 10^(-3/N)) so that rho^{-N} stays
+    around 10^3."""
+    rho = max(0.9, 10.0 ** (-3.0 / n_coeffs))
+    m = oversample * n_coeffs
+    theta = 2.0 * np.pi * np.arange(m) / m
+    samples = analytic.eigenfunction_values(spec, rho * np.exp(1j * theta))
+    return np.fft.fft(samples)[:n_coeffs] / m / rho ** np.arange(n_coeffs)
+
+
 def test_eigenfunction_coeffs_match_recurrence_oracle():
     spec = analytic.EigenfunctionSpec(u=0.25, n=1, r=0.5)
-    sampled = analytic.eigenfunction_coeffs(spec, 256)
-    oracle = analytic.eigenfunction_coeffs_recurrence(spec, 256)
-    scale = np.abs(oracle).max()
-    assert np.abs(sampled - oracle).max() < 1e-8 * scale
-
-
-def test_eigenfunction_sampling_radius_validation():
-    spec = analytic.EigenfunctionSpec(u=0.25, n=0, r=0.5)
-    with pytest.raises(ValueError):
-        analytic.eigenfunction_coeffs(spec, 8, rho=1.5)
+    sampled = _sampled_coeffs(spec, 256)
+    recurrence = analytic.eigenfunction_coeffs_recurrence(spec.exponent, 256)
+    scale = np.abs(recurrence).max()
+    assert np.abs(sampled - recurrence).max() < 1e-8 * scale
 
 
 def test_covering_value_at_origin_is_one():
@@ -97,9 +107,8 @@ def test_covering_map_zeros_residuals_and_ordering():
 
 
 def test_zero_set_csv_layout(tmp_path):
-    zs = analytic.covering_map_zeros(0.5, 1.0 + 0j, 2)
-    path = tmp_path / "zeros.csv"
-    zs.to_csv(path)
+    cli.run_scenario("ex46-common-zeros", {"k_max": 2}, tmp_path, fmt="csv")
+    path = tmp_path / "ex46-common-zeros" / "zeros_r.csv"
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "re_z", "im_z", "residual"]
@@ -137,9 +146,11 @@ def test_holomorphic_eigenfield_blocks():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 def test_semigroup_param_stays_in_disc(r, s):
-    t = analytic.semigroup_param(r, s)
+    # the composed map phi_r . phi_s is phi_t with t = phi_r(phi_s(0))
+    t = analytic.HyperbolicAuto(r)(analytic.HyperbolicAuto(s)(0.0))
     assert 0.0 < t < 1.0
     assert t >= max(r, s) - 1e-12
+    assert analytic.HyperbolicAuto(t).t_param > 0.0
 
 
 @settings(max_examples=40, deadline=None)

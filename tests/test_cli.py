@@ -54,6 +54,54 @@ def test_validate_catches_bad_parameters():
     assert cli.validate("ex25-notC", {"ladder": (8, 16)}) != []
 
 
+def test_main_param_values_parse_by_default_kind(tmp_path, capsys):
+    assert cli.main(["--scenario", "ex25-notC", "--param", "ladder=32,64,128",
+                     "--out", str(tmp_path), "--format", "json"]) == 0
+    sizes = [r["size"] for r in _summary(tmp_path, "ex25-notC")["check_C"]["ladder"]]
+    assert sizes == [32, 64, 128]
+    assert cli.main(["--scenario", "prop35-halfplane", "--param", "alphas=0,1",
+                     "--out", str(tmp_path), "--format", "json"]) == 0
+    assert _summary(tmp_path, "prop35-halfplane")["bergman_radii"] == {
+        "0": 0.25, "1": 0.125}
+    # thm32's lambda takes a complex value
+    assert cli.main(["--scenario", "thm32-adjoint-certify", "--param",
+                     "lam=1.1+0.2j", "--validate"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "annulus", "--param", "r=1j"],
+    ["--scenario", "thm22-eigenfield", "--param", "K=4.5"],
+    ["--scenario", "ex25-notC", "--param", "ladder=64,32,128"],
+    ["--scenario", "nope"],
+    ["--scenario", "prop41-falsifiers", "--param", "n=1"],
+    ["--scenario", "annulus", "--scenario", "prop41-falsifiers",
+     "--param", "n=1", "--jobs", "2"],
+])
+def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_main_validate_reports_non_increasing_ladder(capsys):
+    assert cli.main(["--scenario", "ex25-notC", "--param", "ladder=64,32,128",
+                     "--validate"]) == 2
+    assert "strictly increasing" in capsys.readouterr().out
+
+
+def test_main_explicit_flags_beat_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = annulus\nout = fromcfg\nformat = csv\n",
+                   encoding="utf-8")
+    assert cli.main(["--config", str(cfg), "--out", "reports",
+                     "--format", "json"]) == 0
+    assert (tmp_path / "reports" / "annulus" / "summary.json").exists()
+    assert not (tmp_path / "fromcfg").exists()
+
+
 def test_run_scenario_writes_json_and_csv(tmp_path):
     paths = cli.run_scenario("annulus", {"r": 0.5}, tmp_path, fmt="both")
     names = {p.name for p in paths}

@@ -1,6 +1,4 @@
-"""Weight tables, inner products, and serialization of the coefficient spaces."""
-
-import json
+"""Weight tables of the coefficient spaces."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ from univcert import spaces
 
 
 def test_power_weights_beta_one():
-    s = spaces.make_space(1.0, 5)
+    s = spaces.SpaceSpec(beta=1.0, trunc=5)
     assert np.allclose(s.weights, [1.0, 4.0, 9.0, 16.0, 25.0])
 
 
@@ -21,17 +19,17 @@ def test_derivative_weights():
 
 
 def test_hardy_weights_are_flat():
-    s = spaces.make_space(0.0, 8)
+    s = spaces.SpaceSpec(beta=0.0, trunc=8)
     assert np.allclose(s.weights, np.ones(8))
 
 
 def test_bergman_weights():
-    s = spaces.make_space(-0.5, 4)
+    s = spaces.SpaceSpec(beta=-0.5, trunc=4)
     assert np.allclose(s.weights, [1.0, 0.5, 1.0 / 3.0, 0.25])
 
 
 def test_offset_weights_continue_the_sequence():
-    full = spaces.make_space(1.0, 8)
+    full = spaces.SpaceSpec(beta=1.0, trunc=8)
     tail = spaces.SpaceSpec(beta=1.0, trunc=5, offset=3)
     assert np.allclose(tail.weights, full.weights[3:])
 
@@ -43,61 +41,26 @@ def test_derivative_variant_requires_beta_one():
 
 def test_truncation_must_be_positive():
     with pytest.raises(ValueError):
-        spaces.make_space(0.0, 0)
+        spaces.SpaceSpec(beta=0.0, trunc=0)
 
 
 def test_weights_are_write_protected():
-    s = spaces.make_space(1.0, 4)
+    s = spaces.SpaceSpec(beta=1.0, trunc=4)
     with pytest.raises(ValueError):
         s.weights[0] = 7.0
-
-
-def test_inner_matches_gram_quadratic_form():
-    s = spaces.make_space(1.0, 6)
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    f, g = spaces.CoeffVec(a, s), spaces.CoeffVec(b, s)
-    expected = np.conj(b) @ spaces.gram(s) @ a
-    assert abs(spaces.inner(f, g) - expected) < 1e-12
-
-
-def test_basis_vectors_are_orthogonal_with_weight_norms():
-    s = spaces.SpaceSpec(beta=1.0, trunc=5, variant="derivative")
-    e2, e3 = spaces.basis_vector(s, 2), spaces.basis_vector(s, 3)
-    assert spaces.inner(e2, e3) == 0
-    assert spaces.inner(e2, e2).real == pytest.approx(4.0)
-
-
-def test_retruncate_pads_and_cuts():
-    s4, s6 = spaces.make_space(0.0, 4), spaces.make_space(0.0, 6)
-    f = spaces.CoeffVec(np.arange(4.0), s4)
-    g = spaces.retruncate(f, s6)
-    assert np.allclose(g.coeffs, [0, 1, 2, 3, 0, 0])
-    assert np.allclose(spaces.retruncate(g, s4).coeffs, f.coeffs)
-
-
-def test_json_roundtrip():
-    s = spaces.SpaceSpec(beta=1.0, trunc=17, variant="derivative", offset=2)
-    t = spaces.SpaceSpec.from_json(s.to_json())
-    assert t == s
-    assert "offset" not in json.loads(spaces.make_space(0.5, 3).to_json())
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1.0, 1.5), st.integers(1, 40))
 def test_weights_stay_positive(beta, n):
-    s = spaces.make_space(beta, n)
+    s = spaces.SpaceSpec(beta=beta, trunc=n)
     assert np.all(s.weights > 0)
     assert s.weights.shape == (n,)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 20), st.integers(0, 3))
-def test_norm_is_definite(n, seed):
-    s = spaces.SpaceSpec(beta=1.0, trunc=n, variant="derivative")
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    f = spaces.CoeffVec(c, s)
-    assert f.norm() > 0
-    assert f.norm() ** 2 == pytest.approx(spaces.inner(f, f).real)
+@given(st.integers(1, 20), st.integers(0, 3))
+def test_norm_is_definite(n, offset):
+    # the derivative norm keeps |a_0|^2, so no weight vanishes at any offset
+    s = spaces.SpaceSpec(beta=1.0, trunc=n, variant="derivative", offset=offset)
+    assert np.all(s.weights > 0)
