@@ -81,22 +81,30 @@ def eigenfunction_values(spec: EigenfunctionSpec, z: np.ndarray) -> np.ndarray:
     return np.exp(spec.exponent * np.log((1.0 + z) / (1.0 - z)))
 
 
-def eigenfunction_coeffs_recurrence(w: complex, n_coeffs: int) -> np.ndarray:
+def eigenfunction_coeffs_recurrence(w, n_coeffs: int) -> np.ndarray:
     """Taylor coefficients of exp(w log((1+z)/(1-z))), up to a positive scalar.
 
     From (1 - z^2) f' = 2 w f: (k+1) a_{k+1} = (k-1) a_{k-1} + 2 w a_k with
     a_0 = 1. For large |Im w| the coefficients peak around index 2 pi |Im w|,
     far beyond double range, so all of them are rescaled by 1e-150 whenever
     one exceeds 1e150.
+
+    A scalar w gives one coefficient vector; a 1-d array of exponents gives
+    one row per exponent, each row rescaled only by its own entries, so a
+    row equals the scalar call for its exponent bit for bit.
     """
-    a = np.zeros(n_coeffs, dtype=complex)
-    a[0] = 1.0
+    ws = np.asarray(w, dtype=complex)
+    a = np.zeros(ws.shape + (n_coeffs,), dtype=complex)
+    a[..., 0] = 1.0
     if n_coeffs > 1:
-        a[1] = 2.0 * w
+        a[..., 1] = 2.0 * ws
+    rows = a.reshape(-1, n_coeffs)
+    two_w = 2.0 * ws.reshape(-1)
     for k in range(1, n_coeffs - 1):
-        a[k + 1] = ((k - 1) * a[k - 1] + 2.0 * w * a[k]) / (k + 1)
-        if abs(a[k + 1]) > 1e150:
-            a[: k + 2] *= 1e-150
+        rows[:, k + 1] = ((k - 1) * rows[:, k - 1] + two_w * rows[:, k]) / (k + 1)
+        big = np.abs(rows[:, k + 1]) > 1e150
+        if big.any():
+            rows[big, : k + 2] *= 1e-150
     return a
 
 

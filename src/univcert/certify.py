@@ -56,11 +56,16 @@ class RungStats:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """A verdict with its per-rung evidence. When the ladder counted witness
+    families, witnesses is the top rung's family; to_json carries only the
+    counts."""
+
     condition: str
     verdict: str
     ladder: tuple[RungStats, ...]
     tolerances: dict
     narrative: str
+    witnesses: WitnessFamily | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ladder:
@@ -86,13 +91,24 @@ def _framed(a) -> np.ndarray:
     return numlin._as_matrix(a)
 
 
-def _split(built):
-    """Builders may return a square matrix or (square, interior section)."""
+@dataclass(frozen=True)
+class Rung:
+    """One ladder rung, built once and read by every check: the square
+    section, the interior section for the corank (None: use the square) and
+    the witness family counted as kernel evidence (None: count the kernel)."""
+
+    square: object
+    interior: object = None
+    witnesses: WitnessFamily | None = None
+
+
+def _rung(built) -> Rung:
+    """Builders may return a Rung, a square matrix or (square, interior)."""
+    if isinstance(built, Rung):
+        return built
     if isinstance(built, tuple):
-        square, interior = built
-    else:
-        square, interior = built, None
-    return square, interior
+        return Rung(*built)
+    return Rung(built)
 
 
 def _rung_label(size) -> str:
@@ -103,26 +119,33 @@ def _strictly_increasing(xs) -> bool:
     return all(b > a for a, b in zip(xs, xs[1:]))
 
 
-def _check_kernel_ladder(condition, builder, ladder, tol, witness_counter,
-                         corank_target):
+def _kernel_rung_stats(rung: Rung, size, tol) -> RungStats:
+    fs = _framed(rung.square)
+    sv = numlin.singular_values(fs)
+    smin = float(sv[-1]) if sv.size else 0.0
+    if rung.witnesses is not None:
+        kdim = rung.witnesses.count()
+    else:
+        kdim = numlin.kernel_dim(fs, tol)
+    section = _framed(rung.interior) if rung.interior is not None else fs
+    cor = numlin.corank(section, tol)
+    return RungStats(_rung_label(size), size, kernel_dim=kdim, corank=cor,
+                     sigma_min=smin)
+
+
+def _check_kernel_ladder(condition, builder, ladder, tol, corank_target):
     if len(ladder) < 3:
         raise ValueError("the ladder needs at least 3 rungs")
     if not _strictly_increasing(ladder):
         raise ValueError("the ladder must be strictly increasing")
     rungs = []
     for size in ladder:
-        square, interior = _split(builder(size))
-        fs = _framed(square)
-        sv = numlin.singular_values(fs)
-        smin = float(sv[-1]) if sv.size else 0.0
-        if witness_counter is not None:
-            kdim = int(witness_counter(size))
-        else:
-            kdim = numlin.kernel_dim(fs, tol)
-        section = _framed(interior) if interior is not None else fs
-        cor = numlin.corank(section, tol)
-        rungs.append(RungStats(_rung_label(size), size, kernel_dim=kdim,
-                               corank=cor, sigma_min=smin))
+        # only the stats and the witness family outlive the rung, so its
+        # matrices are freed before the next rung is built
+        rung = _rung(builder(size))
+        rungs.append(_kernel_rung_stats(rung, size, tol))
+        top_witnesses = rung.witnesses
+        del rung
     kdims = [r.kernel_dim for r in rungs]
     coranks = [r.corank for r in rungs]
     grows = _strictly_increasing(kdims)
@@ -146,26 +169,26 @@ def _check_kernel_ladder(condition, builder, ladder, tol, witness_counter,
         narrative = (f"kernel evidence {kdims} neither grows strictly nor "
                      f"stays constant; {SCALE_CAVEAT}")
     tols = {"rank_tol": tol}
-    if witness_counter is not None:
+    if top_witnesses is not None:
         tols["witness_tol"] = WITNESS_TOL
-    return CertificateReport(condition, verdict, tuple(rungs), tols, narrative)
+    return CertificateReport(condition, verdict, tuple(rungs), tols, narrative,
+                             top_witnesses)
 
 
-def check_C(builder, ladder, tol: float = RANK_TOL, witness_counter=None) -> CertificateReport:
+def check_C(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     """Kernel grows without bound and the range is everything.
 
     certified_at_scale iff the kernel evidence strictly increases across the
     ladder and every rung has corank 0 (computed on the interior section when
-    the builder provides one).
+    the builder provides one). The kernel evidence is the rung's witness
+    count when the builder returns a Rung with a witness family.
     """
-    return _check_kernel_ladder("C", builder, ladder, tol, witness_counter,
-                                corank_target=0)
+    return _check_kernel_ladder("C", builder, ladder, tol, corank_target=0)
 
 
-def check_Cplus(builder, ladder, tol: float = RANK_TOL, witness_counter=None) -> CertificateReport:
+def check_Cplus(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     """As condition C, but a constant finite corank is allowed."""
-    return _check_kernel_ladder("Cplus", builder, ladder, tol, witness_counter,
-                                corank_target=None)
+    return _check_kernel_ladder("Cplus", builder, ladder, tol, corank_target=None)
 
 
 # -- commuting pairs ----------------------------------------------------------
@@ -265,6 +288,12 @@ def spectral_falsifier(builder, lam_grid, ladder, tols=(1e-6, 1e-8),
     somewhere; when every grid point keeps a bounded, non-growing kernel the
     family is falsified. This operation never certifies.
     """
+    return _spectral_scan(builder, lam_grid, ladder, tols, dim_bound)[0]
+
+
+def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
+    """spectral_falsifier's report and the per-cell dims it is drawn from:
+    {(lambda, tol): [kernel dim at each rung]}."""
     lam_grid = np.asarray(lam_grid)
     if lam_grid.size == 0:
         raise ValueError("the falsifier needs a non-empty grid")
@@ -272,8 +301,7 @@ def spectral_falsifier(builder, lam_grid, ladder, tols=(1e-6, 1e-8),
     dims = {}
     rungs = []
     for size in ladder:
-        square, _ = _split(builder(size))
-        fs = _framed(square)
+        fs = _framed(_rung(builder(size)).square)
         n = fs.shape[0]
         worst = 0
         for lam in lam_grid:
@@ -295,8 +323,9 @@ def spectral_falsifier(builder, lam_grid, ladder, tols=(1e-6, 1e-8),
         verdict = INCONCLUSIVE
         narrative = (f"{len(growth)} grid cell(s) show growing kernel evidence; "
                      f"consistent with universality at scale; {SCALE_CAVEAT}")
-    return CertificateReport("spectral", verdict, tuple(rungs),
-                             {"svd_tols": list(tols)}, narrative)
+    report = CertificateReport("spectral", verdict, tuple(rungs),
+                               {"svd_tols": list(tols)}, narrative)
+    return report, dims
 
 
 def algebraic_falsifier(t, w, poly=None, powers=None,
@@ -422,9 +451,17 @@ class WitnessFamily:
         return float(np.linalg.eigvalsh(g)[0])
 
 
+def _compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
+    """z-compressed weighted adjoint of C_phi on the derivative-norm space."""
+    space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
+    return opbuild.compress_zH2(opbuild.weighted_adjoint(
+        opbuild.composition_matrix(r, space)))
+
+
 def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
-                                   index_max: int = 64,
-                                   window_frac: int = 4) -> WitnessFamily:
+                                   index_max: int = 64, window_frac: int = 4,
+                                   compressed: opbuild.OpMatrix | None = None
+                                   ) -> WitnessFamily:
     """Near-kernel family for the z-compressed weighted adjoint of C_phi.
 
     The compression is exactly diag(k)-similar to the z-compression of the
@@ -433,44 +470,49 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     Witness n carries its coefficient mass near index 2 pi |n| / t_r, so a
     truncation resolves witnesses only up to a frequency proportional to its
     size: the verified count grows with the ladder.
+
+    compressed: the rung's already-built compressed adjoint, of shape
+    (trunc - 1, trunc - 1); built here when None.
     """
     from .analytic import HyperbolicAuto, eigenfunction_coeffs_recurrence, in_annulus
 
     if not in_annulus(r, lam) or abs(lam) == 1.0:
         raise ValueError("lambda must lie in the open annulus, off the unit circle")
     t_r = HyperbolicAuto(r).t_param
-    space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
-    a = opbuild.compress_zH2(opbuild.weighted_adjoint(
-        opbuild.composition_matrix(r, space)))
-    am = a.entries
-    wts = a.domain_space.weights
     m = trunc - 1
+    if compressed is None:
+        compressed = _compressed_adjoint(r, trunc)
+    elif compressed.entries.shape != (m, m):
+        raise ValueError(f"compressed adjoint has shape {compressed.entries.shape}, "
+                         f"expected {(m, m)} for trunc={trunc}")
+    # one complex copy for every witness; a real matrix times a complex
+    # vector would be cast anew on each product
+    am = compressed.entries.astype(complex)
+    wts = compressed.domain_space.weights
     win = m // window_frac
     k = np.arange(1, trunc)
     base = -np.log(complex(lam)) / t_r
     indices = tuple(range(-index_max, index_max + 1))
+    freqs = 2.0 * np.pi * np.arange(-index_max, index_max + 1) / t_r
+    # one row per witness, contiguous, so each sum below runs in the same
+    # order as on a lone vector
+    coeffs = eigenfunction_coeffs_recurrence(base + 1j * freqs, trunc)[:, 1:] / k
     vectors = np.zeros((m, len(indices)), dtype=complex)
     residuals = np.ones(len(indices))
     window_mass = np.zeros(len(indices))
-    for col, n in enumerate(indices):
-        g = eigenfunction_coeffs_recurrence(base + 2j * np.pi * n / t_r, trunc)
-        v = g[1:] / k
+    for col, v in enumerate(coeffs):
         mass = wts * np.abs(v) ** 2
         total = mass.sum()
         if total == 0.0 or not np.isfinite(total):
             continue
         v = v / np.sqrt(total)
+        # one product per witness: a single am @ V moves the rounding-level
+        # residuals by up to 10% relative
         res = am @ v - lam * v
         residuals[col] = float(np.sqrt(np.sum(wts[:win] * np.abs(res[:win]) ** 2)))
         window_mass[col] = float(mass[:win].sum() / total)
         vectors[:, col] = v
     return WitnessFamily(indices, vectors, residuals, window_mass, wts)
-
-
-def composition_witness_count(r: float, lam: complex, trunc: int,
-                              index_max: int = 64,
-                              residual_tol: float = WITNESS_TOL) -> int:
-    return adjoint_multiplicity_witnesses(r, lam, trunc, index_max).count(residual_tol)
 
 
 # -- concrete ladder families -------------------------------------------------
@@ -529,27 +571,42 @@ def family_adjoint_compressed(r: float, window_frac: int = 4):
     """z-compressed weighted adjoint of the composition operator on the
     derivative-norm space, with an interior section for the corank."""
     def build(trunc: int):
-        space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
-        a = opbuild.compress_zH2(opbuild.weighted_adjoint(
-            opbuild.composition_matrix(r, space)))
+        a = _compressed_adjoint(r, trunc)
         drop = (trunc - 1) // window_frac
         return a, opbuild.interior_section(a, drop)
     return build
 
 
+def family_adjoint_witnessed(r: float, lam: complex, index_max: int = 64,
+                             window_frac: int = 4):
+    """Rungs of A - lambda I for the compressed adjoint A, each carrying the
+    witness family of A at lambda built from the same matrix: one
+    composition matrix per rung."""
+    compressed = family_adjoint_compressed(r, window_frac)
+
+    def with_witnesses(trunc: int) -> Rung:
+        a, interior = compressed(trunc)
+        return Rung(a, interior, adjoint_multiplicity_witnesses(
+            r, lam, trunc, index_max, window_frac, compressed=a))
+    return shifted(with_witnesses, lam)
+
+
 def shifted(builder, lam: complex):
-    """Family A - lambda I built from a square family."""
-    def build(size):
-        square, interior = _split(builder(size))
+    """Family A - lambda I built from a square family; a rung's witness
+    family is kept."""
+    def build(size) -> Rung:
+        rung = _rung(builder(size))
+        square = rung.square
         n = square.entries.shape[0]
         ent = square.entries - lam * np.eye(n)
         shifted_sq = opbuild.OpMatrix(ent, square.domain_space, square.codomain_space,
                                       square.build_pad,
                                       f"[{square.provenance}] - ({lam}) I")
-        if interior is None:
-            return shifted_sq
-        drop = n - interior.entries.shape[0]
-        return shifted_sq, opbuild.interior_section(shifted_sq, drop)
+        interior = None
+        if rung.interior is not None:
+            drop = n - rung.interior.entries.shape[0]
+            interior = opbuild.interior_section(shifted_sq, drop)
+        return Rung(shifted_sq, interior, rung.witnesses)
     return build
 
 

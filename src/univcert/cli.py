@@ -62,6 +62,13 @@ def _real(key):
     return check
 
 
+def _count_in_trunc(p):
+    # the summary reads s_32 / s_1
+    if not 32 <= p["count"] <= p["trunc"]:
+        return (f"count must satisfy 32 <= count <= trunc, got count={p['count']}, "
+                f"trunc={p['trunc']}")
+
+
 def _ladder(p):
     if len(p["ladder"]) < 3:
         return "the ladder needs at least 3 rungs"
@@ -185,14 +192,11 @@ def _sc_annulus(p):
 def _sc_ex31_falsify(p):
     grid = certify.annulus_grid(p["r"], p["n_radial"], p["n_angular"])
     fam = certify.family_composition(p["r"], beta=1.0, variant="derivative")
-    rep = certify.spectral_falsifier(fam, grid, p["ladder"])
-    top = p["ladder"][-1]
-    fs = opbuild.weighted_frame(certify._split(fam(top))[0])
-    rows = []
-    for lam in grid:
-        sv = np.linalg.svd(fs - lam * np.eye(top), compute_uv=False)
-        dims = [int(np.sum(sv <= tol * sv[0])) for tol in (1e-6, 1e-8)]
-        rows.append([repr(float(lam.real)), repr(float(lam.imag))] + dims)
+    tols = (1e-6, 1e-8)
+    rep, dims = certify._spectral_scan(fam, grid, p["ladder"], tols)
+    # the table shows the top rung of the falsifier's own scan
+    rows = [[repr(float(lam.real)), repr(float(lam.imag))]
+            + [dims[(complex(lam), tol)][-1] for tol in tols] for lam in grid]
     summary = {
         "scenario": "ex31-falsify-dirichlet",
         "report": _report_payload(rep),
@@ -206,20 +210,15 @@ def _sc_ex31_falsify(p):
 
 
 def _sc_thm32_certify(p):
-    lam = p["lam"]
-    fam = certify.shifted(certify.family_adjoint_compressed(p["r"]), lam)
-    counter = lambda n: certify.composition_witness_count(
-        p["r"], lam, n, p["index_max"])
-    rep = certify.check_C(fam, p["ladder"], witness_counter=counter)
-    family = certify.adjoint_multiplicity_witnesses(
-        p["r"], lam, p["ladder"][-1], p["index_max"])
+    fam = certify.family_adjoint_witnessed(p["r"], p["lam"], p["index_max"])
+    rep = certify.check_C(fam, p["ladder"])
+    top = rep.witnesses
     rows = [[n, repr(float(res)), repr(float(massf))]
-            for n, res, massf in zip(family.indices, family.residuals,
-                                     family.window_mass)]
+            for n, res, massf in zip(top.indices, top.residuals, top.window_mass)]
     summary = {
         "scenario": "thm32-adjoint-certify",
         "report": _report_payload(rep),
-        "gram_min_eigenvalue_top_rung": family.gram_min_eigenvalue(),
+        "gram_min_eigenvalue_top_rung": top.gram_min_eigenvalue(),
         "narrative": "the compressed weighted adjoint passes growing counts of "
                      "independent resolved witnesses with vanishing corank",
     }
@@ -428,7 +427,7 @@ REGISTRY = {s.name: s for s in (
     Scenario("cor34-heller", _sc_cor34_heller,
              {"r": 0.5, "trunc": 512, "count": 64},
              "singular-value decay of the adjoint minus its principal part",
-             (_real_unit("r"),)),
+             (_real_unit("r"), _count_in_trunc)),
     Scenario("mzstar-adjoint-compare", _sc_mzstar_compare, {"trunc": 12},
              "superdiagonal of the adjoint of multiplication by z, two formulas"),
     Scenario("prop35-halfplane", _sc_prop35_halfplane,
@@ -583,6 +582,12 @@ def _run_one(args):
     return name, [str(p) for p in paths]
 
 
+def _fail(message) -> int:
+    """Bad input ends in one stderr line and exit status 2."""
+    print(f"univcert-lab: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="univcert-lab",
@@ -611,7 +616,10 @@ def main(argv=None) -> int:
         print(list_scenarios())
         return 0
 
-    cfg = _read_config(ns.config) if ns.config else {"param": []}
+    try:
+        cfg = _read_config(ns.config) if ns.config else {"param": []}
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
 
     def setting(key, builtin):
         """An explicit flag, then the config file, then the built-in default."""
@@ -619,7 +627,11 @@ def main(argv=None) -> int:
         return flag if flag is not None else cfg.get(key, builtin)
 
     out_dir, fmt = setting("out", "reports"), setting("format", "both")
-    ladder, jobs = setting("ladder", None), int(setting("jobs", 1))
+    ladder = setting("ladder", None)
+    try:
+        jobs = _as_kind(1, setting("jobs", 1))
+    except ValueError as exc:
+        return _fail(f"jobs: {exc}")
     scenarios = ns.scenario or ([cfg["scenario"]] if "scenario" in cfg else [])
     if not scenarios:
         parser.error("no scenario given (use --scenario or --list)")
@@ -653,9 +665,7 @@ def main(argv=None) -> int:
         else:
             results = [_run_one(task) for task in tasks]
     except (ValueError, KeyError) as exc:
-        print(f"univcert-lab: error: {exc.args[0] if exc.args else exc}",
-              file=sys.stderr)
-        return 2
+        return _fail(exc.args[0] if exc.args else exc)
     for name, paths in results:
         for path in paths:
             print(f"{name}: {path}")

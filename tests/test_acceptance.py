@@ -89,7 +89,7 @@ def test_criterion_05_forward_operator_falsified():
     ok = rep.verdict == certify.FALSIFIED
     ok = ok and all(r.kernel_dim <= 1 for r in rep.ladder)
     # the only kernel on the grid sits at lambda = 1 and is the constants
-    fs = opbuild.weighted_frame(certify._split(fam(256))[0])
+    fs = opbuild.weighted_frame(fam(256))
     basis = numlin.svd_kernel(fs - np.eye(256), tol_rel=1e-6)
     ok = ok and basis.dim == 1
     overlap = abs(basis.columns[0, 0])
@@ -100,14 +100,12 @@ def test_criterion_05_forward_operator_falsified():
 def test_criterion_06_adjoint_certified_with_growing_witnesses():
     r, lam = 0.5, 3.0 ** 0.25
     ladder = (256, 512, 1024)
-    counts = tuple(certify.composition_witness_count(r, lam, n, index_max=64)
-                   for n in ladder)
+    # independent oracle: each rung's family built on its own, outside check_C
+    counts = tuple(certify.adjoint_multiplicity_witnesses(r, lam, n, index_max=64)
+                   .count() for n in ladder)
     ok = counts == (15, 31, 63)
-    fam = certify.shifted(certify.family_adjoint_compressed(r), lam)
     rep = certify.check_C(
-        fam, ladder,
-        witness_counter=lambda n: certify.composition_witness_count(
-            r, lam, n, index_max=64))
+        certify.family_adjoint_witnessed(r, lam, index_max=64), ladder)
     ok = ok and rep.verdict == certify.CERTIFIED
     ok = ok and all(rg.corank == 0 for rg in rep.ladder)
     ok = ok and [rg.kernel_dim for rg in rep.ladder] == list(counts)
@@ -181,5 +179,6 @@ def test_criterion_10_determinism_and_invariance(tmp_path):
 def test_criterion_06_runtime_guard():
     # cheap sanity companion: the witness ladder really needs resolution,
     # a too-small truncation certifies nothing
-    count = certify.composition_witness_count(0.5, 3.0 ** 0.25, 64, index_max=8)
+    count = certify.adjoint_multiplicity_witnesses(0.5, 3.0 ** 0.25, 64,
+                                                   index_max=8).count()
     assert count < 15

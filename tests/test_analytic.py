@@ -85,6 +85,39 @@ def test_eigenfunction_coeffs_match_recurrence_oracle():
     assert np.abs(sampled - recurrence).max() < 1e-8 * scale
 
 
+def _scalar_recurrence(w: complex, n_coeffs: int) -> np.ndarray:
+    """The recurrence one scalar coefficient at a time, rescaling the whole
+    prefix by 1e-150 whenever an entry passes 1e150."""
+    a = np.zeros(n_coeffs, dtype=complex)
+    a[0] = 1.0
+    a[1] = 2.0 * w
+    for k in range(1, n_coeffs - 1):
+        a[k + 1] = ((k - 1) * a[k - 1] + 2.0 * w * a[k]) / (k + 1)
+        if abs(a[k + 1]) > 1e150:
+            a[: k + 2] *= 1e-150
+    return a
+
+
+def test_recurrence_rows_equal_scalar_calls():
+    # the thm32 exponents -log(lambda)/t_r + 2 pi i n/t_r at N = 256
+    t_r = analytic.HyperbolicAuto(0.5).t_param
+    base = -np.log(complex(3.0 ** 0.25)) / t_r
+    ws = base + 1j * (2.0 * np.pi * np.arange(-64, 65) / t_r)
+    rows = analytic.eigenfunction_coeffs_recurrence(ws, 256)
+    assert rows.shape == (129, 256)
+    scalar = [analytic.eigenfunction_coeffs_recurrence(w, 256) for w in ws]
+    assert all(s.shape == (256,) for s in scalar)
+    assert np.array_equal(rows, np.stack(scalar))
+    assert np.array_equal(rows, np.stack([_scalar_recurrence(w, 256) for w in ws]))
+    # a rescaled row no longer starts at 1; the low frequencies never rescale
+    assert np.any(rows[:, 0] != 1.0)
+    assert rows[64, 0] == 1.0
+
+
+def test_recurrence_of_no_exponents_is_empty():
+    assert analytic.eigenfunction_coeffs_recurrence(np.array([]), 16).shape == (0, 16)
+
+
 def test_covering_value_at_origin_is_one():
     assert abs(analytic.covering_value(0.5, 0.0, dps=30) - 1) < 1e-25
 

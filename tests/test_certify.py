@@ -196,7 +196,7 @@ def test_compactness_proxy_rank_one_difference():
 
 def test_witness_family_counts_grow_with_resolution():
     lam = 3.0 ** 0.25
-    counts = [certify.composition_witness_count(0.5, lam, n, index_max=24)
+    counts = [certify.adjoint_multiplicity_witnesses(0.5, lam, n, index_max=24).count()
               for n in (128, 256)]
     assert counts[0] >= 1
     assert counts[1] > counts[0]
@@ -219,9 +219,47 @@ def test_witness_family_rejects_bad_lambda():
         certify.adjoint_multiplicity_witnesses(0.5, 2.0, 64)
 
 
+def _same_family(a, b) -> bool:
+    return a.indices == b.indices and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("vectors", "residuals", "window_mass", "weights"))
+
+
+def test_witness_family_reuses_a_given_compressed_adjoint():
+    lam = 3.0 ** 0.25
+    a, _ = certify.family_adjoint_compressed(0.5)(64)
+    given = certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
+                                                   compressed=a)
+    assert _same_family(given, certify.adjoint_multiplicity_witnesses(
+        0.5, lam, 64, index_max=8))
+    with pytest.raises(ValueError, match="shape"):
+        certify.adjoint_multiplicity_witnesses(0.5, lam, 65, index_max=8,
+                                               compressed=a)
+
+
+def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
+    lam = 3.0 ** 0.25
+    rung = certify.family_adjoint_witnessed(0.5, lam, index_max=8)(64)
+    base_sq, base_int = certify.family_adjoint_compressed(0.5)(64)
+    assert np.array_equal(rung.square.entries, base_sq.entries - lam * np.eye(63))
+    assert rung.interior.entries.shape == base_int.entries.shape
+    assert _same_family(rung.witnesses, certify.adjoint_multiplicity_witnesses(
+        0.5, lam, 64, index_max=8))
+    # check_C counts each rung's family and hands back the top one
+    rep = certify.check_C(certify.family_adjoint_witnessed(0.5, lam, index_max=8),
+                          (32, 48, 64))
+    assert [r.kernel_dim for r in rep.ladder] == [
+        certify.adjoint_multiplicity_witnesses(0.5, lam, n, index_max=8).count()
+        for n in (32, 48, 64)]
+    assert _same_family(rep.witnesses, rung.witnesses)
+    assert rep.tolerances["witness_tol"] == certify.WITNESS_TOL
+    assert certify.check_C(certify.family_identity, LADDER).witnesses is None
+
+
 def test_shifted_family_subtracts_lambda():
     fam = certify.shifted(certify.family_adjoint_compressed(0.5), 1.5)
-    square, interior = fam(32)
+    rung = fam(32)
     base_sq, base_int = certify.family_adjoint_compressed(0.5)(32)
-    assert np.abs(square.entries - (base_sq.entries - 1.5 * np.eye(31))).max() == 0.0
-    assert interior.entries.shape == base_int.entries.shape
+    assert np.abs(rung.square.entries - (base_sq.entries - 1.5 * np.eye(31))).max() == 0.0
+    assert rung.interior.entries.shape == base_int.entries.shape
+    assert rung.witnesses is None

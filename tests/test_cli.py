@@ -76,6 +76,8 @@ def test_main_param_values_parse_by_default_kind(tmp_path, capsys):
     ["--scenario", "prop41-falsifiers", "--param", "n=1"],
     ["--scenario", "annulus", "--scenario", "prop41-falsifiers",
      "--param", "n=1", "--jobs", "2"],
+    ["--scenario", "cor34-heller", "--param", "count=8"],
+    ["--scenario", "cor34-heller", "--param", "trunc=16"],
 ])
 def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -83,6 +85,32 @@ def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("config", [
+    "scenario = annulus\njobs = two\n",
+    "scenario = annulus\nno separator here\n",
+], ids=["jobs-not-an-integer", "malformed-line"])
+def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + f"out = {tmp_path}\n", encoding="utf-8")
+    assert cli.main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "annulus").exists()
+
+
+def test_thm32_runs_with_an_empty_witness_family(tmp_path):
+    assert cli.main(["--scenario", "thm32-adjoint-certify", "--param",
+                     "index_max=-1", "--ladder", "16,32,64",
+                     "--out", str(tmp_path)]) == 0
+    summary = _summary(tmp_path, "thm32-adjoint-certify")
+    assert [r["kernel_dim"] for r in summary["report"]["ladder"]] == [0, 0, 0]
+    assert summary["gram_min_eigenvalue_top_rung"] == 0.0
+    rows = (tmp_path / "thm32-adjoint-certify" / "witnesses.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert rows == ["n,windowed_residual,window_mass"]
 
 
 def test_main_validate_reports_non_increasing_ladder(capsys):
