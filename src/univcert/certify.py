@@ -103,12 +103,8 @@ class Rung:
 
 
 def _rung(built) -> Rung:
-    """Builders may return a Rung, a square matrix or (square, interior)."""
-    if isinstance(built, Rung):
-        return built
-    if isinstance(built, tuple):
-        return Rung(*built)
-    return Rung(built)
+    """Builders return a Rung or a bare square matrix."""
+    return built if isinstance(built, Rung) else Rung(built)
 
 
 def _rung_label(size) -> str:
@@ -524,7 +520,7 @@ def family_identity(n: int):
 
 def family_backward_shift(n: int):
     b = opbuild.backward_shift(n)
-    return b, opbuild.interior_section(b, 1)
+    return Rung(b, opbuild.interior_section(b, 1))
 
 
 def family_block_backward(n: int, block_frac: int = 4):
@@ -532,7 +528,7 @@ def family_block_backward(n: int, block_frac: int = 4):
     d = max(n // block_frac, 1)
     spec = opbuild.BlockShiftSpec(max(n // d, 2), d)
     b = opbuild.block_backward_shift(spec)
-    return b, opbuild.interior_section(b, d)
+    return Rung(b, opbuild.interior_section(b, d))
 
 
 def family_halfshift_plus_rank1(n: int):
@@ -545,7 +541,7 @@ def family_halfshift_plus_rank1(n: int):
     m[1, 2] -= 1.0
     op = opbuild.OpMatrix(m, opbuild._hardy(n), opbuild._hardy(n), n,
                           f"half shift plus rank-1 bump, n={n}")
-    return op, opbuild.interior_section(op, n - (n + 1) // 2)
+    return Rung(op, opbuild.interior_section(op, n - (n + 1) // 2))
 
 
 def family_ex26(n_param: int):
@@ -573,21 +569,20 @@ def family_adjoint_compressed(r: float, window_frac: int = 4):
     def build(trunc: int):
         a = _compressed_adjoint(r, trunc)
         drop = (trunc - 1) // window_frac
-        return a, opbuild.interior_section(a, drop)
+        return Rung(a, opbuild.interior_section(a, drop))
     return build
 
 
-def family_adjoint_witnessed(r: float, lam: complex, index_max: int = 64,
-                             window_frac: int = 4):
+def family_adjoint_witnessed(r: float, lam: complex, index_max: int = 64):
     """Rungs of A - lambda I for the compressed adjoint A, each carrying the
     witness family of A at lambda built from the same matrix: one
     composition matrix per rung."""
-    compressed = family_adjoint_compressed(r, window_frac)
+    compressed = family_adjoint_compressed(r)
 
     def with_witnesses(trunc: int) -> Rung:
-        a, interior = compressed(trunc)
-        return Rung(a, interior, adjoint_multiplicity_witnesses(
-            r, lam, trunc, index_max, window_frac, compressed=a))
+        rung = compressed(trunc)
+        return Rung(rung.square, rung.interior, adjoint_multiplicity_witnesses(
+            r, lam, trunc, index_max, compressed=rung.square))
     return shifted(with_witnesses, lam)
 
 

@@ -227,7 +227,7 @@ def _same_family(a, b) -> bool:
 
 def test_witness_family_reuses_a_given_compressed_adjoint():
     lam = 3.0 ** 0.25
-    a, _ = certify.family_adjoint_compressed(0.5)(64)
+    a = certify.family_adjoint_compressed(0.5)(64).square
     given = certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
                                                    compressed=a)
     assert _same_family(given, certify.adjoint_multiplicity_witnesses(
@@ -240,9 +240,9 @@ def test_witness_family_reuses_a_given_compressed_adjoint():
 def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     lam = 3.0 ** 0.25
     rung = certify.family_adjoint_witnessed(0.5, lam, index_max=8)(64)
-    base_sq, base_int = certify.family_adjoint_compressed(0.5)(64)
-    assert np.array_equal(rung.square.entries, base_sq.entries - lam * np.eye(63))
-    assert rung.interior.entries.shape == base_int.entries.shape
+    base = certify.family_adjoint_compressed(0.5)(64)
+    assert np.array_equal(rung.square.entries, base.square.entries - lam * np.eye(63))
+    assert rung.interior.entries.shape == base.interior.entries.shape
     assert _same_family(rung.witnesses, certify.adjoint_multiplicity_witnesses(
         0.5, lam, 64, index_max=8))
     # check_C counts each rung's family and hands back the top one
@@ -259,7 +259,7 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
 def test_shifted_family_subtracts_lambda():
     fam = certify.shifted(certify.family_adjoint_compressed(0.5), 1.5)
     rung = fam(32)
-    base_sq, base_int = certify.family_adjoint_compressed(0.5)(32)
-    assert np.abs(rung.square.entries - (base_sq.entries - 1.5 * np.eye(31))).max() == 0.0
-    assert rung.interior.entries.shape == base_int.entries.shape
+    base = certify.family_adjoint_compressed(0.5)(32)
+    assert np.abs(rung.square.entries - (base.square.entries - 1.5 * np.eye(31))).max() == 0.0
+    assert rung.interior.entries.shape == base.interior.entries.shape
     assert rung.witnesses is None
