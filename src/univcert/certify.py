@@ -119,12 +119,15 @@ def _kernel_rung_stats(rung: Rung, size, tol) -> RungStats:
     fs = _framed(rung.square)
     sv = numlin.singular_values(fs)
     smin = float(sv[-1]) if sv.size else 0.0
+    rank = numlin.spectrum_rank(sv, tol)
     if rung.witnesses is not None:
         kdim = rung.witnesses.count()
     else:
-        kdim = numlin.kernel_dim(fs, tol)
-    section = _framed(rung.interior) if rung.interior is not None else fs
-    cor = numlin.corank(section, tol)
+        kdim = fs.shape[1] - rank
+    if rung.interior is not None:
+        cor = numlin.corank(_framed(rung.interior), tol)
+    else:
+        cor = fs.shape[0] - rank
     return RungStats(_rung_label(size), size, kernel_dim=kdim, corank=cor,
                      sigma_min=smin)
 
@@ -298,10 +301,14 @@ def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
     rungs = []
     for size in ladder:
         fs = _framed(_rung(builder(size)).square)
-        n = fs.shape[0]
+        # one A - lambda I buffer per rung, only its diagonal rewritten per
+        # point: no N x N temporaries are allocated inside the grid loop
+        shifted = fs.astype(np.result_type(fs, lam_grid))
+        diag, base = np.einsum("ii->i", shifted), fs.diagonal()
         worst = 0
         for lam in lam_grid:
-            sv = np.linalg.svd(fs - lam * np.eye(n), compute_uv=False)
+            np.subtract(base, lam, out=diag)
+            sv = np.linalg.svd(shifted, compute_uv=False)
             for tol in tols:
                 d = int(np.sum(sv <= tol * sv[0]))
                 dims.setdefault((complex(lam), tol), []).append(d)
@@ -404,7 +411,7 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
     if a.entries.shape != reference.entries.shape:
         raise ValueError("compactness proxy needs operators of equal shape")
     diff = opbuild.OpMatrix(reference.entries - a.entries, a.domain_space,
-                            a.codomain_space, max(a.build_pad, reference.build_pad),
+                            a.codomain_space,
                             f"[{reference.provenance}] minus [{a.provenance}]")
     sv = numlin.singular_values(_framed(diff))
     if count is not None:
@@ -514,7 +521,7 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
 # -- concrete ladder families -------------------------------------------------
 
 def family_identity(n: int):
-    return opbuild.OpMatrix(np.eye(n), opbuild._hardy(n), opbuild._hardy(n), n,
+    return opbuild.OpMatrix(np.eye(n), opbuild._hardy(n), opbuild._hardy(n),
                             f"identity, n={n}")
 
 
@@ -539,7 +546,7 @@ def family_halfshift_plus_rank1(n: int):
         if 2 * k < n:
             m[k, 2 * k] = 1.0
     m[1, 2] -= 1.0
-    op = opbuild.OpMatrix(m, opbuild._hardy(n), opbuild._hardy(n), n,
+    op = opbuild.OpMatrix(m, opbuild._hardy(n), opbuild._hardy(n),
                           f"half shift plus rank-1 bump, n={n}")
     return Rung(op, opbuild.interior_section(op, n - (n + 1) // 2))
 
@@ -595,7 +602,6 @@ def shifted(builder, lam: complex):
         n = square.entries.shape[0]
         ent = square.entries - lam * np.eye(n)
         shifted_sq = opbuild.OpMatrix(ent, square.domain_space, square.codomain_space,
-                                      square.build_pad,
                                       f"[{square.provenance}] - ({lam}) I")
         interior = None
         if rung.interior is not None:

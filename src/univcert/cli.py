@@ -102,7 +102,7 @@ def _sc_prop21_block(p):
     u = opbuild.backward_shift(n)
     bdiag = 0.25 + 0.5 * np.arange(n) / n
     b = opbuild.OpMatrix(np.diag(bdiag), opbuild._hardy(n), opbuild._hardy(n),
-                         n, "diagonal lower block")
+                         "diagonal lower block")
     v = opbuild.block2x2(u, np.eye(n), None, b,
                          provenance="upper-triangular block operator")
     ev = numlin.eigenvalues(v)
@@ -299,9 +299,9 @@ def _sc_prop41_falsifiers(p):
     n = p["n"]
     b = opbuild.backward_shift(n)
     b2 = opbuild.OpMatrix(b.entries @ b.entries, b.domain_space,
-                          b.codomain_space, n, "squared backward shift")
+                          b.codomain_space, "squared backward shift")
     b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.domain_space,
-                          b.codomain_space, n, "cubed backward shift")
+                          b.codomain_space, "cubed backward shift")
     rep_poly = certify.algebraic_falsifier(b, b2, poly=[1.0])
     rep_pow = certify.algebraic_falsifier(b2, b3, powers=(2, 3))
     control = certify.algebraic_falsifier(b, certify.family_identity(n),
@@ -582,6 +582,9 @@ def _run_one(args):
     return name, [str(p) for p in paths]
 
 
+FORMATS = ("json", "csv", "both")
+
+
 def _fail(message) -> int:
     """Bad input ends in one stderr line and exit status 2."""
     print(f"univcert-lab: error: {message}", file=sys.stderr)
@@ -599,7 +602,7 @@ def main(argv=None) -> int:
                         help="scenario parameter, parsed by the kind of its "
                              "default; repeatable")
     parser.add_argument("--out", help="output directory (default: reports)")
-    parser.add_argument("--format", choices=("json", "csv", "both"),
+    parser.add_argument("--format", choices=FORMATS,
                         help="report files to write (default: both)")
     parser.add_argument("--ladder",
                         help="comma-separated rungs, e.g. 64,128,256 or 4x4,6x6,8x8")
@@ -627,6 +630,8 @@ def main(argv=None) -> int:
         return flag if flag is not None else cfg.get(key, builtin)
 
     out_dir, fmt = setting("out", "reports"), setting("format", "both")
+    if fmt not in FORMATS:
+        return _fail(f"format: expected one of {', '.join(FORMATS)}, got {fmt!r}")
     ladder = setting("ladder", None)
     try:
         jobs = _as_kind(1, setting("jobs", 1))

@@ -57,11 +57,15 @@ def sigma_min(a) -> float:
     return float(s[-1]) if s.size else 0.0
 
 
-def numerical_rank(a, tol_rel: float = DEFAULT_TOL) -> int:
-    s = singular_values(a)
+def spectrum_rank(s: np.ndarray, tol_rel: float = DEFAULT_TOL) -> int:
+    """How many of the singular values s (largest first) exceed tol_rel * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol_rel * s[0]))
+
+
+def numerical_rank(a, tol_rel: float = DEFAULT_TOL) -> int:
+    return spectrum_rank(singular_values(a), tol_rel)
 
 
 def corank(a, tol_rel: float = DEFAULT_TOL) -> int:

@@ -18,12 +18,11 @@ from .spaces import SpaceSpec
 
 @dataclass(frozen=True)
 class OpMatrix:
-    """Dense truncation matrix with provenance and build-padding record."""
+    """Dense truncation matrix with its spaces and provenance."""
 
     entries: np.ndarray
     domain_space: SpaceSpec
     codomain_space: SpaceSpec
-    build_pad: int
     provenance: str
 
     def __post_init__(self):
@@ -31,8 +30,6 @@ class OpMatrix:
             raise ValueError("provenance must be non-empty")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("matrix entries must be finite")
-        if self.build_pad < max(self.entries.shape):
-            raise ValueError("build_pad must be at least the truncation size")
         self.entries.setflags(write=False)
 
     @property
@@ -52,8 +49,8 @@ class BlockShiftSpec:
             raise ValueError("need K >= 2 blocks of dimension d >= 1")
 
 
-def _square(entries: np.ndarray, space: SpaceSpec, provenance: str, pad: int | None = None) -> OpMatrix:
-    return OpMatrix(entries, space, space, pad or space.trunc, provenance)
+def _square(entries: np.ndarray, space: SpaceSpec, provenance: str) -> OpMatrix:
+    return OpMatrix(entries, space, space, provenance)
 
 
 def _hardy(n: int, offset: int = 0) -> SpaceSpec:
@@ -100,56 +97,46 @@ def interior_section(a: OpMatrix, drop_rows: int) -> OpMatrix:
         np.ascontiguousarray(a.entries[:-drop_rows, :]),
         a.domain_space,
         cod,
-        a.build_pad,
         a.provenance + f", interior section (-{drop_rows} rows)",
     )
 
 
 # -- composition operators ---------------------------------------------------
 
-def mobius_coeffs(r: float, length: int) -> np.ndarray:
-    """Taylor coefficients of (z + r)/(1 + r z) from the geometric series."""
-    j = np.arange(length)
-    c = np.empty(length)
-    c[0] = r
-    c[1:] = (1.0 - r * r) * (-r) ** (j[1:] - 1.0)
-    return c
-
-
-def _truncated_powers(base: np.ndarray, count: int, pad: int) -> np.ndarray:
-    """Rows 0..count-1 hold the first `pad` coefficients of base^k.
-
-    Powers by truncated polynomial multiplication, FFT-accelerated.
-    """
-    nfft = 1
-    while nfft < 2 * pad:
-        nfft *= 2
-    base_f = np.fft.rfft(base, nfft)
-    out = np.zeros((count, pad))
-    out[0, 0] = 1.0
-    cur = out[0]
-    for k in range(1, count):
-        cur = np.fft.irfft(np.fft.rfft(cur, nfft) * base_f, nfft)[:pad]
-        out[k] = cur
-    return out
-
-
-def composition_matrix(r: float, space: SpaceSpec, pad_factor: int = 4) -> OpMatrix:
+def composition_matrix(r: float, space: SpaceSpec) -> OpMatrix:
     """Column k holds the leading Taylor coefficients of phi_r^k.
 
-    Built at padded truncation pad_factor * N and windowed to N, so that the
-    low-order coefficients of high powers are not polluted by the finite
-    section.
+    Built from (1 + r z) phi^{k+1} = (z + r) phi^k, entry by entry
+    C[j, k] = C[j-1, k-1] + r (C[j, k-1] - C[j-1, k]): a division by
+    1 + r z, a stable first-order filter for |r| < 1. The first N
+    coefficients of a power depend only on the first N of phi, so the
+    N x N section is exact up to rounding. Anti-diagonal j + k = d reads
+    only diagonals d-1 and d-2; in the flat buffer it is a slice of
+    stride N-1, so each diagonal is one vectorised step.
     """
     if not abs(r) < 1:
         raise ValueError(f"automorphism parameter must satisfy |r| < 1, got {r}")
     if r == 0:
         raise ValueError("r = 0 is the identity map, not a hyperbolic automorphism")
     n = space.trunc
-    pad = max(pad_factor * n, n)
-    powers = _truncated_powers(mobius_coeffs(r, pad), n, pad)
-    m = np.ascontiguousarray(powers[:, :n].T)
-    return OpMatrix(m, space, space, pad, f"composition by phi_{r}, n={n}")
+    m = np.zeros((n, n))
+    m[0, 0] = 1.0
+    m[0, 1:] = np.cumprod(np.full(n - 1, r))   # C[0, k] = r C[0, k-1]
+    flat, step = m.reshape(-1), n - 1
+    for d in range(2, 2 * n - 1):
+        # entries (j, d-j) with j >= 1 and k = d-j >= 1, and their
+        # neighbours (j, k-1), (j-1, k), (j-1, k-1) one flat offset away
+        lo, hi = max(1, d - step), min(d - 1, step)
+        start, stop = d + lo * step, d + hi * step + 1
+
+        def diag(back):
+            return flat[start - back:stop - back:step]
+
+        out = diag(0)
+        np.subtract(diag(1), diag(n), out=out)
+        out *= r
+        out += diag(n + 1)
+    return _square(m, space, f"composition by phi_{r}, n={n}")
 
 
 def mult_z(space: SpaceSpec) -> OpMatrix:
@@ -165,7 +152,7 @@ def weighted_adjoint(a: OpMatrix, space: SpaceSpec | None = None) -> OpMatrix:
         raise ValueError("weighted adjoint requires a square matrix on the given space")
     w = s.weights
     adj = a.entries.conj().T * (w[None, :] / w[:, None])
-    return OpMatrix(adj, s, s, a.build_pad, f"weighted adjoint of [{a.provenance}]")
+    return OpMatrix(adj, s, s, f"weighted adjoint of [{a.provenance}]")
 
 
 def weighted_frame(a: OpMatrix) -> np.ndarray:
@@ -198,7 +185,7 @@ def heller_principal(r: float, lam: complex, space: SpaceSpec,
     n = space.trunc
     ent = c1 * comp.entries + sign * (c2 * (mzs.entries + mz.entries) @ comp.entries)
     ent = ent - lam * np.eye(n)
-    return OpMatrix(ent, space, space, comp.build_pad,
+    return OpMatrix(ent, space, space,
                     f"principal part of inverse-composition adjoint, r={r}, "
                     f"lambda={lam}, middle sign {sign:+d}")
 
@@ -228,7 +215,7 @@ def block2x2(u, a, c, b, provenance: str = "2x2 block operator") -> OpMatrix:
             if ent[i][j] is None:
                 ent[i][j] = np.zeros((rows[i], cols[j]))
     m = np.block(ent)
-    return _square(m, _hardy(m.shape[0]), provenance, pad=m.shape[0])
+    return _square(m, _hardy(m.shape[0]), provenance)
 
 
 def compress_zH2(a: OpMatrix) -> OpMatrix:
@@ -240,7 +227,7 @@ def compress_zH2(a: OpMatrix) -> OpMatrix:
                   offset=a.domain_space.offset + 1, weights=None)
     cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - 1,
                   offset=a.codomain_space.offset + 1, weights=None)
-    return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), dom, cod, a.build_pad,
+    return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), dom, cod,
                     f"z-subspace compression of [{a.provenance}]")
 
 

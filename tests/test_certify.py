@@ -186,7 +186,7 @@ def test_compactness_proxy_rank_one_difference():
     bump = np.zeros((8, 8))
     bump[0, 0] = 2.0
     b = opbuild.OpMatrix(np.eye(8) + bump, a.domain_space, a.codomain_space,
-                         8, "identity plus rank-1 bump")
+                         "identity plus rank-1 bump")
     prof = certify.compactness_proxy(a, b, count=4)
     assert prof.values[0] == pytest.approx(2.0)
     assert prof.ratio(2) < 1e-14

@@ -90,7 +90,8 @@ def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
 @pytest.mark.parametrize("config", [
     "scenario = annulus\njobs = two\n",
     "scenario = annulus\nno separator here\n",
-], ids=["jobs-not-an-integer", "malformed-line"])
+    "scenario = annulus\nformat = xml\n",
+], ids=["jobs-not-an-integer", "malformed-line", "format-not-json-csv-both"])
 def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + f"out = {tmp_path}\n", encoding="utf-8")

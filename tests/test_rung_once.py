@@ -26,7 +26,8 @@ from univcert import analytic, certify, cli, numlin, opbuild, spaces
 t = tr.Tracer()
 tr.install_univcert(t, (spaces, numlin, opbuild, analytic, certify, cli))
 runs = [("thm32-adjoint-certify", {"ladder": "64,128,256", "index_max": 8}),
-        ("ex31-falsify-dirichlet", {})]
+        ("ex31-falsify-dirichlet", {}),
+        ("ex25-notC", {})]
 metrics = {}
 with tempfile.TemporaryDirectory() as out:
     for run_id, (name, params) in enumerate(runs):
@@ -58,3 +59,9 @@ def test_ex31_scans_its_grid_once(traced):
     # 3 rungs x 60 grid points, the table read from the same scan
     assert m["linalg.svd.calls"] == 180
     assert m["linalg.svd.repeat_frac"] == 0
+
+
+def test_ex25_takes_one_svd_per_framed_square(traced):
+    m = traced["ex25-notC"]
+    # 2 checks x 3 rungs x (square + interior section)
+    assert m["linalg.svd.calls"] == 12
