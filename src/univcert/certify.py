@@ -119,15 +119,14 @@ def _kernel_rung_stats(rung: Rung, size, tol) -> RungStats:
     fs = _framed(rung.square)
     sv = numlin.singular_values(fs)
     smin = float(sv[-1]) if sv.size else 0.0
-    rank = numlin.spectrum_rank(sv, tol)
     if rung.witnesses is not None:
         kdim = rung.witnesses.count()
     else:
-        kdim = fs.shape[1] - rank
+        kdim = fs.shape[1] - numlin.spectrum_rank(sv, tol)
     if rung.interior is not None:
         cor = numlin.corank(_framed(rung.interior), tol)
     else:
-        cor = fs.shape[0] - rank
+        cor = fs.shape[0] - numlin.spectrum_rank(sv, tol)
     return RungStats(_rung_label(size), size, kernel_dim=kdim, corank=cor,
                      sigma_min=smin)
 

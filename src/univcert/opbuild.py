@@ -124,18 +124,14 @@ def composition_matrix(r: float, space: SpaceSpec) -> OpMatrix:
     m[0, 1:] = np.cumprod(np.full(n - 1, r))   # C[0, k] = r C[0, k-1]
     flat, step = m.reshape(-1), n - 1
     for d in range(2, 2 * n - 1):
-        # entries (j, d-j) with j >= 1 and k = d-j >= 1, and their
-        # neighbours (j, k-1), (j-1, k), (j-1, k-1) one flat offset away
+        # entries (j, d-j) with j >= 1 and k = d-j >= 1; their neighbours
+        # (j, k-1), (j-1, k) and (j-1, k-1) lie 1, n and n+1 flat places back
         lo, hi = max(1, d - step), min(d - 1, step)
         start, stop = d + lo * step, d + hi * step + 1
-
-        def diag(back):
-            return flat[start - back:stop - back:step]
-
-        out = diag(0)
-        np.subtract(diag(1), diag(n), out=out)
+        out = flat[start:stop:step]
+        np.subtract(flat[start - 1:stop - 1:step], flat[start - n:stop - n:step], out=out)
         out *= r
-        out += diag(n + 1)
+        out += flat[start - n - 1:stop - n - 1:step]
     return _square(m, space, f"composition by phi_{r}, n={n}")
 
 
