@@ -115,27 +115,40 @@ def _strictly_increasing(xs) -> bool:
     return all(b > a for a, b in zip(xs, xs[1:]))
 
 
-def _kernel_rung_stats(rung: Rung, size, tol) -> RungStats:
-    fs = _framed(rung.square)
-    sv = numlin.singular_values(fs)
-    smin = float(sv[-1]) if sv.size else 0.0
-    if rung.witnesses is not None:
-        kdim = rung.witnesses.count()
-    else:
-        kdim = fs.shape[1] - numlin.spectrum_rank(sv, tol)
-    if rung.interior is not None:
-        cor = numlin.corank(_framed(rung.interior), tol)
-    else:
-        cor = fs.shape[0] - numlin.spectrum_rank(sv, tol)
-    return RungStats(_rung_label(size), size, kernel_dim=kdim, corank=cor,
-                     sigma_min=smin)
-
-
-def _check_kernel_ladder(condition, builder, ladder, tol, corank_target):
+def _check_ladder(ladder) -> None:
+    """Every ladder check needs at least 3 strictly increasing rungs."""
     if len(ladder) < 3:
         raise ValueError("the ladder needs at least 3 rungs")
     if not _strictly_increasing(ladder):
         raise ValueError("the ladder must be strictly increasing")
+
+
+def _kernel_rung_stats(rung: Rung, size, tol) -> RungStats:
+    spec = numlin.Spectrum.of(_framed(rung.square))
+    if rung.witnesses is not None:
+        kdim = rung.witnesses.count()
+    else:
+        kdim = spec.kernel_dim(tol)
+    if rung.interior is not None:
+        cor = numlin.Spectrum.of(_framed(rung.interior)).corank(tol)
+    else:
+        cor = spec.corank(tol)
+    return RungStats(_rung_label(size), size, kernel_dim=kdim, corank=cor,
+                     sigma_min=spec.sigma_min)
+
+
+@dataclass(frozen=True)
+class KernelLadder:
+    """The rung walk shared by conditions C and C+: each rung's numbers and
+    the top rung's witness family (None when the kernel was counted)."""
+
+    rungs: tuple[RungStats, ...]
+    top_witnesses: WitnessFamily | None
+    tol: float
+
+
+def kernel_ladder(builder, ladder, tol: float = RANK_TOL) -> KernelLadder:
+    _check_ladder(ladder)
     rungs = []
     for size in ladder:
         # only the stats and the witness family outlive the rung, so its
@@ -144,6 +157,14 @@ def _check_kernel_ladder(condition, builder, ladder, tol, corank_target):
         rungs.append(_kernel_rung_stats(rung, size, tol))
         top_witnesses = rung.witnesses
         del rung
+    return KernelLadder(tuple(rungs), top_witnesses, tol)
+
+
+def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
+    """Condition "C" wants corank 0 at every rung, "Cplus" a constant one;
+    both want strictly growing kernel evidence."""
+    rungs, top_witnesses, tol = walk.rungs, walk.top_witnesses, walk.tol
+    corank_target = {"C": 0, "Cplus": None}[condition]
     kdims = [r.kernel_dim for r in rungs]
     coranks = [r.corank for r in rungs]
     grows = _strictly_increasing(kdims)
@@ -169,7 +190,7 @@ def _check_kernel_ladder(condition, builder, ladder, tol, corank_target):
     tols = {"rank_tol": tol}
     if top_witnesses is not None:
         tols["witness_tol"] = WITNESS_TOL
-    return CertificateReport(condition, verdict, tuple(rungs), tols, narrative,
+    return CertificateReport(condition, verdict, rungs, tols, narrative,
                              top_witnesses)
 
 
@@ -181,12 +202,12 @@ def check_C(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     the builder provides one). The kernel evidence is the rung's witness
     count when the builder returns a Rung with a witness family.
     """
-    return _check_kernel_ladder("C", builder, ladder, tol, corank_target=0)
+    return kernel_verdict("C", kernel_ladder(builder, ladder, tol))
 
 
 def check_Cplus(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     """As condition C, but a constant finite corank is allowed."""
-    return _check_kernel_ladder("Cplus", builder, ladder, tol, corank_target=None)
+    return kernel_verdict("Cplus", kernel_ladder(builder, ladder, tol))
 
 
 # -- commuting pairs ----------------------------------------------------------
@@ -207,9 +228,9 @@ def _pure_hs_pair(u1, u2) -> bool:
 def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     """Muller's condition for a commuting pair: the kernels overlap in an
     unbounded-looking intersection, Ker(U1 U2) = Ker(U1) + Ker(U2) at every
-    rung, and both operators look surjective."""
-    if len(ladder) < 3:
-        raise ValueError("the ladder needs at least 3 rungs")
+    rung, and both operators look surjective. A pair without coranks gets
+    them from its kernel bases by rank-nullity."""
+    _check_ladder(ladder)
     rungs = []
     for size in ladder:
         built = pair_builder(size)
@@ -226,12 +247,11 @@ def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
                 raise ValueError("the supplied pair does not commute")
             prod_kernel = numlin.svd_kernel(m1 @ m2, tol).dim
         b1, b2 = ker1(tol), ker2(tol)
-        inter = numlin.subspace_intersection_dim(b1, b2, tol)
-        ssum = numlin.subspace_sum_dim(b1, b2, tol)
+        ssum, inter = numlin.subspace_dims(b1, b2, tol)
         if cor1 is None:
-            cor1 = numlin.corank(m1, tol)
+            cor1 = m1.shape[0] - m1.shape[1] + b1.dim
         if cor2 is None:
-            cor2 = numlin.corank(m2, tol)
+            cor2 = m2.shape[0] - m2.shape[1] + b2.dim
         label = f"K={size[0]},d={size[1]}" if isinstance(size, tuple) else _rung_label(size)
         n = int(np.prod(size)) if isinstance(size, tuple) else int(size)
         rungs.append(RungStats(label, n, kernel_dim=b1.dim, corank=max(cor1, cor2),
@@ -295,6 +315,7 @@ def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
     lam_grid = np.asarray(lam_grid)
     if lam_grid.size == 0:
         raise ValueError("the falsifier needs a non-empty grid")
+    _check_ladder(ladder)
     tols = tuple(tols)
     dims = {}
     rungs = []
@@ -307,9 +328,9 @@ def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
         worst = 0
         for lam in lam_grid:
             np.subtract(base, lam, out=diag)
-            sv = np.linalg.svd(shifted, compute_uv=False)
+            spec = numlin.Spectrum.of(shifted)
             for tol in tols:
-                d = int(np.sum(sv <= tol * sv[0]))
+                d = spec.kernel_dim(tol)
                 dims.setdefault((complex(lam), tol), []).append(d)
                 worst = max(worst, d)
         rungs.append(RungStats(_rung_label(size), size, kernel_dim=worst,
@@ -412,7 +433,7 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
     diff = opbuild.OpMatrix(reference.entries - a.entries, a.domain_space,
                             a.codomain_space,
                             f"[{reference.provenance}] minus [{a.provenance}]")
-    sv = numlin.singular_values(_framed(diff))
+    sv = numlin.Spectrum.of(_framed(diff)).values
     if count is not None:
         sv = sv[:count]
     return DecayProfile(sv, diff.provenance)
@@ -612,14 +633,8 @@ def shifted(builder, lam: complex):
 
 def hs_pair_scalar(n: int):
     """Left multiplication by the backward shift against right multiplication
-    by its adjoint, on n x n truncations."""
-    b = opbuild.backward_shift(n)
-    bstar = opbuild.forward_shift(n)
-    left = opbuild.hs_left(b)
-    right = opbuild.hs_right(bstar)
-    cor_left = n * (n - 1) - n * numlin.numerical_rank(b.entries[:-1, :])
-    cor_right = n * (n - 1) - n * numlin.numerical_rank(bstar.entries[:, :-1].T)
-    return left, right, cor_left, cor_right
+    by its adjoint, on n x n truncations: the block pair with d = 1."""
+    return hs_pair_block((n, 1))
 
 
 def hs_pair_block(size: tuple[int, int]):
@@ -631,8 +646,10 @@ def hs_pair_block(size: tuple[int, int]):
     left = opbuild.hs_left(b)
     right = opbuild.hs_right(bstar)
     n, d = spec.K * spec.d, spec.d
-    cor_left = n * (n - d) - n * numlin.numerical_rank(b.entries[:-d, :])
-    cor_right = n * (n - d) - n * numlin.numerical_rank(bstar.entries[:, :-d].T)
+    # S -> B S loses n directions for each one that B's interior section
+    # loses; S -> S B* likewise with B*'s
+    cor_left = n * numlin.Spectrum.of(b.entries[:-d, :]).corank()
+    cor_right = n * numlin.Spectrum.of(bstar.entries[:, :-d].T).corank()
     return left, right, cor_left, cor_right
 
 

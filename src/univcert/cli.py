@@ -70,10 +70,10 @@ def _count_in_trunc(p):
 
 
 def _ladder(p):
-    if len(p["ladder"]) < 3:
-        return "the ladder needs at least 3 rungs"
-    if not certify._strictly_increasing(p["ladder"]):
-        return "the ladder must be strictly increasing"
+    try:
+        certify._check_ladder(p["ladder"])
+    except ValueError as exc:
+        return str(exc)
 
 
 # -- scenario bodies ----------------------------------------------------------
@@ -118,9 +118,10 @@ def _sc_prop21_block(p):
 
 
 def _sc_ex25_notC(p):
-    ladder = p["ladder"]
-    rep_c = certify.check_C(certify.family_halfshift_plus_rank1, ladder)
-    rep_cplus = certify.check_Cplus(certify.family_halfshift_plus_rank1, ladder)
+    # one walk of the ladder, read by both verdict rules
+    walk = certify.kernel_ladder(certify.family_halfshift_plus_rank1, p["ladder"])
+    rep_c = certify.kernel_verdict("C", walk)
+    rep_cplus = certify.kernel_verdict("Cplus", walk)
     summary = {
         "scenario": "ex25-notC",
         "check_C": _report_payload(rep_c),
@@ -142,7 +143,7 @@ def _sc_ex26_perturbation(p):
     defects = []
     for n in range(1, p["n_max"] + 1):
         vn = certify.family_ex26(n)(trunc)
-        smin = numlin.sigma_min(vn)
+        smin = numlin.Spectrum.of(vn).sigma_min
         dn = np.linalg.norm(vn.entries - base.entries, 2)
         defects.append(abs(dn - 1.0 / n))
         rows.append([n, repr(smin), repr(1.0 / (2 * n))])
@@ -318,27 +319,6 @@ def _sc_prop41_falsifiers(p):
     return summary, []
 
 
-def _sc_ex43_diagonal(p):
-    rep = certify.check_M(certify.pair_diagonal_blocks, p["ladder"])
-    return {"scenario": "ex43-diagonal", "report": _report_payload(rep),
-            "narrative": "the commuting diagonal pair keeps disjoint kernels, "
-                         "so the common-kernel requirement fails"}, []
-
-
-def _sc_thm44_scalar(p):
-    rep = certify.check_M(certify.hs_pair_scalar, p["ladder"])
-    return {"scenario": "thm44-scalar-pair", "report": _report_payload(rep),
-            "narrative": "the scalar shift pair pins its kernel intersection at "
-                         "one dimension at every truncation"}, []
-
-
-def _sc_thm44_block(p):
-    rep = certify.check_M(certify.hs_pair_block, p["ladder"])
-    return {"scenario": "thm44-block-pair", "report": _report_payload(rep),
-            "narrative": "the block shift pair shows growing kernel overlap "
-                         "with exact product-kernel bookkeeping"}, []
-
-
 def _sc_ex46_zeros(p):
     frac = analytic.ratio_condition(p["r"], p["s"])
     zr = analytic.covering_map_zeros(p["r"], p["lam"], p["k_max"])
@@ -396,6 +376,15 @@ class Scenario:
     checks: tuple = ()
 
 
+def _pair_scenario(name, pair_builder, ladder, description, narrative) -> Scenario:
+    """A commuting-pair scenario: condition M over the pair's ladder."""
+    def run(p):
+        rep = certify.check_M(pair_builder, p["ladder"])
+        return {"scenario": name, "report": _report_payload(rep),
+                "narrative": narrative}, []
+    return Scenario(name, run, {"ladder": ladder}, description, (_ladder,))
+
+
 _DEF_LADDER = (64, 128, 256)
 
 REGISTRY = {s.name: s for s in (
@@ -436,16 +425,19 @@ REGISTRY = {s.name: s for s in (
              (_real("mu"), _real("alphas"))),
     Scenario("prop41-falsifiers", _sc_prop41_falsifiers, {"n": 32},
              "algebraic dependence witnesses falsify shift power pairs"),
-    Scenario("ex43-diagonal", _sc_ex43_diagonal, {"ladder": (8, 16, 32)},
-             "commuting diagonal pair with disjoint kernels",
-             (_ladder,)),
-    Scenario("thm44-scalar-pair", _sc_thm44_scalar, {"ladder": (8, 16, 32)},
-             "scalar multiplication pair: intersection pinned at one",
-             (_ladder,)),
-    Scenario("thm44-block-pair", _sc_thm44_block,
-             {"ladder": ((4, 4), (6, 6), (8, 8))},
-             "block multiplication pair: the model universal commuting pair",
-             (_ladder,)),
+    _pair_scenario("ex43-diagonal", certify.pair_diagonal_blocks, (8, 16, 32),
+                   "commuting diagonal pair with disjoint kernels",
+                   "the commuting diagonal pair keeps disjoint kernels, so the "
+                   "common-kernel requirement fails"),
+    _pair_scenario("thm44-scalar-pair", certify.hs_pair_scalar, (8, 16, 32),
+                   "scalar multiplication pair: intersection pinned at one",
+                   "the scalar shift pair pins its kernel intersection at one "
+                   "dimension at every truncation"),
+    _pair_scenario("thm44-block-pair", certify.hs_pair_block,
+                   ((4, 4), (6, 6), (8, 8)),
+                   "block multiplication pair: the model universal commuting pair",
+                   "the block shift pair shows growing kernel overlap with exact "
+                   "product-kernel bookkeeping"),
     Scenario("ex46-common-zeros", _sc_ex46_zeros,
              {"r": 0.5, "s": 2.0 - 3.0 ** 0.5, "lam": 1.0 + 0j, "mu": 1.0 + 0j,
               "k_max": 20},

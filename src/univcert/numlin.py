@@ -1,4 +1,5 @@
-"""Dense numerical linear algebra kernel: SVD ranks, kernels, subspace arithmetic."""
+"""Dense numerical linear algebra kernel: one spectrum per matrix, kernels,
+subspace arithmetic."""
 
 from __future__ import annotations
 
@@ -32,51 +33,49 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def svd_kernel(a, tol_rel: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Right singular vectors with sigma_i <= tol_rel * sigma_max.
+def negligible(values: np.ndarray, tol_rel: float = DEFAULT_TOL) -> np.ndarray:
+    """The rank threshold: True where sigma <= tol_rel * sigma_max. When
+    sigma_max = 0 every value counts as small, so the zero matrix has full
+    kernel."""
+    return values <= tol_rel * (values.max() if values.size else 0.0)
 
-    The zero matrix is treated as having full kernel.
-    """
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Singular values of one matrix, largest first, and its shape; every
+    rank count of that matrix reads this one decomposition."""
+
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, a) -> Spectrum:
+        m = _as_matrix(a)
+        return cls(np.linalg.svd(m, compute_uv=False), m.shape)
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.values[-1]) if self.values.size else 0.0
+
+    def rank(self, tol_rel: float = DEFAULT_TOL) -> int:
+        return int(np.count_nonzero(~negligible(self.values, tol_rel)))
+
+    def kernel_dim(self, tol_rel: float = DEFAULT_TOL) -> int:
+        return self.shape[1] - self.rank(tol_rel)
+
+    def corank(self, tol_rel: float = DEFAULT_TOL) -> int:
+        """Codimension of the numerical range inside the codomain."""
+        return self.shape[0] - self.rank(tol_rel)
+
+
+def svd_kernel(a, tol_rel: float = DEFAULT_TOL) -> SubspaceBasis:
+    """Right singular vectors whose singular value is negligible."""
     m = _as_matrix(a)
     _, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return SubspaceBasis(np.eye(m.shape[1], dtype=m.dtype), tol_rel)
-    k = int(np.sum(s <= tol_rel * smax))
+    k = int(np.count_nonzero(negligible(s, tol_rel)))
     # rows of vh beyond min(m, n) are always annihilated (wide matrices)
     basis = np.ascontiguousarray(vh[min(m.shape) - k :].conj().T)
     return SubspaceBasis(basis, tol_rel)
-
-
-def singular_values(a) -> np.ndarray:
-    return np.linalg.svd(_as_matrix(a), compute_uv=False)
-
-
-def sigma_min(a) -> float:
-    s = singular_values(a)
-    return float(s[-1]) if s.size else 0.0
-
-
-def spectrum_rank(s: np.ndarray, tol_rel: float = DEFAULT_TOL) -> int:
-    """How many of the singular values s (largest first) exceed tol_rel * s[0]."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol_rel * s[0]))
-
-
-def numerical_rank(a, tol_rel: float = DEFAULT_TOL) -> int:
-    return spectrum_rank(singular_values(a), tol_rel)
-
-
-def corank(a, tol_rel: float = DEFAULT_TOL) -> int:
-    """Codimension of the numerical range inside the codomain."""
-    m = _as_matrix(a)
-    return m.shape[0] - numerical_rank(m, tol_rel)
-
-
-def kernel_dim(a, tol_rel: float = DEFAULT_TOL) -> int:
-    m = _as_matrix(a)
-    return m.shape[1] - numerical_rank(m, tol_rel)
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -89,24 +88,15 @@ def eigenvalues(a) -> np.ndarray:
     return vals[order]
 
 
-def _check_ambient(u: SubspaceBasis, v: SubspaceBasis):
+def subspace_dims(u: SubspaceBasis, v: SubspaceBasis,
+                  tol_rel: float = DEFAULT_TOL) -> tuple[int, int]:
+    """(dim(U + V), dim(U & V)) from one SVD of the stacked bases."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError(
             f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
         )
-
-
-def subspace_sum_dim(u: SubspaceBasis, v: SubspaceBasis, tol_rel: float = DEFAULT_TOL) -> int:
-    _check_ambient(u, v)
-    if u.dim == 0:
-        return v.dim
-    if v.dim == 0:
-        return u.dim
-    return numerical_rank(np.hstack([u.columns, v.columns]), tol_rel)
-
-
-def subspace_intersection_dim(
-    u: SubspaceBasis, v: SubspaceBasis, tol_rel: float = DEFAULT_TOL
-) -> int:
-    _check_ambient(u, v)
-    return u.dim + v.dim - subspace_sum_dim(u, v, tol_rel)
+    if u.dim == 0 or v.dim == 0:
+        total = u.dim + v.dim
+    else:
+        total = Spectrum.of(np.hstack([u.columns, v.columns])).rank(tol_rel)
+    return total, u.dim + v.dim - total

@@ -277,12 +277,8 @@ class HSOperator:
                 svs.append(s)
                 bases.append(vh.conj().T)
         prod = np.multiply.outer(svs[0], svs[1])
-        smax = prod.max()
-        cols = []
-        for i in range(n):
-            for j in range(n):
-                if smax == 0.0 or prod[i, j] <= tol_rel * smax:
-                    cols.append(np.kron(bases[0][:, i], bases[1][:, j]))
+        small = numlin.negligible(prod.ravel(), tol_rel).reshape(prod.shape)
+        cols = [np.kron(bases[0][:, i], bases[1][:, j]) for i, j in zip(*np.nonzero(small))]
         basis = np.array(cols).T if cols else np.zeros((n * n, 0))
         return numlin.SubspaceBasis(np.ascontiguousarray(basis), tol_rel)
 

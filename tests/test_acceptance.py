@@ -64,8 +64,8 @@ def test_criterion_03_multiplication_pair_dimensions():
     b2 = right.kernel_basis()
     prod = opbuild.hs_product(left, right).kernel_basis()
     stacked = np.hstack([b1.columns, b2.columns, prod.columns])
-    ok = ok and prod.dim == numlin.subspace_sum_dim(b1, b2)
-    ok = ok and numlin.numerical_rank(stacked) == prod.dim
+    ok = ok and prod.dim == numlin.subspace_dims(b1, b2)[0]
+    ok = ok and numlin.Spectrum.of(stacked).rank() == prod.dim
     assert _verdict(3, "multiplication-pair kernel bookkeeping", ok)
 
 
@@ -76,7 +76,7 @@ def test_criterion_04_injective_perturbations():
     ok = True
     for n in range(1, 11):
         vn = certify.family_ex26(n)(trunc)
-        ok = ok and numlin.sigma_min(vn) > 1.0 / (2 * n)
+        ok = ok and numlin.Spectrum.of(vn).sigma_min > 1.0 / (2 * n)
         dist = np.linalg.norm(vn.entries - base.entries, 2)
         ok = ok and abs(dist - 1.0 / n) < 1e-12
     assert _verdict(4, "injective perturbations at distance 1/n", ok)
@@ -172,7 +172,8 @@ def test_criterion_10_determinism_and_invariance(tmp_path):
         d[:k] = 0.0
         s = np.eye(n) + 0.1 * rng.standard_normal((n, n))
         conj = s @ np.diag(d) @ np.linalg.inv(s)
-        ok = ok and numlin.kernel_dim(conj) == k and numlin.corank(conj) == k
+        spec = numlin.Spectrum.of(conj)
+        ok = ok and spec.kernel_dim() == k and spec.corank() == k
     assert _verdict(10, "deterministic reruns, plain CSV cells, similarity invariance", ok)
 
 

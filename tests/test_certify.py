@@ -41,14 +41,18 @@ def test_rank_one_bump_splits_C_from_Cplus():
 def test_perturbed_pair_family_is_injective():
     for n in range(1, 6):
         op = certify.family_ex26(n)(32)
-        assert numlin.sigma_min(op) > 1.0 / (2 * n)
+        assert numlin.Spectrum.of(op).sigma_min > 1.0 / (2 * n)
 
 
 def test_ladder_validation():
-    with pytest.raises(ValueError):
-        certify.check_C(certify.family_identity, (16, 32))
-    with pytest.raises(ValueError):
-        certify.check_C(certify.family_identity, (32, 16, 64))
+    composition = certify.family_composition(0.5, beta=1.0, variant="derivative")
+    checks = (lambda ladder: certify.check_C(certify.family_identity, ladder),
+              lambda ladder: certify.check_M(certify.pair_diagonal_blocks, ladder),
+              lambda ladder: certify.spectral_falsifier(composition, [1.0, 0.5j], ladder))
+    for check in checks:
+        for ladder in ((16, 32), (32,), (32, 16, 64)):
+            with pytest.raises(ValueError, match="ladder"):
+                check(ladder)
 
 
 def test_report_json_shape():

@@ -1,4 +1,5 @@
-"""Rank, kernel, eigenvalue and subspace arithmetic against hand-built cases."""
+"""Spectra, ranks, kernels, eigenvalues and subspace arithmetic against
+hand-built cases and dense oracles."""
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ def test_zero_matrix_has_full_kernel():
     basis = numlin.svd_kernel(np.zeros((3, 5)))
     assert basis.dim == 5
     assert basis.ambient_dim == 5
+    spec = numlin.Spectrum.of(np.zeros((3, 5)))
+    assert (spec.rank(), spec.kernel_dim(), spec.corank()) == (0, 5, 3)
 
 
 def test_wide_matrix_kernel_counts_missing_rows():
@@ -33,17 +36,18 @@ def test_wide_matrix_kernel_counts_missing_rows():
 
 
 def test_rank_corank_kernel_dim_accounting():
-    m = np.diag([5.0, 3.0, 1e-12, 0.0])
-    assert numlin.numerical_rank(m) == 2
-    assert numlin.corank(m) == 2
-    assert numlin.kernel_dim(m) == 2
-    assert numlin.kernel_dim(m, tol_rel=1e-14) == 1
+    spec = numlin.Spectrum.of(np.diag([5.0, 3.0, 1e-12, 0.0]))
+    assert spec.shape == (4, 4)
+    assert spec.rank() == 2
+    assert spec.corank() == 2
+    assert spec.kernel_dim() == 2
+    assert spec.kernel_dim(tol_rel=1e-14) == 1
 
 
 def test_sigma_min_of_shift_section():
-    m = np.eye(4, k=1)
-    assert numlin.sigma_min(m) == pytest.approx(0.0, abs=1e-15)
-    assert numlin.singular_values(m)[0] == pytest.approx(1.0)
+    spec = numlin.Spectrum.of(np.eye(4, k=1))
+    assert spec.sigma_min == pytest.approx(0.0, abs=1e-15)
+    assert spec.values[0] == pytest.approx(1.0)
 
 
 def test_eigenvalues_sorted_and_complete():
@@ -62,25 +66,23 @@ def test_subspace_sum_and_intersection_oracle():
     e = np.eye(4)
     u = numlin.SubspaceBasis(e[:, :2], 1e-8)           # span{e0, e1}
     v = numlin.SubspaceBasis(e[:, 1:3], 1e-8)          # span{e1, e2}
-    assert numlin.subspace_sum_dim(u, v) == 3
-    assert numlin.subspace_intersection_dim(u, v) == 1
+    assert numlin.subspace_dims(u, v) == (3, 1)
     w = numlin.SubspaceBasis(np.zeros((4, 0)), 1e-8)
-    assert numlin.subspace_sum_dim(u, w) == 2
-    assert numlin.subspace_intersection_dim(u, w) == 0
+    assert numlin.subspace_dims(u, w) == (2, 0)
 
 
 def test_subspace_ambient_mismatch_raises():
     u = numlin.SubspaceBasis(np.eye(3)[:, :1], 1e-8)
     v = numlin.SubspaceBasis(np.eye(4)[:, :1], 1e-8)
     with pytest.raises(ValueError):
-        numlin.subspace_sum_dim(u, v)
+        numlin.subspace_dims(u, v)
 
 
 def test_accepts_objects_with_entries_attribute():
     class Box:
         entries = np.eye(3)
 
-    assert numlin.numerical_rank(Box()) == 3
+    assert numlin.Spectrum.of(Box()).rank() == 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,5 +95,38 @@ def test_similarity_preserves_kernel_dimensions(n, defect, seed):
     a = np.diag(d)
     s = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     conj = s @ a @ np.linalg.inv(s)
-    assert numlin.kernel_dim(conj) == k
-    assert numlin.corank(conj) == k
+    spec = numlin.Spectrum.of(conj)
+    assert spec.kernel_dim() == k
+    assert spec.corank() == k
+
+
+def _orthonormal(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _of_rank(rng, rows, cols, rank):
+    """U diag(s) V^H with rank singular values in [1, 10], the rest zero."""
+    s = np.zeros((rows, cols))
+    s[np.arange(rank), np.arange(rank)] = rng.uniform(1.0, 10.0, rank)
+    return _orthonormal(rng, rows) @ s @ _orthonormal(rng, cols).conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 9), st.integers(0, 999))
+def test_spectrum_counts_agree_with_kernels_and_stacked_ranks(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    spec = numlin.Spectrum.of(_of_rank(rng, rows, cols, rank))
+    assert spec.rank() == rank
+    assert spec.rank() + spec.kernel_dim() == cols
+    assert spec.rank() + spec.corank() == rows
+    square = _of_rank(rng, rows, rows, rank)
+    assert numlin.Spectrum.of(square).kernel_dim() == numlin.svd_kernel(square).dim
+    # a rows-dim and a cols-dim subspace sharing rank columns of one unitary
+    q = _orthonormal(rng, rows + cols - rank)
+    u = numlin.SubspaceBasis(q[:, :rows], 1e-8)
+    v = numlin.SubspaceBasis(q[:, rows - rank:rows - rank + cols], 1e-8)
+    stacked = np.linalg.matrix_rank(np.hstack([u.columns, v.columns]))
+    assert stacked == rows + cols - rank
+    assert numlin.subspace_dims(u, v) == (stacked, rows + cols - stacked)

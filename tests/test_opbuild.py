@@ -37,7 +37,7 @@ def test_interior_section_trims_rows():
     b = opbuild.backward_shift(5)
     sec = opbuild.interior_section(b, 1)
     assert sec.entries.shape == (4, 5)
-    assert numlin.corank(sec.entries) == 0
+    assert numlin.Spectrum.of(sec.entries).corank() == 0
     with pytest.raises(ValueError):
         opbuild.interior_section(b, 5)
 
@@ -228,7 +228,7 @@ def test_hs_kernel_basis_matches_dense_svd():
     structured = left.kernel_basis()
     dense = numlin.svd_kernel(left.matrix)
     assert structured.dim == dense.dim == n
-    assert numlin.subspace_sum_dim(structured, dense) == n
+    assert numlin.subspace_dims(structured, dense) == (n, n)
 
 
 def test_opmatrix_rejects_nonfinite_and_empty_provenance():

@@ -27,7 +27,9 @@ t = tr.Tracer()
 tr.install_univcert(t, (spaces, numlin, opbuild, analytic, certify, cli))
 runs = [("thm32-adjoint-certify", {"ladder": "64,128,256", "index_max": 8}),
         ("ex31-falsify-dirichlet", {}),
-        ("ex25-notC", {})]
+        ("ex25-notC", {}),
+        ("ex43-diagonal", {}),
+        ("thm44-block-pair", {"ladder": "2x2,3x3,4x4"})]
 metrics = {}
 with tempfile.TemporaryDirectory() as out:
     for run_id, (name, params) in enumerate(runs):
@@ -63,5 +65,19 @@ def test_ex31_scans_its_grid_once(traced):
 
 def test_ex25_takes_one_svd_per_framed_square(traced):
     m = traced["ex25-notC"]
-    # 2 checks x 3 rungs x (square + interior section)
+    # one ladder walk read by both checks: 3 rungs x (square + interior)
+    assert m["linalg.svd.calls"] == 6
+    assert m["linalg.svd.repeat_frac"] == 0
+
+
+def test_ex43_reads_coranks_from_its_kernel_bases(traced):
+    m = traced["ex43-diagonal"]
+    # 3 rungs x (two kernel bases + product kernel + one stacked basis)
     assert m["linalg.svd.calls"] == 12
+
+
+def test_thm44_block_pair_stacks_its_kernel_bases_once(traced):
+    m = traced["thm44-block-pair"]
+    # 3 rungs x (two interior sections + one factor SVD per kernel basis
+    # + two for the product kernel + one stacked basis)
+    assert m["linalg.svd.calls"] == 21
