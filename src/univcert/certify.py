@@ -288,14 +288,21 @@ def annulus_grid(r: float, n_radial: int = 5, n_angular: int = 12,
     Radii are exp(u * t_r / 2) for u equally spaced in [-span/2, span/2], so
     an odd radial count places one ring exactly on the unit circle and the
     first angle puts lambda = 1 on the grid.
+
+    The grid is exactly closed under conjugation: angle index k > n - k is
+    the conjugate of index n - k, and angle pi lies on the real axis.
     """
     from .analytic import HyperbolicAuto
 
     t_r = HyperbolicAuto(abs(r)).t_param
     us = np.linspace(-span / 2.0, span / 2.0, n_radial)
     radii = np.exp(us * t_r / 2.0)
-    angles = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    ks = np.arange(n_angular)
+    unit = np.exp(1j * (2.0 * np.pi * ks / n_angular))
+    mirrored = ks > n_angular - ks
+    unit[mirrored] = unit[n_angular - ks[mirrored]].conj()
+    unit[2 * ks == n_angular] = -1.0
+    return (radii[:, None] * unit[None, :]).ravel()
 
 
 def spectral_falsifier(builder, lam_grid, ladder, tols=(1e-6, 1e-8),
@@ -317,6 +324,8 @@ def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
         raise ValueError("the falsifier needs a non-empty grid")
     _check_ladder(ladder)
     tols = tuple(tols)
+    # one cell per distinct lambda: a repeated point is scanned once
+    cells = list(dict.fromkeys(lam_grid.tolist()))
     dims = {}
     rungs = []
     for size in ladder:
@@ -325,12 +334,18 @@ def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
         # point: no N x N temporaries are allocated inside the grid loop
         shifted = fs.astype(np.result_type(fs, lam_grid))
         diag, base = np.einsum("ii->i", shifted), fs.diagonal()
+        # a real section has sigma(A - conj(lambda) I) = sigma(A - lambda I),
+        # so a conjugate pair takes one SVD
+        real = np.isrealobj(fs)
+        spectra = {}
         worst = 0
-        for lam in lam_grid:
-            np.subtract(base, lam, out=diag)
-            spec = numlin.Spectrum.of(shifted)
+        for lam in cells:
+            key = complex(lam.real, abs(lam.imag)) if real else complex(lam)
+            if key not in spectra:
+                np.subtract(base, lam, out=diag)
+                spectra[key] = numlin.Spectrum.of(shifted)
             for tol in tols:
-                d = spec.kernel_dim(tol)
+                d = spectra[key].kernel_dim(tol)
                 dims.setdefault((complex(lam), tol), []).append(d)
                 worst = max(worst, d)
         rungs.append(RungStats(_rung_label(size), size, kernel_dim=worst,

@@ -62,6 +62,14 @@ def _real(key):
     return check
 
 
+def _at_least(key, lo):
+    """An integer parameter's floor, the smallest value the run accepts."""
+    def check(p):
+        if p[key] < lo:
+            return f"{key} must be at least {lo}, got {p[key]}"
+    return check
+
+
 def _count_in_trunc(p):
     # the summary reads s_32 / s_1
     if not 32 <= p["count"] <= p["trunc"]:
@@ -390,24 +398,29 @@ _DEF_LADDER = (64, 128, 256)
 REGISTRY = {s.name: s for s in (
     Scenario("thm22-eigenfield", _sc_thm22_eigenfield,
              {"K": 8, "d": 4, "z": 0.25 + 0.15j},
-             "exact holomorphic eigenvector field of the block backward shift"),
+             "exact holomorphic eigenvector field of the block backward shift",
+             (_at_least("K", 2), _at_least("d", 1))),
     Scenario("prop21-block", _sc_prop21_block, {"n": 24},
-             "triangular block operators keep the union of part spectra"),
+             "triangular block operators keep the union of part spectra",
+             (_at_least("n", 2),)),
     Scenario("ex25-notC", _sc_ex25_notC, {"ladder": (32, 64, 128)},
              "rank-1 compact bump: kernel keeps growing, one range direction lost",
              (_ladder,)),
     Scenario("ex26-perturbation", _sc_ex26_perturbation,
              {"trunc": 128, "n_max": 10},
-             "injective perturbations at distance 1/n from a universal operator"),
+             "injective perturbations at distance 1/n from a universal operator",
+             (_at_least("trunc", 2), _at_least("n_max", 1))),
     Scenario("multiplicativity-failure", _sc_multiplicativity, {"n": 16},
-             "two universal-type diagonal factors with product exactly zero"),
+             "two universal-type diagonal factors with product exactly zero",
+             (_at_least("n", 2),)),
     Scenario("annulus", _sc_annulus, {"r": 0.5},
              "spectral annulus radii of the hyperbolic composition operator",
              (_real_unit("r"),)),
     Scenario("ex31-falsify-dirichlet", _sc_ex31_falsify,
              {"r": 0.5, "ladder": _DEF_LADDER, "n_radial": 5, "n_angular": 12},
              "annulus grid of kernel dimensions falsifies the forward operator",
-             (_real_unit("r"), _ladder)),
+             (_real_unit("r"), _ladder, _at_least("n_radial", 1),
+              _at_least("n_angular", 1))),
     Scenario("thm32-adjoint-certify", _sc_thm32_certify,
              {"r": 0.5, "lam": 3.0 ** 0.25, "ladder": (256, 512, 1024),
               "index_max": 64},
@@ -424,7 +437,8 @@ REGISTRY = {s.name: s for s in (
              "half-plane dilation spectral radii",
              (_real("mu"), _real("alphas"))),
     Scenario("prop41-falsifiers", _sc_prop41_falsifiers, {"n": 32},
-             "algebraic dependence witnesses falsify shift power pairs"),
+             "algebraic dependence witnesses falsify shift power pairs",
+             (_at_least("n", 2),)),
     _pair_scenario("ex43-diagonal", certify.pair_diagonal_blocks, (8, 16, 32),
                    "commuting diagonal pair with disjoint kernels",
                    "the commuting diagonal pair keeps disjoint kernels, so the "
@@ -443,7 +457,7 @@ REGISTRY = {s.name: s for s in (
               "k_max": 20},
              "covering-map zero sets sharing every other zero at ratio 2:1",
              (_real_unit("r"), _real_unit("s"), _in_annulus("r", "lam"),
-              _in_annulus("s", "mu"))),
+              _in_annulus("s", "mu"), _at_least("k_max", 0))),
 )}
 
 

@@ -1,11 +1,15 @@
 """Verdict rules of the certificate and falsifier machinery."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from univcert import certify, numlin, opbuild
+from univcert.analytic import HyperbolicAuto
 
 
 LADDER = (16, 32, 64)
@@ -138,6 +142,20 @@ def test_annulus_grid_geometry():
     assert np.all(np.abs(grid) < outer)
     # one ring sits exactly on the unit circle and contains lambda = 1
     assert np.min(np.abs(grid - 1.0)) < 1e-15
+    radii = np.exp(np.linspace(-0.4, 0.4, 5) * HyperbolicAuto(0.5).t_param / 2.0)
+    for n_angular in range(1, 14):
+        grid = certify.annulus_grid(0.5, 5, n_angular)
+        # exactly closed under conjugation, so a real section's scan may
+        # fold each conjugate pair
+        assert set(grid) == set(grid.conj())
+        # each ring still starts on the positive real axis: lambda = 1 is
+        # the unit ring's first point
+        rings = grid.reshape(5, n_angular)
+        assert np.all(rings[:, 0].imag == 0.0) and rings[2, 0] == 1.0
+        # the points move only by rounding from exp(2 pi i k / n)
+        angles = 2.0 * np.pi * np.arange(n_angular) / n_angular
+        old = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+        assert np.all(np.abs(grid - old) <= 2e-15 * np.abs(old))
 
 
 def test_spectral_falsifier_flat_dims():
@@ -149,10 +167,134 @@ def test_spectral_falsifier_flat_dims():
 
 
 def test_spectral_falsifier_sees_growing_multiplicity():
-    rep = certify.spectral_falsifier(certify.family_block_backward,
-                                     np.array([0.0]), (32, 64, 128))
-    assert rep.verdict == certify.INCONCLUSIVE
-    assert [r.kernel_dim for r in rep.ladder] == [8, 16, 32]
+    # a repeated point is one cell, so repeating it cannot hide its growth
+    for grid in ([0.0], [0.0, 0.0]):
+        rep = certify.spectral_falsifier(certify.family_block_backward,
+                                         np.array(grid), (32, 64, 128))
+        assert rep.verdict == certify.INCONCLUSIVE
+        assert [r.kernel_dim for r in rep.ladder] == [8, 16, 32]
+        assert rep.narrative.startswith("2 grid cell(s) show growing")
+
+
+def _sections_with_eigenvalues(points, seed, complex_entries=False):
+    """Rungs n whose section has every point as an eigenvalue of
+    multiplicity n // 8, in a random unitary frame. Real sections carry a
+    non-real point as a 2 x 2 rotation block, so its conjugate is an
+    eigenvalue too; complex sections carry the point alone."""
+    def build(n: int):
+        rng = np.random.default_rng(seed + n)
+        blocks = []
+        for lam in points * (n // 8):
+            if complex_entries:
+                blocks.append(np.array([[lam]]))
+            elif lam.imag == 0.0:
+                blocks.append(np.array([[lam.real]]))
+            else:
+                blocks.append(np.array([[lam.real, -lam.imag], [lam.imag, lam.real]]))
+        dim = sum(len(b) for b in blocks)
+        d = np.zeros((n, n), dtype=complex if complex_entries else float)
+        d[dim:, dim:] = np.diag(rng.uniform(3.0, 4.0, n - dim))
+        at = 0
+        for b in blocks:
+            d[at:at + len(b), at:at + len(b)] = b
+            at += len(b)
+        g = rng.standard_normal((n, n))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((n, n))
+        q = np.linalg.qr(g)[0]
+        return q @ d @ q.conj().T
+    return build
+
+
+def _dense_dims(builder, lams, ladder, tols):
+    """Kernel dims of A - lambda I by one full SVD per cell and rung."""
+    dims = {}
+    for size in ladder:
+        a = builder(size)
+        for lam in lams:
+            s = np.linalg.svd(a - lam * np.eye(size), compute_uv=False)
+            for tol in tols:
+                dims.setdefault((complex(lam), tol), []).append(
+                    int(np.sum(s <= tol * s[0])))
+    return dims
+
+
+def _counted_scan(builder, grid, ladder, tols):
+    """_spectral_scan's dims and the number of spectra it took."""
+    taken = []
+    of = numlin.Spectrum.of
+
+    def counting(a):
+        taken.append(a.shape)
+        return of(a)
+
+    with mock.patch.object(numlin.Spectrum, "of", counting):
+        dims = certify._spectral_scan(builder, grid, ladder, tols)[1]
+    return dims, len(taken)
+
+
+_POINT = st.builds(complex, st.floats(-2.0, 2.0),
+                   st.one_of(st.just(0.0), st.floats(0.25, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(eigen=st.lists(_POINT, min_size=1, max_size=2,
+                     unique_by=lambda z: (z.real, abs(z.imag))),
+       others=st.lists(_POINT, max_size=4),
+       conj=st.lists(st.booleans(), min_size=6, max_size=6),
+       repeat=st.lists(st.booleans(), min_size=6, max_size=6),
+       seed=st.integers(0, 999))
+def test_real_section_scan_folds_conjugates_and_repeats(eigen, others, conj, repeat,
+                                                        seed):
+    tols, ladder = (1e-6, 1e-8), (8, 16, 24)
+    base = eigen + others
+    grid = list(base)
+    grid += [lam.conjugate() for lam, c in zip(base, conj) if c]
+    grid += [lam for lam, c in zip(base, repeat) if c]
+    grid = [grid[i] for i in np.random.default_rng(seed).permutation(len(grid))]
+    fam = _sections_with_eigenvalues(eigen, seed)
+    dims, taken = _counted_scan(fam, grid, ladder, tols)
+    cells = list(dict.fromkeys(grid))
+    dense = _dense_dims(fam, cells, ladder, tols)
+    assert dims == dense
+    # the dense dims at conj(lambda) agree, which is what the fold relies on
+    mirrored = _dense_dims(fam, [lam.conjugate() for lam in cells], ladder, tols)
+    assert all(mirrored[(lam.conjugate(), tol)] == dense[(lam, tol)]
+               for lam in cells for tol in tols)
+    folded = {complex(lam.real, abs(lam.imag)) for lam in cells}
+    assert taken == len(ladder) * len(folded)
+    # the planted eigenvalues are seen, with multiplicity at least n // 8
+    for lam in eigen:
+        assert all(d >= n // 8 for d, n in zip(dense[(lam, 1e-8)], ladder))
+
+
+def test_complex_section_scan_takes_one_svd_per_cell():
+    tols, ladder = (1e-6, 1e-8), (8, 16, 24)
+    lam = 0.5 + 1.0j
+    grid = [lam, lam.conjugate(), lam, 1.5, 0.3 - 0.7j]
+    fam = _sections_with_eigenvalues([lam], 3, complex_entries=True)
+    dims, taken = _counted_scan(fam, grid, ladder, tols)
+    cells = list(dict.fromkeys(grid))
+    assert taken == len(ladder) * len(cells)
+    assert dims == _dense_dims(fam, cells, ladder, tols)
+    # a complex section is not conjugate-symmetric: lambda carries the
+    # planted kernel, its conjugate none
+    assert dims[(lam, 1e-8)] == [1, 2, 3]
+    assert dims[(lam.conjugate(), 1e-8)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5])
+def test_sign_conjugation_leaves_scan_dims_unchanged(r):
+    # J C_r J = C_{-r} with J = diag((-1)^k), and the diagonal weighted frame
+    # commutes with J, so every cell's dims agree at r and -r
+    grid = certify.annulus_grid(r)
+    ladder, tols = (16, 32, 48), (1e-6, 1e-8)
+    plus = certify._spectral_scan(
+        certify.family_composition(r, 1.0, "derivative"), grid, ladder, tols)
+    minus = certify._spectral_scan(
+        certify.family_composition(-r, 1.0, "derivative"), grid, ladder, tols)
+    assert plus[1] == minus[1]
+    assert plus[0].verdict == minus[0].verdict == certify.FALSIFIED
 
 
 def test_algebraic_falsifier_polynomial_witness():

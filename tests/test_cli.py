@@ -87,6 +87,31 @@ def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("name, key, value, floor", [
+    ("ex31-falsify-dirichlet", "n_angular", 0, 1),
+    ("ex31-falsify-dirichlet", "n_radial", -2, 1),
+    ("ex26-perturbation", "n_max", 0, 1),
+    ("ex46-common-zeros", "k_max", -2, 0),
+    ("thm22-eigenfield", "K", 1, 2),
+    ("thm22-eigenfield", "d", 0, 1),
+    ("prop21-block", "n", 0, 2),
+    ("ex26-perturbation", "trunc", 1, 2),
+    ("multiplicativity-failure", "n", 0, 2),
+    ("prop41-falsifiers", "n", 1, 2),
+])
+def test_integer_below_its_floor_fails_validate_and_run_alike(name, key, value, floor,
+                                                              tmp_path, capsys):
+    message = f"{key} must be at least {floor}, got {value}"
+    argv = ["--scenario", name, "--param", f"{key}={value}"]
+    assert cli.main(argv + ["--validate"]) == 2
+    assert capsys.readouterr().out == f"{name}: {message}\n"
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"univcert-lab: error: {message}\n"
+    assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("config", [
     "scenario = annulus\njobs = two\n",
     "scenario = annulus\nno separator here\n",

@@ -3,10 +3,16 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import report_parity
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SUMMARY = {
     "scenario": "demo",
@@ -82,3 +88,23 @@ def test_a_file_in_only_one_tree_fails(tmp_path):
     a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
     (b / "demo" / "extra.csv").write_text("x\n1\n", encoding="utf-8")
     assert not report_parity.compare_trees(a, b).ok
+
+
+def test_blas_thread_count_moves_reports_only_within_the_rule(tmp_path):
+    # the scenarios whose reports carry BLAS-dependent floats, at registry
+    # defaults; a thread count may change the last digits of a float, never
+    # a count or a verdict
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "univcert.cli",
+                        "--scenario", "thm32-adjoint-certify",
+                        "--scenario", "cor34-heller", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        trees.append(out)
+    parity = report_parity.compare_trees(*trees)
+    assert parity.ok, parity.violations
+    assert len(list(trees[0].rglob("*.*"))) == 4
