@@ -212,14 +212,6 @@ def check_Cplus(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
 
 # -- commuting pairs ----------------------------------------------------------
 
-def _pair_parts(op):
-    """(matrix, kernel-basis callable) for dense or structured operators."""
-    if isinstance(op, opbuild.HSOperator):
-        return op.matrix, op.kernel_basis
-    m = numlin._as_matrix(op)
-    return m, lambda tol_rel=RANK_TOL: numlin.svd_kernel(m, tol_rel)
-
-
 def _pure_hs_pair(u1, u2) -> bool:
     return (isinstance(u1, opbuild.HSOperator) and isinstance(u2, opbuild.HSOperator)
             and u1.factor_right is None and u2.factor_left is None)
@@ -235,23 +227,24 @@ def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     for size in ladder:
         built = pair_builder(size)
         u1, u2, cor1, cor2 = built if len(built) == 4 else (*built, None, None)
-        m1, ker1 = _pair_parts(u1)
-        m2, ker2 = _pair_parts(u2)
         if _pure_hs_pair(u1, u2):
-            # U S V against U S V: the pair commutes identically.
-            prod_kernel = opbuild.hs_product(u1, u2).kernel_basis(tol).dim
+            # U S against S V: the pair commutes identically and is square.
+            b1, b2, prod_kernel = opbuild.hs_pair_kernels(u1, u2, tol)
+            excess1 = excess2 = 0
         else:
+            m1, m2 = numlin._as_matrix(u1), numlin._as_matrix(u2)
             comm = np.linalg.norm(m1 @ m2 - m2 @ m1)
             scale = np.linalg.norm(m1) * np.linalg.norm(m2)
             if comm > tol * max(scale, 1.0):
                 raise ValueError("the supplied pair does not commute")
-            prod_kernel = numlin.svd_kernel(m1 @ m2, tol).dim
-        b1, b2 = ker1(tol), ker2(tol)
+            prod_kernel = numlin.Spectrum.of(m1 @ m2).kernel_dim(tol)
+            b1, b2 = numlin.svd_kernel(m1, tol), numlin.svd_kernel(m2, tol)
+            excess1, excess2 = (m.shape[0] - m.shape[1] for m in (m1, m2))
         ssum, inter = numlin.subspace_dims(b1, b2, tol)
         if cor1 is None:
-            cor1 = m1.shape[0] - m1.shape[1] + b1.dim
+            cor1 = excess1 + b1.dim
         if cor2 is None:
-            cor2 = m2.shape[0] - m2.shape[1] + b2.dim
+            cor2 = excess2 + b2.dim
         label = f"K={size[0]},d={size[1]}" if isinstance(size, tuple) else _rung_label(size)
         n = int(np.prod(size)) if isinstance(size, tuple) else int(size)
         rungs.append(RungStats(label, n, kernel_dim=b1.dim, corank=max(cor1, cor2),
@@ -662,10 +655,10 @@ def hs_pair_block(size: tuple[int, int]):
     right = opbuild.hs_right(bstar)
     n, d = spec.K * spec.d, spec.d
     # S -> B S loses n directions for each one that B's interior section
-    # loses; S -> S B* likewise with B*'s
-    cor_left = n * numlin.Spectrum.of(b.entries[:-d, :]).corank()
-    cor_right = n * numlin.Spectrum.of(bstar.entries[:, :-d].T).corank()
-    return left, right, cor_left, cor_right
+    # loses, and S -> S B* likewise with B*'s; B* = B^T makes that section
+    # bstar[:, :-d].T equal to b[:-d, :], so one spectrum gives both
+    corank = n * numlin.Spectrum.of(b.entries[:-d, :]).corank()
+    return left, right, corank, corank
 
 
 def pair_diagonal_blocks(n: int):

@@ -490,13 +490,18 @@ def _parse_ladder(text: str):
 
 def _as_kind(default, value):
     """value in the kind of default: strings are parsed first, then tuples
-    need sequences of the default's element kind, ints need integers and
-    float or complex defaults take any number. Raises ValueError."""
+    need sequences of the default's element kind (a rung of KxD rungs needs
+    as many parts as the default's), ints need integers and float or
+    complex defaults take any number. Raises ValueError."""
     if isinstance(default, tuple):
         if isinstance(value, str):
             value = _parse_ladder(value)
         if not isinstance(value, (tuple, list)):
             raise ValueError(f"expected a sequence like {default!r}, got {value!r}")
+        if isinstance(default[0], tuple) and any(
+                isinstance(v, (tuple, list)) and len(v) != len(default[0]) for v in value):
+            raise ValueError(f"each rung needs {len(default[0])} parts like "
+                             f"{default[0]!r}, got {value!r}")
         return tuple(_as_kind(default[0], v) for v in value)
     if isinstance(value, str):
         value = _parse_value(value)

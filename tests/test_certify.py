@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from univcert import certify, numlin, opbuild
 from univcert.analytic import HyperbolicAuto
 
+import hs_dense
+
 
 LADDER = (16, 32, 64)
 
@@ -105,14 +107,13 @@ def test_diagonal_pair_keeps_disjoint_kernels():
 def test_check_M_is_symmetric_under_swap():
     def swapped(size):
         left, right, c1, c2 = certify.hs_pair_block(size)
-        prod = opbuild.hs_product(left, right)
 
         # present the same kernels through dense matrices, in the other order
         class Dense:
             def __init__(self, m):
                 self.entries = m
 
-        return Dense(right.matrix), Dense(left.matrix), c2, c1
+        return Dense(hs_dense.hs_matrix(right)), Dense(hs_dense.hs_matrix(left)), c2, c1
 
     a = certify.check_M(certify.hs_pair_block, ((2, 2), (3, 3), (4, 4)))
     b = certify.check_M(swapped, ((2, 2), (3, 3), (4, 4)))

@@ -87,6 +87,22 @@ def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("ladder", ["4x4x4,6x6x6,8x8x8", "4x4,6x6x6,8x8"])
+def test_block_rung_with_the_wrong_number_of_parts_fails_validate_and_run_alike(
+        ladder, tmp_path, capsys):
+    argv = ["--scenario", "thm44-block-pair", "--ladder", ladder]
+    assert cli.main(argv + ["--validate"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("thm44-block-pair: ladder: each rung needs 2 parts")
+    assert len(out.splitlines()) == 1
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("univcert-lab: error: ladder: each rung needs 2 parts")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "thm44-block-pair").exists()
+
+
 @pytest.mark.parametrize("name, key, value, floor", [
     ("ex31-falsify-dirichlet", "n_angular", 0, 1),
     ("ex31-falsify-dirichlet", "n_radial", -2, 1),

@@ -3,11 +3,13 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from univcert import numlin, opbuild
 from univcert.spaces import SpaceSpec
+
+import hs_dense
 
 
 def _hardy(n):
@@ -207,30 +209,59 @@ def test_hs_operators_realize_two_sided_multiplication():
     u = opbuild.OpMatrix(rng.standard_normal((n, n)), _hardy(n), _hardy(n), "U")
     v = opbuild.OpMatrix(rng.standard_normal((n, n)), _hardy(n), _hardy(n), "V")
     s = rng.standard_normal((n, n))
-    prod = opbuild.hs_product(opbuild.hs_left(u), opbuild.hs_right(v))
+    left, right = opbuild.hs_left(u), opbuild.hs_right(v)
     direct = u.entries @ s @ v.entries
-    assert np.abs(prod.apply_to(s) - direct).max() < 1e-12
+    assert np.abs(hs_dense.apply_to(left, hs_dense.apply_to(right, s)) - direct).max() < 1e-12
     # matrix action on the column-major vectorization agrees
-    vec = prod.matrix @ s.flatten(order="F")
+    prod = hs_dense.hs_matrix(left) @ hs_dense.hs_matrix(right)
+    vec = prod @ s.flatten(order="F")
     assert np.abs(vec - direct.flatten(order="F")).max() < 1e-12
 
 
 def test_hs_product_requires_pure_sides():
     u = opbuild.backward_shift(3)
     with pytest.raises(ValueError):
-        opbuild.hs_product(opbuild.hs_right(u), opbuild.hs_left(u))
+        opbuild.hs_pair_kernels(opbuild.hs_right(u), opbuild.hs_left(u))
 
 
 def test_hs_kernel_basis_matches_dense_svd():
     n = 6
     b = opbuild.backward_shift(n)
     left = opbuild.hs_left(b)
-    structured = left.kernel_basis()
-    dense = numlin.svd_kernel(left.matrix)
+    structured, _, _ = opbuild.hs_pair_kernels(left, opbuild.hs_right(b))
+    dense = numlin.svd_kernel(hs_dense.hs_matrix(left))
     assert structured.dim == dense.dim == n
     assert numlin.subspace_dims(structured, dense) == (n, n)
 
 
+def _low_rank(rng, n, rank):
+    """Random n x n factor of the given rank. Its nonzero singular values
+    lie in [0.5, 2], some scaled by 1e-5: none sits near the rank threshold,
+    but the product of two scaled ones falls below it."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    values = rng.choice([1e-5, 1.0], rank) * rng.uniform(0.5, 2.0, rank)
+    m = (q1[:, :rank] * values) @ q2[:, :rank].T
+    return opbuild.OpMatrix(m, _hardy(n), _hardy(n), f"rank {rank}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@example(3, 3, 3, 0)  # full-rank factors: every kernel is empty
+@example(2, 0, 2, 1)  # a zero factor: its side's kernel is everything
+def test_hs_pair_kernels_match_dense_kron(n, rank_u, rank_v, seed):
+    rank_u, rank_v = min(rank_u, n), min(rank_v, n)
+    rng = np.random.default_rng(seed)
+    u, v = _low_rank(rng, n, rank_u), _low_rank(rng, n, rank_v)
+    left, right = opbuild.hs_left(u), opbuild.hs_right(v)
+    ker_left, ker_right, product_dim = opbuild.hs_pair_kernels(left, right)
+    for basis, op, rank in ((ker_left, left, rank_u), (ker_right, right, rank_v)):
+        dense = numlin.svd_kernel(hs_dense.hs_matrix(op))
+        assert basis.columns.shape == (n * n, n * (n - rank))
+        assert dense.dim == basis.dim
+        assert numlin.subspace_dims(basis, dense) == (basis.dim, basis.dim)
+    expected = numlin.Spectrum.of(np.kron(v.entries.T, u.entries)).kernel_dim()
+    assert product_dim == expected
 def test_opmatrix_rejects_nonfinite_and_empty_provenance():
     with pytest.raises(ValueError):
         opbuild.OpMatrix(np.array([[np.nan]]), _hardy(1), _hardy(1), "x")

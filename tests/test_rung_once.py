@@ -79,6 +79,10 @@ def test_ex43_reads_coranks_from_its_kernel_bases(traced):
 
 def test_thm44_block_pair_stacks_its_kernel_bases_once(traced):
     m = traced["thm44-block-pair"]
-    # 3 rungs x (two interior sections + one factor SVD per kernel basis
-    # + two for the product kernel + one stacked basis)
-    assert m["linalg.svd.calls"] == 21
+    # 3 rungs x (one interior section, shared by both coranks since B* = B^T
+    # + one factor SVD per side, read by both kernel bases and the product
+    # kernel + one stacked basis)
+    assert m["linalg.svd.calls"] == 12
+    # the HS operators keep their factors: no n^2 x n^2 matrix is formed
+    assert m["linalg.kron.calls"] == 0
+    assert m["opbuild.hs.bytes"] == 0
