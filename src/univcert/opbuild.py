@@ -258,7 +258,7 @@ def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columns kron(a[:, i], b[:, j]) in (i, j) order, each entry the single
     product a[p, i] * b[q, j] that the Kronecker product forms."""
     prod = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(prod.reshape(a.shape[0] * b.shape[0], -1))
+    return prod.reshape(a.shape[0] * b.shape[0], -1)
 
 
 def hs_pair_kernels(left: HSOperator, right: HSOperator,
