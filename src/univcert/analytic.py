@@ -76,11 +76,6 @@ class EigenfunctionSpec:
         return float(np.exp(self.u * HyperbolicAuto(self.r).t_param))
 
 
-def eigenfunction_values(spec: EigenfunctionSpec, z: np.ndarray) -> np.ndarray:
-    """Evaluate the family member on points of the disc (principal branch)."""
-    return np.exp(spec.exponent * np.log((1.0 + z) / (1.0 - z)))
-
-
 def eigenfunction_coeffs_recurrence(w, n_coeffs: int) -> np.ndarray:
     """Taylor coefficients of exp(w log((1+z)/(1-z))), up to a positive scalar.
 
@@ -131,14 +126,6 @@ def covering_value(r: float, z, dps: int | None = None):
     with mp.workdps(dps or mp.mp.dps):
         zz = mp.mpc(z)
         return mp.exp(1j * t_r / mp.pi * mp.log((1 - zz) / (1 + zz)))
-
-
-def covering_derivative(r: float, z, dps: int | None = None):
-    t_r = HyperbolicAuto(r).t_param
-    with mp.workdps(dps or mp.mp.dps):
-        zz = mp.mpc(z)
-        val = mp.exp(1j * t_r / mp.pi * mp.log((1 - zz) / (1 + zz)))
-        return val * (1j * t_r / mp.pi) * (-2 / (1 - zz * zz))
 
 
 def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:

@@ -502,8 +502,8 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     truncation resolves witnesses only up to a frequency proportional to its
     size: the verified count grows with the ladder.
 
-    compressed: the rung's already-built compressed adjoint, of shape
-    (trunc - 1, trunc - 1); built here when None.
+    compressed: the rung's already-built compressed adjoint, real and of
+    shape (trunc - 1, trunc - 1); built here when None.
     """
     from .analytic import HyperbolicAuto, eigenfunction_coeffs_recurrence, in_annulus
 
@@ -516,9 +516,8 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     elif compressed.entries.shape != (m, m):
         raise ValueError(f"compressed adjoint has shape {compressed.entries.shape}, "
                          f"expected {(m, m)} for trunc={trunc}")
-    # one complex copy for every witness; a real matrix times a complex
-    # vector would be cast anew on each product
-    am = compressed.entries.astype(complex)
+    elif np.iscomplexobj(compressed.entries):
+        raise ValueError("the compressed adjoint of C_phi for real r is real")
     wts = compressed.domain_space.weights
     win = m // window_frac
     k = np.arange(1, trunc)
@@ -531,18 +530,23 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     vectors = np.zeros((m, len(indices)), dtype=complex)
     residuals = np.ones(len(indices))
     window_mass = np.zeros(len(indices))
+    kept = np.zeros(len(indices), dtype=bool)
     for col, v in enumerate(coeffs):
         mass = wts * np.abs(v) ** 2
         total = mass.sum()
         if total == 0.0 or not np.isfinite(total):
             continue
         v = v / np.sqrt(total)
-        # one product per witness: a single am @ V moves the rounding-level
-        # residuals by up to 10% relative
-        res = am @ v - lam * v
-        residuals[col] = float(np.sqrt(np.sum(wts[:win] * np.abs(res[:win]) ** 2)))
         window_mass[col] = float(mass[:win].sum() / total)
         vectors[:, col] = v
+        kept[col] = True
+    # a residual is read on the window only, so only A's window rows are
+    # multiplied, once for all witnesses; A is real, so its rows take the
+    # real and imaginary parts of V apart and are never copied to complex
+    top = compressed.entries[:win]
+    res = top @ vectors.real + 1j * (top @ vectors.imag)
+    res -= lam * vectors[:win]
+    residuals[kept] = np.sqrt(np.sum(wts[:win, None] * np.abs(res[:, kept]) ** 2, axis=0))
     return WitnessFamily(indices, vectors, residuals, window_mass, wts)
 
 
@@ -551,19 +555,6 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
 def family_identity(n: int):
     return opbuild.OpMatrix(np.eye(n), opbuild._hardy(n), opbuild._hardy(n),
                             f"identity, n={n}")
-
-
-def family_backward_shift(n: int):
-    b = opbuild.backward_shift(n)
-    return Rung(b, opbuild.interior_section(b, 1))
-
-
-def family_block_backward(n: int, block_frac: int = 4):
-    """Backward shift of growing inner dimension d = n / block_frac."""
-    d = max(n // block_frac, 1)
-    spec = opbuild.BlockShiftSpec(max(n // d, 2), d)
-    b = opbuild.block_backward_shift(spec)
-    return Rung(b, opbuild.interior_section(b, d))
 
 
 def family_halfshift_plus_rank1(n: int):

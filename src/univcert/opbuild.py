@@ -65,11 +65,6 @@ def backward_shift(n: int, space: SpaceSpec | None = None) -> OpMatrix:
     return _square(m, space or _hardy(n), f"backward shift, n={n}")
 
 
-def forward_shift(n: int, space: SpaceSpec | None = None) -> OpMatrix:
-    m = np.eye(n, k=-1)
-    return _square(m, space or _hardy(n), f"forward shift, n={n}")
-
-
 def block_backward_shift(spec: BlockShiftSpec) -> OpMatrix:
     """Block shift (x_0, x_1, ..., x_{K-1}) -> (x_1, ..., x_{K-1}, 0)."""
     n = spec.K * spec.d
@@ -279,7 +274,11 @@ def hs_pair_kernels(left: HSOperator, right: HSOperator,
         raise ValueError("base dimensions differ")
     eye = np.eye(left.base_dim)
     _, s_u, vh_u = np.linalg.svd(u.entries)
-    _, s_v, vh_v = np.linalg.svd(v.entries.T)
+    if np.array_equal(v.entries.T, u.entries):
+        # the block pair's V^T = (B*)^T is B = U: one SVD serves both sides
+        s_v, vh_v = s_u, vh_u
+    else:
+        _, s_v, vh_v = np.linalg.svd(v.entries.T)
     ker_u = vh_u.conj().T[:, numlin.negligible(s_u, tol_rel)]
     ker_v = vh_v.conj().T[:, numlin.negligible(s_v, tol_rel)]
     product = np.count_nonzero(numlin.negligible(np.multiply.outer(s_v, s_u), tol_rel))

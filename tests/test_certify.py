@@ -8,17 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univcert import certify, numlin, opbuild
+from univcert import analytic, certify, numlin, opbuild
 from univcert.analytic import HyperbolicAuto
 
 import hs_dense
+import report_parity
 
 
 LADDER = (16, 32, 64)
 
 
+def family_backward_shift(n: int):
+    """Fixture: the plain backward shift, kernel dim 1 at every rung."""
+    b = opbuild.backward_shift(n)
+    return certify.Rung(b, opbuild.interior_section(b, 1))
+
+
+def family_block_backward(n: int, block_frac: int = 4):
+    """Fixture: backward shift of growing inner dimension d = n / block_frac."""
+    d = max(n // block_frac, 1)
+    spec = opbuild.BlockShiftSpec(max(n // d, 2), d)
+    b = opbuild.block_backward_shift(spec)
+    return certify.Rung(b, opbuild.interior_section(b, d))
+
+
 def test_block_shift_family_is_certified():
-    rep = certify.check_C(certify.family_block_backward, (32, 64, 128))
+    rep = certify.check_C(family_block_backward, (32, 64, 128))
     assert rep.verdict == certify.CERTIFIED
     assert [r.kernel_dim for r in rep.ladder] == [8, 16, 32]
     assert all(r.corank == 0 for r in rep.ladder)
@@ -31,7 +46,7 @@ def test_identity_family_is_falsified():
 
 
 def test_plain_backward_shift_kernel_stays_one():
-    rep = certify.check_C(certify.family_backward_shift, LADDER)
+    rep = certify.check_C(family_backward_shift, LADDER)
     assert rep.verdict == certify.FALSIFIED
     assert all(r.kernel_dim == 1 and r.corank == 0 for r in rep.ladder)
 
@@ -170,7 +185,7 @@ def test_spectral_falsifier_flat_dims():
 def test_spectral_falsifier_sees_growing_multiplicity():
     # a repeated point is one cell, so repeating it cannot hide its growth
     for grid in ([0.0], [0.0, 0.0]):
-        rep = certify.spectral_falsifier(certify.family_block_backward,
+        rep = certify.spectral_falsifier(family_block_backward,
                                          np.array(grid), (32, 64, 128))
         assert rep.verdict == certify.INCONCLUSIVE
         assert [r.kernel_dim for r in rep.ladder] == [8, 16, 32]
@@ -382,6 +397,53 @@ def test_witness_family_reuses_a_given_compressed_adjoint():
     with pytest.raises(ValueError, match="shape"):
         certify.adjoint_multiplicity_witnesses(0.5, lam, 65, index_max=8,
                                                compressed=a)
+    complex_a = opbuild.OpMatrix(a.entries + 0j, a.domain_space, a.codomain_space,
+                                 a.provenance)
+    with pytest.raises(ValueError, match="real"):
+        certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
+                                               compressed=complex_a)
+
+
+def _full_product_family(r, lam, trunc, index_max):
+    """Oracle: the witness family with each residual read off the full
+    product (A @ v - lambda v)[:win] of a complex copy of A, one witness at
+    a time."""
+    a = certify.family_adjoint_compressed(r)(trunc).square
+    am, wts = a.entries.astype(complex), a.domain_space.weights
+    m = trunc - 1
+    win = m // 4
+    t_r = HyperbolicAuto(r).t_param
+    ns = np.arange(-index_max, index_max + 1)
+    ws = -np.log(complex(lam)) / t_r + 2j * np.pi * ns / t_r
+    coeffs = analytic.eigenfunction_coeffs_recurrence(ws, trunc)[:, 1:]
+    coeffs = coeffs / np.arange(1, trunc)
+    vectors = np.zeros((m, ns.size), dtype=complex)
+    residuals, window_mass = np.ones(ns.size), np.zeros(ns.size)
+    for col, v in enumerate(coeffs):
+        mass = wts * np.abs(v) ** 2
+        total = mass.sum()
+        if total == 0.0 or not np.isfinite(total):
+            continue
+        v = v / np.sqrt(total)
+        res = (am @ v - lam * v)[:win]
+        residuals[col] = np.sqrt(np.sum(wts[:win] * np.abs(res) ** 2))
+        window_mass[col] = mass[:win].sum() / total
+        vectors[:, col] = v
+    return certify.WitnessFamily(tuple(ns.tolist()), vectors, residuals,
+                                 window_mass, wts)
+
+
+@pytest.mark.parametrize("trunc", [64, 256])
+def test_windowed_residuals_match_the_full_product_oracle(trunc):
+    lam = 3.0 ** 0.25
+    fam = certify.adjoint_multiplicity_witnesses(0.5, lam, trunc, index_max=trunc // 8)
+    oracle = _full_product_family(0.5, lam, trunc, trunc // 8)
+    assert fam.indices == oracle.indices
+    assert np.array_equal(fam.vectors, oracle.vectors)
+    assert np.array_equal(fam.window_mass, oracle.window_mass)
+    assert all(report_parity.floats_agree(a, b)
+               for a, b in zip(oracle.residuals, fam.residuals))
+    assert fam.count() == oracle.count() > 0
 
 
 def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():

@@ -54,6 +54,9 @@ def test_thm32_builds_one_composition_matrix_and_one_family_per_rung(traced):
     assert m["opbuild.composition_matrix.calls"] == 3
     assert m["opbuild.composition_matrix.distinct_ratio"] == 1.0
     assert m["certify.witness_family.calls"] == 3
+    # 3 rungs x (square + interior); the witness residuals take none
+    assert m["linalg.svd.calls"] == 6
+    assert m["linalg.svd.repeat_frac"] == 0
 
 
 def test_ex31_scans_its_grid_once(traced):
@@ -80,9 +83,10 @@ def test_ex43_reads_coranks_from_its_kernel_bases(traced):
 def test_thm44_block_pair_stacks_its_kernel_bases_once(traced):
     m = traced["thm44-block-pair"]
     # 3 rungs x (one interior section, shared by both coranks since B* = B^T
-    # + one factor SVD per side, read by both kernel bases and the product
-    # kernel + one stacked basis)
-    assert m["linalg.svd.calls"] == 12
+    # + one factor SVD, shared by both sides since (B*)^T = B and read by
+    # both kernel bases and the product kernel + one stacked basis)
+    assert m["linalg.svd.calls"] == 9
+    assert m["linalg.svd.repeat_frac"] == 0
     # the HS operators keep their factors: no n^2 x n^2 matrix is formed
     assert m["linalg.kron.calls"] == 0
     assert m["opbuild.hs.bytes"] == 0
