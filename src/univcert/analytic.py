@@ -49,33 +49,6 @@ def in_annulus(r: float, lam: complex) -> bool:
     return rho_in < abs(lam) < rho_out
 
 
-@dataclass(frozen=True)
-class EigenfunctionSpec:
-    """Family member exp((u + i n 2 pi a) log((1+z)/(1-z))) with a = -1/t_r."""
-
-    u: float
-    n: int
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 < self.u < 0.5:
-            raise ValueError(f"exponent u must lie in (0, 1/2), got {self.u}")
-        HyperbolicAuto(self.r)
-
-    @property
-    def a_param(self) -> float:
-        return -1.0 / HyperbolicAuto(self.r).t_param
-
-    @property
-    def exponent(self) -> complex:
-        return complex(self.u, 2.0 * np.pi * self.n * self.a_param)
-
-    @property
-    def eigenvalue(self) -> float:
-        """((1-r)/(1+r))^{-u}, independent of the index n."""
-        return float(np.exp(self.u * HyperbolicAuto(self.r).t_param))
-
-
 def eigenfunction_coeffs_recurrence(w, n_coeffs: int) -> np.ndarray:
     """Taylor coefficients of exp(w log((1+z)/(1-z))), up to a positive scalar.
 
@@ -171,13 +144,13 @@ def halfplane_radius(mu: float, space: str = "hardy", alpha: float | None = None
 
     hardy: mu^{-1/2}; weighted bergman: mu^{-(alpha+2)/2}.
     """
-    if mu <= 0 or mu == 1.0:
-        raise ValueError("dilation factor must be positive and != 1")
+    if not (0 < mu < np.inf and mu != 1.0):
+        raise ValueError("dilation factor must be positive, finite and != 1")
     if space == "hardy":
         return float(mu ** -0.5)
     if space == "bergman":
-        if alpha is None or alpha <= -1:
-            raise ValueError("bergman requires alpha > -1")
+        if alpha is None or not -1 < alpha < np.inf:
+            raise ValueError("bergman requires a finite alpha > -1")
         return float(mu ** (-(alpha + 2.0) / 2.0))
     raise ValueError(f"unknown half-plane space {space!r}")
 

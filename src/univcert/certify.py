@@ -40,13 +40,12 @@ class RungStats:
     intersection_dim: int | None = None
     sum_dim: int | None = None
     product_kernel_dim: int | None = None
-    witness_count: int | None = None
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         d = {"label": self.label, "size": self.size}
         for key in ("kernel_dim", "corank", "sigma_min", "intersection_dim",
-                    "sum_dim", "product_kernel_dim", "witness_count"):
+                    "sum_dim", "product_kernel_dim"):
             val = getattr(self, key)
             if val is not None:
                 d[key] = val
@@ -174,10 +173,18 @@ def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
     else:
         corank_ok = all(c == corank_target for c in coranks)
         corank_note = f"corank {corank_target} at every rung"
+    # when every witness of the top family passes, its size caps the count
+    capped = top_witnesses is not None and kdims[-1] == len(top_witnesses.indices)
     if grows and corank_ok:
         verdict = CERTIFIED
         narrative = (f"kernel evidence {kdims} strictly increases and "
                      f"{corank_note}; {SCALE_CAVEAT}")
+    elif len(set(kdims)) == 1 and capped:
+        verdict = INCONCLUSIVE
+        narrative = (f"kernel evidence stays at {kdims[0]}, the cap: every "
+                     "witness of the top rung's family (2 index_max + 1 of them) "
+                     "passes, so the count says nothing about the operator; "
+                     "raise index_max")
     elif len(set(kdims)) == 1:
         verdict = FALSIFIED
         narrative = (f"kernel evidence stays at {kdims[0]} across the ladder "
@@ -241,16 +248,17 @@ def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
             b1, b2 = numlin.svd_kernel(m1, tol), numlin.svd_kernel(m2, tol)
             excess1, excess2 = (m.shape[0] - m.shape[1] for m in (m1, m2))
         ssum, inter = numlin.subspace_dims(b1, b2, tol)
+        k1, k2 = b1.shape[1], b2.shape[1]
         if cor1 is None:
-            cor1 = excess1 + b1.dim
+            cor1 = excess1 + k1
         if cor2 is None:
-            cor2 = excess2 + b2.dim
+            cor2 = excess2 + k2
         label = f"K={size[0]},d={size[1]}" if isinstance(size, tuple) else _rung_label(size)
         n = int(np.prod(size)) if isinstance(size, tuple) else int(size)
-        rungs.append(RungStats(label, n, kernel_dim=b1.dim, corank=max(cor1, cor2),
+        rungs.append(RungStats(label, n, kernel_dim=k1, corank=max(cor1, cor2),
                                intersection_dim=inter, sum_dim=ssum,
                                product_kernel_dim=prod_kernel,
-                               extra={"kernel_dim_2": b2.dim, "corank_1": cor1,
+                               extra={"kernel_dim_2": k2, "corank_1": cor1,
                                       "corank_2": cor2}))
     inters = [r.intersection_dim for r in rungs]
     sums_match = all(r.product_kernel_dim == r.sum_dim for r in rungs)
@@ -413,7 +421,6 @@ class DecayProfile:
     """Singular values of a difference, as evidence of compactness."""
 
     values: np.ndarray
-    provenance: str
 
     def ratio(self, j: int) -> float:
         """s_j / s_1 with 1-based index j."""
@@ -421,12 +428,6 @@ class DecayProfile:
         if top == 0.0:
             return 0.0
         return float(self.values[j - 1] / top)
-
-    def as_dict(self) -> dict:
-        top = self.values[0] if self.values.size else 0.0
-        ratios = (self.values / top).tolist() if top else [0.0] * self.values.size
-        return {"singular_values": self.values.tolist(), "ratios": ratios,
-                "provenance": self.provenance}
 
 
 def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
@@ -439,12 +440,11 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
     if a.entries.shape != reference.entries.shape:
         raise ValueError("compactness proxy needs operators of equal shape")
     diff = opbuild.OpMatrix(reference.entries - a.entries, a.domain_space,
-                            a.codomain_space,
-                            f"[{reference.provenance}] minus [{a.provenance}]")
+                            a.codomain_space)
     sv = numlin.Spectrum.of(_framed(diff)).values
     if count is not None:
         sv = sv[:count]
-    return DecayProfile(sv, diff.provenance)
+    return DecayProfile(sv)
 
 
 # -- multiplicity witnesses for composition adjoints --------------------------
@@ -553,8 +553,7 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
 # -- concrete ladder families -------------------------------------------------
 
 def family_identity(n: int):
-    return opbuild.OpMatrix(np.eye(n), opbuild._hardy(n), opbuild._hardy(n),
-                            f"identity, n={n}")
+    return opbuild._square(np.eye(n), opbuild._hardy(n))
 
 
 def family_halfshift_plus_rank1(n: int):
@@ -565,8 +564,7 @@ def family_halfshift_plus_rank1(n: int):
         if 2 * k < n:
             m[k, 2 * k] = 1.0
     m[1, 2] -= 1.0
-    op = opbuild.OpMatrix(m, opbuild._hardy(n), opbuild._hardy(n),
-                          f"half shift plus rank-1 bump, n={n}")
+    op = opbuild._square(m, opbuild._hardy(n))
     return Rung(op, opbuild.interior_section(op, n - (n + 1) // 2))
 
 
@@ -577,8 +575,7 @@ def family_ex26(n_param: int):
     def build(trunc: int):
         u = opbuild.backward_shift(trunc)
         eye = np.eye(trunc)
-        return opbuild.block2x2(u, eye, eye / n_param, np.zeros((trunc, trunc)),
-                                provenance=f"perturbed pair coupling 1/{n_param}")
+        return opbuild.block2x2(u, eye, eye / n_param, np.zeros((trunc, trunc)))
     return build
 
 
@@ -620,8 +617,7 @@ def shifted(builder, lam: complex):
         square = rung.square
         n = square.entries.shape[0]
         ent = square.entries - lam * np.eye(n)
-        shifted_sq = opbuild.OpMatrix(ent, square.domain_space, square.codomain_space,
-                                      f"[{square.provenance}] - ({lam}) I")
+        shifted_sq = opbuild.OpMatrix(ent, square.domain_space, square.codomain_space)
         interior = None
         if rung.interior is not None:
             drop = n - rung.interior.entries.shape[0]
@@ -658,6 +654,6 @@ def pair_diagonal_blocks(n: int):
     u0 = opbuild.backward_shift(n)
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    u = opbuild.block2x2(u0, zero, zero, eye, provenance=f"U0 and identity, n={n}")
-    v = opbuild.block2x2(eye, zero, zero, u0, provenance=f"identity and V0, n={n}")
+    u = opbuild.block2x2(u0, zero, zero, eye)
+    v = opbuild.block2x2(eye, zero, zero, u0)
     return u, v

@@ -54,6 +54,20 @@ def _in_annulus(rkey, lkey):
     return check
 
 
+def _in_disc(key):
+    def check(p):
+        if not abs(p[key]) < 1:
+            return f"{key} must satisfy |{key}| < 1, got {p[key]!r}"
+    return check
+
+
+def _off_unit_circle(key):
+    def check(p):
+        if abs(p[key]) == 1:
+            return f"{key} must lie off the unit circle, got {p[key]!r}"
+    return check
+
+
 def _real(key):
     def check(p):
         values = p[key] if isinstance(p[key], tuple) else (p[key],)
@@ -75,6 +89,16 @@ def _count_in_trunc(p):
     if not 32 <= p["count"] <= p["trunc"]:
         return (f"count must satisfy 32 <= count <= trunc, got count={p['count']}, "
                 f"trunc={p['trunc']}")
+
+
+def _halfplane(p):
+    # the radius formulas hold the domain rules: mu > 0, mu != 1, alpha > -1
+    try:
+        analytic.halfplane_radius(p["mu"])
+        for alpha in p["alphas"]:
+            analytic.halfplane_radius(p["mu"], "bergman", alpha)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _ladder(p):
@@ -109,10 +133,7 @@ def _sc_prop21_block(p):
     n = p["n"]
     u = opbuild.backward_shift(n)
     bdiag = 0.25 + 0.5 * np.arange(n) / n
-    b = opbuild.OpMatrix(np.diag(bdiag), opbuild._hardy(n), opbuild._hardy(n),
-                         "diagonal lower block")
-    v = opbuild.block2x2(u, np.eye(n), None, b,
-                         provenance="upper-triangular block operator")
+    v = opbuild.block2x2(u, np.eye(n), None, np.diag(bdiag))
     ev = numlin.eigenvalues(v)
     parts = np.sort_complex(np.concatenate([np.zeros(n), bdiag.astype(complex)]))
     gap = float(np.abs(np.sort_complex(ev) - parts).max())
@@ -145,8 +166,7 @@ def _sc_ex25_notC(p):
 def _sc_ex26_perturbation(p):
     trunc = p["trunc"]
     base = opbuild.block2x2(opbuild.backward_shift(trunc), np.eye(trunc),
-                            np.zeros((trunc, trunc)), np.zeros((trunc, trunc)),
-                            provenance="unperturbed limit")
+                            np.zeros((trunc, trunc)), np.zeros((trunc, trunc)))
     rows = []
     defects = []
     for n in range(1, p["n_max"] + 1):
@@ -170,8 +190,8 @@ def _sc_multiplicativity(p):
     n = p["n"]
     u0 = opbuild.backward_shift(n)
     zero = np.zeros((n, n))
-    u = opbuild.block2x2(u0, zero, zero, zero, provenance="upper corner factor")
-    v = opbuild.block2x2(zero, zero, zero, u0, provenance="lower corner factor")
+    u = opbuild.block2x2(u0, zero, zero, zero)
+    v = opbuild.block2x2(zero, zero, zero, u0)
     prod = u.entries @ v.entries
     summary = {
         "scenario": "multiplicativity-failure", "n": n,
@@ -307,10 +327,8 @@ def _sc_prop35_halfplane(p):
 def _sc_prop41_falsifiers(p):
     n = p["n"]
     b = opbuild.backward_shift(n)
-    b2 = opbuild.OpMatrix(b.entries @ b.entries, b.domain_space,
-                          b.codomain_space, "squared backward shift")
-    b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.domain_space,
-                          b.codomain_space, "cubed backward shift")
+    b2 = opbuild.OpMatrix(b.entries @ b.entries, b.domain_space, b.codomain_space)
+    b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.domain_space, b.codomain_space)
     rep_poly = certify.algebraic_falsifier(b, b2, poly=[1.0])
     rep_pow = certify.algebraic_falsifier(b2, b3, powers=(2, 3))
     control = certify.algebraic_falsifier(b, certify.family_identity(n),
@@ -399,7 +417,7 @@ REGISTRY = {s.name: s for s in (
     Scenario("thm22-eigenfield", _sc_thm22_eigenfield,
              {"K": 8, "d": 4, "z": 0.25 + 0.15j},
              "exact holomorphic eigenvector field of the block backward shift",
-             (_at_least("K", 2), _at_least("d", 1))),
+             (_at_least("K", 2), _at_least("d", 1), _in_disc("z"))),
     Scenario("prop21-block", _sc_prop21_block, {"n": 24},
              "triangular block operators keep the union of part spectra",
              (_at_least("n", 2),)),
@@ -425,17 +443,19 @@ REGISTRY = {s.name: s for s in (
              {"r": 0.5, "lam": 3.0 ** 0.25, "ladder": (256, 512, 1024),
               "index_max": 64},
              "growing resolved-witness counts certify the compressed adjoint",
-             (_real_unit("r"), _in_annulus("r", "lam"), _ladder)),
+             (_real_unit("r"), _in_annulus("r", "lam"), _off_unit_circle("lam"),
+              _ladder, _at_least("index_max", 0))),
     Scenario("cor34-heller", _sc_cor34_heller,
              {"r": 0.5, "trunc": 512, "count": 64},
              "singular-value decay of the adjoint minus its principal part",
              (_real_unit("r"), _count_in_trunc)),
     Scenario("mzstar-adjoint-compare", _sc_mzstar_compare, {"trunc": 12},
-             "superdiagonal of the adjoint of multiplication by z, two formulas"),
+             "superdiagonal of the adjoint of multiplication by z, two formulas",
+             (_at_least("trunc", 1),)),
     Scenario("prop35-halfplane", _sc_prop35_halfplane,
              {"mu": 4.0, "alphas": (0.0, 2.0)},
              "half-plane dilation spectral radii",
-             (_real("mu"), _real("alphas"))),
+             (_real("mu"), _real("alphas"), _halfplane)),
     Scenario("prop41-falsifiers", _sc_prop41_falsifiers, {"n": 32},
              "algebraic dependence witnesses falsify shift power pairs",
              (_at_least("n", 2),)),

@@ -10,22 +10,6 @@ import numpy as np
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a numerical subspace of C^N."""
-
-    columns: np.ndarray
-    tol_used: float
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(getattr(a, "entries", a))
     if m.ndim != 2:
@@ -68,14 +52,14 @@ class Spectrum:
         return self.shape[0] - self.rank(tol_rel)
 
 
-def svd_kernel(a, tol_rel: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Right singular vectors whose singular value is negligible."""
+def svd_kernel(a, tol_rel: float = DEFAULT_TOL) -> np.ndarray:
+    """Right singular vectors whose singular value is negligible, as
+    orthonormal columns."""
     m = _as_matrix(a)
     _, s, vh = np.linalg.svd(m)
     k = int(np.count_nonzero(negligible(s, tol_rel)))
     # rows of vh beyond min(m, n) are always annihilated (wide matrices)
-    basis = np.ascontiguousarray(vh[min(m.shape) - k :].conj().T)
-    return SubspaceBasis(basis, tol_rel)
+    return np.ascontiguousarray(vh[min(m.shape) - k :].conj().T)
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -88,15 +72,14 @@ def eigenvalues(a) -> np.ndarray:
     return vals[order]
 
 
-def subspace_dims(u: SubspaceBasis, v: SubspaceBasis,
+def subspace_dims(u: np.ndarray, v: np.ndarray,
                   tol_rel: float = DEFAULT_TOL) -> tuple[int, int]:
-    """(dim(U + V), dim(U & V)) from one SVD of the stacked bases."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    if u.dim == 0 or v.dim == 0:
-        total = u.dim + v.dim
-    else:
-        total = Spectrum.of(np.hstack([u.columns, v.columns])).rank(tol_rel)
-    return total, u.dim + v.dim - total
+    """(dim(U + V), dim(U & V)) for subspaces spanned by orthonormal columns,
+    from one SVD of the stacked bases."""
+    if u.shape[0] != v.shape[0]:
+        raise ValueError(f"ambient dimensions differ: {u.shape[0]} vs {v.shape[0]}")
+    dims = u.shape[1] + v.shape[1]
+    if u.shape[1] == 0 or v.shape[1] == 0:
+        return dims, 0
+    total = Spectrum.of(np.hstack([u, v])).rank(tol_rel)
+    return total, dims - total

@@ -18,23 +18,16 @@ from .spaces import SpaceSpec
 
 @dataclass(frozen=True)
 class OpMatrix:
-    """Dense truncation matrix with its spaces and provenance."""
+    """Dense truncation matrix with its domain and codomain spaces."""
 
     entries: np.ndarray
     domain_space: SpaceSpec
     codomain_space: SpaceSpec
-    provenance: str
 
     def __post_init__(self):
-        if not self.provenance:
-            raise ValueError("provenance must be non-empty")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("matrix entries must be finite")
         self.entries.setflags(write=False)
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,8 @@ class BlockShiftSpec:
             raise ValueError("need K >= 2 blocks of dimension d >= 1")
 
 
-def _square(entries: np.ndarray, space: SpaceSpec, provenance: str) -> OpMatrix:
-    return OpMatrix(entries, space, space, provenance)
+def _square(entries: np.ndarray, space: SpaceSpec) -> OpMatrix:
+    return OpMatrix(entries, space, space)
 
 
 def _hardy(n: int, offset: int = 0) -> SpaceSpec:
@@ -61,21 +54,18 @@ def backward_shift(n: int, space: SpaceSpec | None = None) -> OpMatrix:
     """e_{k+1} -> e_k, e_0 -> 0."""
     if n < 2:
         raise ValueError("backward shift needs n >= 2")
-    m = np.eye(n, k=1)
-    return _square(m, space or _hardy(n), f"backward shift, n={n}")
+    return _square(np.eye(n, k=1), space or _hardy(n))
 
 
 def block_backward_shift(spec: BlockShiftSpec) -> OpMatrix:
     """Block shift (x_0, x_1, ..., x_{K-1}) -> (x_1, ..., x_{K-1}, 0)."""
     n = spec.K * spec.d
-    m = np.eye(n, k=spec.d)
-    return _square(m, _hardy(n), f"block backward shift, K={spec.K}, d={spec.d}")
+    return _square(np.eye(n, k=spec.d), _hardy(n))
 
 
 def block_forward_shift(spec: BlockShiftSpec) -> OpMatrix:
     n = spec.K * spec.d
-    m = np.eye(n, k=-spec.d)
-    return _square(m, _hardy(n), f"block forward shift, K={spec.K}, d={spec.d}")
+    return _square(np.eye(n, k=-spec.d), _hardy(n))
 
 
 def interior_section(a: OpMatrix, drop_rows: int) -> OpMatrix:
@@ -88,12 +78,7 @@ def interior_section(a: OpMatrix, drop_rows: int) -> OpMatrix:
     if not 0 < drop_rows < a.entries.shape[0]:
         raise ValueError("drop_rows out of range")
     cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - drop_rows, weights=None)
-    return OpMatrix(
-        np.ascontiguousarray(a.entries[:-drop_rows, :]),
-        a.domain_space,
-        cod,
-        a.provenance + f", interior section (-{drop_rows} rows)",
-    )
+    return OpMatrix(np.ascontiguousarray(a.entries[:-drop_rows, :]), a.domain_space, cod)
 
 
 # -- composition operators ---------------------------------------------------
@@ -127,13 +112,12 @@ def composition_matrix(r: float, space: SpaceSpec) -> OpMatrix:
         np.subtract(flat[start - 1:stop - 1:step], flat[start - n:stop - n:step], out=out)
         out *= r
         out += flat[start - n - 1:stop - n - 1:step]
-    return _square(m, space, f"composition by phi_{r}, n={n}")
+    return _square(m, space)
 
 
 def mult_z(space: SpaceSpec) -> OpMatrix:
     """Coefficient forward shift f -> z f; e_{N-1} falls off the truncation."""
-    m = np.eye(space.trunc, k=-1)
-    return _square(m, space, f"multiplication by z on {space.variant.value} space, n={space.trunc}")
+    return _square(np.eye(space.trunc, k=-1), space)
 
 
 def weighted_adjoint(a: OpMatrix, space: SpaceSpec | None = None) -> OpMatrix:
@@ -143,7 +127,7 @@ def weighted_adjoint(a: OpMatrix, space: SpaceSpec | None = None) -> OpMatrix:
         raise ValueError("weighted adjoint requires a square matrix on the given space")
     w = s.weights
     adj = a.entries.conj().T * (w[None, :] / w[:, None])
-    return OpMatrix(adj, s, s, f"weighted adjoint of [{a.provenance}]")
+    return _square(adj, s)
 
 
 def weighted_frame(a: OpMatrix) -> np.ndarray:
@@ -176,14 +160,12 @@ def heller_principal(r: float, lam: complex, space: SpaceSpec,
     n = space.trunc
     ent = c1 * comp.entries + sign * (c2 * (mzs.entries + mz.entries) @ comp.entries)
     ent = ent - lam * np.eye(n)
-    return OpMatrix(ent, space, space,
-                    f"principal part of inverse-composition adjoint, r={r}, "
-                    f"lambda={lam}, middle sign {sign:+d}")
+    return _square(ent, space)
 
 
 # -- block assemblies --------------------------------------------------------
 
-def block2x2(u, a, c, b, provenance: str = "2x2 block operator") -> OpMatrix:
+def block2x2(u, a, c, b) -> OpMatrix:
     """Assemble [[U, A], [C, B]]; None stands for a zero block."""
     blocks = [[u, a], [c, b]]
     ent = [[None, None], [None, None]]
@@ -206,7 +188,7 @@ def block2x2(u, a, c, b, provenance: str = "2x2 block operator") -> OpMatrix:
             if ent[i][j] is None:
                 ent[i][j] = np.zeros((rows[i], cols[j]))
     m = np.block(ent)
-    return _square(m, _hardy(m.shape[0]), provenance)
+    return _square(m, _hardy(m.shape[0]))
 
 
 def compress_zH2(a: OpMatrix) -> OpMatrix:
@@ -218,8 +200,7 @@ def compress_zH2(a: OpMatrix) -> OpMatrix:
                   offset=a.domain_space.offset + 1, weights=None)
     cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - 1,
                   offset=a.codomain_space.offset + 1, weights=None)
-    return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), dom, cod,
-                    f"z-subspace compression of [{a.provenance}]")
+    return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), dom, cod)
 
 
 # -- Hilbert-Schmidt multiplications -----------------------------------------
@@ -235,18 +216,14 @@ class HSOperator:
 
     factor_left: OpMatrix | None
     factor_right: OpMatrix | None
-    base_dim: int
-    provenance: str
 
 
 def hs_left(u: OpMatrix) -> HSOperator:
-    return HSOperator(u, None, u.entries.shape[0],
-                      f"left multiplication by [{u.provenance}]")
+    return HSOperator(u, None)
 
 
 def hs_right(v: OpMatrix) -> HSOperator:
-    return HSOperator(None, v, v.entries.shape[0],
-                      f"right multiplication by [{v.provenance}]")
+    return HSOperator(None, v)
 
 
 def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,8 +235,9 @@ def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hs_pair_kernels(left: HSOperator, right: HSOperator,
                     tol_rel: float = numlin.DEFAULT_TOL
-                    ) -> tuple[numlin.SubspaceBasis, numlin.SubspaceBasis, int]:
-    """Kernels of S -> U S and S -> S V, and the kernel dim of S -> U S V.
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Kernels of S -> U S and S -> S V, as orthonormal columns, and the
+    kernel dim of S -> U S V.
 
     The SVD of kron(A, B) is the Kronecker product of the factor SVDs, so
     one SVD of U and one of V^T give all three: Ker(S -> U S) is spanned by
@@ -270,9 +248,9 @@ def hs_pair_kernels(left: HSOperator, right: HSOperator,
     u, v = left.factor_left, right.factor_right
     if u is None or v is None or left.factor_right is not None or right.factor_left is not None:
         raise ValueError("hs_pair_kernels expects a pure left and a pure right factor")
-    if left.base_dim != right.base_dim:
+    if u.entries.shape[0] != v.entries.shape[0]:
         raise ValueError("base dimensions differ")
-    eye = np.eye(left.base_dim)
+    eye = np.eye(u.entries.shape[0])
     _, s_u, vh_u = np.linalg.svd(u.entries)
     if np.array_equal(v.entries.T, u.entries):
         # the block pair's V^T = (B*)^T is B = U: one SVD serves both sides
@@ -282,6 +260,4 @@ def hs_pair_kernels(left: HSOperator, right: HSOperator,
     ker_u = vh_u.conj().T[:, numlin.negligible(s_u, tol_rel)]
     ker_v = vh_v.conj().T[:, numlin.negligible(s_v, tol_rel)]
     product = np.count_nonzero(numlin.negligible(np.multiply.outer(s_v, s_u), tol_rel))
-    return (numlin.SubspaceBasis(_kron_columns(eye, ker_u), tol_rel),
-            numlin.SubspaceBasis(_kron_columns(ker_v, eye), tol_rel),
-            int(product))
+    return _kron_columns(eye, ker_u), _kron_columns(ker_v, eye), int(product)

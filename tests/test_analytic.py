@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from univcert import analytic, cli
 
+from eigenfunction_spec import EigenfunctionSpec
+
 
 def test_translation_length_log_three():
     auto = analytic.HyperbolicAuto(0.5)
@@ -50,11 +52,11 @@ def test_annulus_radii_reciprocal():
 
 
 def test_eigenfunction_spec_eigenvalue():
-    spec = analytic.EigenfunctionSpec(u=0.25, n=3, r=0.5)
+    spec = EigenfunctionSpec(u=0.25, n=3, r=0.5)
     assert spec.eigenvalue == pytest.approx(3.0 ** 0.25)
     assert spec.a_param == pytest.approx(-1.0 / math.log(3.0))
     with pytest.raises(ValueError):
-        analytic.EigenfunctionSpec(u=0.5, n=0, r=0.5)
+        EigenfunctionSpec(u=0.5, n=0, r=0.5)
 
 
 def _eigenfunction_values(spec, z):
@@ -63,7 +65,7 @@ def _eigenfunction_values(spec, z):
 
 
 def test_eigenfunction_functional_equation_pointwise():
-    spec = analytic.EigenfunctionSpec(u=0.25, n=2, r=0.5)
+    spec = EigenfunctionSpec(u=0.25, n=2, r=0.5)
     auto = analytic.HyperbolicAuto(0.5)
     z = np.array([0.1, -0.3 + 0.2j, 0.5j])
     lhs = _eigenfunction_values(spec, auto(z))
@@ -83,7 +85,7 @@ def _sampled_coeffs(spec, n_coeffs, oversample=8):
 
 
 def test_eigenfunction_coeffs_match_recurrence_oracle():
-    spec = analytic.EigenfunctionSpec(u=0.25, n=1, r=0.5)
+    spec = EigenfunctionSpec(u=0.25, n=1, r=0.5)
     sampled = _sampled_coeffs(spec, 256)
     recurrence = analytic.eigenfunction_coeffs_recurrence(spec.exponent, 256)
     scale = np.abs(recurrence).max()

@@ -347,13 +347,11 @@ def test_compactness_proxy_rank_one_difference():
     a = certify.family_identity(8)
     bump = np.zeros((8, 8))
     bump[0, 0] = 2.0
-    b = opbuild.OpMatrix(np.eye(8) + bump, a.domain_space, a.codomain_space,
-                         "identity plus rank-1 bump")
+    b = opbuild.OpMatrix(np.eye(8) + bump, a.domain_space, a.codomain_space)
     prof = certify.compactness_proxy(a, b, count=4)
     assert prof.values[0] == pytest.approx(2.0)
     assert prof.ratio(2) < 1e-14
-    d = prof.as_dict()
-    assert d["ratios"][0] == 1.0
+    assert prof.ratio(1) == 1.0
 
 
 def test_witness_family_counts_grow_with_resolution():
@@ -397,8 +395,7 @@ def test_witness_family_reuses_a_given_compressed_adjoint():
     with pytest.raises(ValueError, match="shape"):
         certify.adjoint_multiplicity_witnesses(0.5, lam, 65, index_max=8,
                                                compressed=a)
-    complex_a = opbuild.OpMatrix(a.entries + 0j, a.domain_space, a.codomain_space,
-                                 a.provenance)
+    complex_a = opbuild.OpMatrix(a.entries + 0j, a.domain_space, a.codomain_space)
     with pytest.raises(ValueError, match="real"):
         certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
                                                compressed=complex_a)
@@ -463,6 +460,44 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     assert _same_family(rep.witnesses, rung.witnesses)
     assert rep.tolerances["witness_tol"] == certify.WITNESS_TOL
     assert certify.check_C(certify.family_identity, LADDER).witnesses is None
+
+
+def test_a_capped_witness_family_is_never_evidence_of_falsification():
+    # index_max = 1 builds 3 witnesses, and all 3 pass at every rung: the
+    # cap holds the count constant, not the operator
+    rep = certify.check_C(certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=1),
+                          (64, 128, 256))
+    assert [r.kernel_dim for r in rep.ladder] == [3, 3, 3]
+    assert rep.verdict == certify.INCONCLUSIVE
+    assert "cap" in rep.narrative and "raise index_max" in rep.narrative
+
+
+def test_an_empty_witness_family_says_nothing_about_the_operator():
+    rep = certify.check_C(certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=-1),
+                          LADDER)
+    assert [r.kernel_dim for r in rep.ladder] == [0, 0, 0]
+    assert rep.witnesses.indices == ()
+    assert rep.witnesses.gram_min_eigenvalue() == 0.0
+    assert rep.verdict == certify.INCONCLUSIVE
+
+
+def _identity_with_family(size: int, passing: int):
+    """Fixture: identity rungs, each carrying a family of size witnesses of
+    which the first passing ones pass."""
+    def build(n):
+        residuals = np.where(np.arange(size) < passing, 0.0, 1.0)
+        family = certify.WitnessFamily(tuple(range(size)), np.eye(n, size),
+                                       residuals, np.ones(size), np.ones(n))
+        return certify.Rung(certify.family_identity(n), None, family)
+    return build
+
+
+@pytest.mark.parametrize("size, passing, verdict", [
+    (3, 3, certify.INCONCLUSIVE), (3, 2, certify.FALSIFIED)])
+def test_constant_witness_counts_falsify_only_below_the_cap(size, passing, verdict):
+    rep = certify.check_C(_identity_with_family(size, passing), LADDER)
+    assert [r.kernel_dim for r in rep.ladder] == [passing] * 3
+    assert rep.verdict == verdict
 
 
 def test_shifted_family_subtracts_lambda():

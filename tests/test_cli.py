@@ -114,6 +114,8 @@ def test_block_rung_with_the_wrong_number_of_parts_fails_validate_and_run_alike(
     ("ex26-perturbation", "trunc", 1, 2),
     ("multiplicativity-failure", "n", 0, 2),
     ("prop41-falsifiers", "n", 1, 2),
+    ("thm32-adjoint-certify", "index_max", -1, 0),
+    ("mzstar-adjoint-compare", "trunc", 0, 1),
 ])
 def test_integer_below_its_floor_fails_validate_and_run_alike(name, key, value, floor,
                                                               tmp_path, capsys):
@@ -143,16 +145,25 @@ def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
     assert not (tmp_path / "annulus").exists()
 
 
-def test_thm32_runs_with_an_empty_witness_family(tmp_path):
-    assert cli.main(["--scenario", "thm32-adjoint-certify", "--param",
-                     "index_max=-1", "--ladder", "16,32,64",
-                     "--out", str(tmp_path)]) == 0
-    summary = _summary(tmp_path, "thm32-adjoint-certify")
-    assert [r["kernel_dim"] for r in summary["report"]["ladder"]] == [0, 0, 0]
-    assert summary["gram_min_eigenvalue_top_rung"] == 0.0
-    rows = (tmp_path / "thm32-adjoint-certify" / "witnesses.csv").read_text(
-        encoding="utf-8").splitlines()
-    assert rows == ["n,windowed_residual,window_mass"]
+@pytest.mark.parametrize("name, key, value, message", [
+    ("prop35-halfplane", "mu", "1.0", "dilation factor must be positive, finite and != 1"),
+    ("prop35-halfplane", "mu", "nan", "dilation factor must be positive, finite and != 1"),
+    ("prop35-halfplane", "alphas", "-2", "bergman requires a finite alpha > -1"),
+    ("prop35-halfplane", "alphas", "nan", "bergman requires a finite alpha > -1"),
+    ("thm22-eigenfield", "z", "1.0", "z must satisfy |z| < 1, got 1.0"),
+    ("thm32-adjoint-certify", "lam", "-1", "lam must lie off the unit circle, got -1"),
+], ids=["mu-1.0", "mu-nan", "alphas--2", "alphas-nan", "z-1.0", "lam--1"])
+def test_domain_rule_of_the_run_fails_validate_too(name, key, value, message,
+                                                   tmp_path, capsys):
+    assert cli.validate(name, {key: value}) == [message]
+    argv = ["--scenario", name, "--param", f"{key}={value}"]
+    assert cli.main(argv + ["--validate"]) == 2
+    assert capsys.readouterr().out == f"{name}: {message}\n"
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"univcert-lab: error: {message}\n"
+    assert not (tmp_path / name).exists()
 
 
 def test_main_validate_reports_non_increasing_ladder(capsys):
