@@ -161,7 +161,8 @@ def kernel_ladder(builder, ladder, tol: float = RANK_TOL) -> KernelLadder:
 
 def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
     """Condition "C" wants corank 0 at every rung, "Cplus" a constant one;
-    both want strictly growing kernel evidence."""
+    both want strictly growing kernel evidence. Constant evidence falsifies,
+    unless it is the size of the top rung's witness family."""
     rungs, top_witnesses, tol = walk.rungs, walk.top_witnesses, walk.tol
     corank_target = {"C": 0, "Cplus": None}[condition]
     kdims = [r.kernel_dim for r in rungs]
