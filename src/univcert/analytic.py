@@ -29,12 +29,6 @@ class HyperbolicAuto:
     def __call__(self, z):
         return (z + self.r) / (1.0 + self.r * z)
 
-    def inverse(self):
-        # phi_r^{-1} = phi_{-r}; kept as a plain callable since the
-        # normalized form requires a positive parameter.
-        r = self.r
-        return lambda z: (z - r) / (1.0 - r * z)
-
 
 def annulus(r: float) -> tuple[float, float]:
     """Inner and outer radii ((1-r)/(1+r))^{+-1/2} of the spectral annulus."""
@@ -87,8 +81,6 @@ class ZeroEntry:
 
 @dataclass(frozen=True)
 class ZeroSet:
-    r: float
-    lam: complex
     entries: tuple[ZeroEntry, ...]
     dps: int  # decimal precision the zeros were computed at
 
@@ -125,16 +117,16 @@ def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:
                 raise ValueError(f"zero index {k} escaped the disc (precision issue)")
             residual = float(mp.fabs(covering_value(r, z) - lam_mp))
             entries.append(ZeroEntry(k, z, residual))
-    return ZeroSet(r=r, lam=lam, entries=tuple(entries), dps=dps)
+    return ZeroSet(entries=tuple(entries), dps=dps)
 
 
-def ratio_condition(r: float, s: float, max_denominator: int = 50,
-                    tol: float = 1e-9) -> Fraction | None:
-    """Detect a rational ratio t_r/t_s; the matched eigenfunction indices
-    (n, m) = (j p, j q) then share eigenfunctions across the two families."""
+def ratio_condition(r: float, s: float) -> Fraction | None:
+    """Detect a rational ratio t_r/t_s with denominator at most 50; the
+    matched eigenfunction indices (n, m) = (j p, j q) then share
+    eigenfunctions across the two families."""
     x = HyperbolicAuto(r).t_param / HyperbolicAuto(s).t_param
-    frac = Fraction(x).limit_denominator(max_denominator)
-    if abs(x - float(frac)) < tol:
+    frac = Fraction(x).limit_denominator(50)
+    if abs(x - float(frac)) < 1e-9:
         return frac
     return None
 

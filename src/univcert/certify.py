@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numlin, opbuild
+from . import analytic, numlin, opbuild
 from .spaces import SpaceSpec
 
 CERTIFIED = "certified_at_scale"
@@ -21,6 +21,9 @@ INCONCLUSIVE = "inconclusive"
 
 RANK_TOL = numlin.DEFAULT_TOL
 WITNESS_TOL = 1e-4
+MASS_FLOOR = 0.5     # least share of a counted witness's norm in the window
+WINDOW_FRAC = 4      # residual window and dropped interior rows: 1/4 of a rung
+ANNULUS_SPAN = 0.8   # annulus_grid's span in u, where |lambda| = exp(u t_r / 2)
 
 SCALE_CAVEAT = (
     "truncation kernel growth is a heuristic proxy for infinite multiplicity; "
@@ -72,8 +75,8 @@ class CertificateReport:
         if self.verdict not in (CERTIFIED, FALSIFIED, INCONCLUSIVE):
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "schema_version": "1",
             "condition": self.condition,
             "verdict": self.verdict,
@@ -81,7 +84,9 @@ class CertificateReport:
             "tolerances": self.tolerances,
             "narrative": self.narrative,
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _framed(a) -> np.ndarray:
@@ -213,11 +218,6 @@ def check_C(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     return kernel_verdict("C", kernel_ladder(builder, ladder, tol))
 
 
-def check_Cplus(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
-    """As condition C, but a constant finite corank is allowed."""
-    return kernel_verdict("Cplus", kernel_ladder(builder, ladder, tol))
-
-
 # -- commuting pairs ----------------------------------------------------------
 
 def _pure_hs_pair(u1, u2) -> bool:
@@ -283,21 +283,18 @@ def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
 
 # -- spectral falsifiers ------------------------------------------------------
 
-def annulus_grid(r: float, n_radial: int = 5, n_angular: int = 12,
-                 span: float = 0.8) -> np.ndarray:
+def annulus_grid(r: float, n_radial: int = 5, n_angular: int = 12) -> np.ndarray:
     """Polar grid strictly inside the annulus, symmetric about |lambda| = 1.
 
-    Radii are exp(u * t_r / 2) for u equally spaced in [-span/2, span/2], so
-    an odd radial count places one ring exactly on the unit circle and the
+    Radii are exp(u * t_r / 2) for u equally spaced in ANNULUS_SPAN * [-1/2, 1/2],
+    so an odd radial count places one ring exactly on the unit circle and the
     first angle puts lambda = 1 on the grid.
 
     The grid is exactly closed under conjugation: angle index k > n - k is
     the conjugate of index n - k, and angle pi lies on the real axis.
     """
-    from .analytic import HyperbolicAuto
-
-    t_r = HyperbolicAuto(abs(r)).t_param
-    us = np.linspace(-span / 2.0, span / 2.0, n_radial)
+    t_r = analytic.HyperbolicAuto(abs(r)).t_param
+    us = np.linspace(-ANNULUS_SPAN / 2.0, ANNULUS_SPAN / 2.0, n_radial)
     radii = np.exp(us * t_r / 2.0)
     ks = np.arange(n_angular)
     unit = np.exp(1j * (2.0 * np.pi * ks / n_angular))
@@ -307,18 +304,17 @@ def annulus_grid(r: float, n_radial: int = 5, n_angular: int = 12,
     return (radii[:, None] * unit[None, :]).ravel()
 
 
-def spectral_falsifier(builder, lam_grid, ladder, tols=(1e-6, 1e-8),
-                       dim_bound: int = 1) -> CertificateReport:
+def spectral_falsifier(builder, lam_grid, ladder, tols=(1e-6, 1e-8)) -> CertificateReport:
     """Track kernel dimensions of (A - lambda I) over a ladder and a grid.
 
     A universal candidate must show eigenvalues of growing multiplicity
     somewhere; when every grid point keeps a bounded, non-growing kernel the
     family is falsified. This operation never certifies.
     """
-    return _spectral_scan(builder, lam_grid, ladder, tols, dim_bound)[0]
+    return _spectral_scan(builder, lam_grid, ladder, tols)[0]
 
 
-def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
+def _spectral_scan(builder, lam_grid, ladder, tols):
     """spectral_falsifier's report and the per-cell dims it is drawn from:
     {(lambda, tol): [kernel dim at each rung]}."""
     lam_grid = np.asarray(lam_grid)
@@ -353,11 +349,11 @@ def _spectral_scan(builder, lam_grid, ladder, tols, dim_bound: int = 1):
         rungs.append(RungStats(_rung_label(size), size, kernel_dim=worst,
                                extra={"grid_points": int(lam_grid.size)}))
     growth = [key for key, ds in dims.items() if _strictly_increasing(ds)]
-    bounded = all(max(ds) <= dim_bound for ds in dims.values())
+    bounded = all(max(ds) <= 1 for ds in dims.values())
     if not growth and bounded:
         verdict = FALSIFIED
-        narrative = (f"no grid point shows growing multiplicity and all kernel "
-                     f"dimensions stay <= {dim_bound}; eigenvalues of unbounded "
+        narrative = ("no grid point shows growing multiplicity and all kernel "
+                     "dimensions stay <= 1; eigenvalues of unbounded "
                      "multiplicity are required")
     else:
         verdict = INCONCLUSIVE
@@ -460,23 +456,22 @@ class WitnessFamily:
     window_mass: np.ndarray
     weights: np.ndarray
 
-    def count(self, residual_tol: float = WITNESS_TOL,
-              mass_floor: float = 0.5) -> int:
+    def _passing(self, residual_tol: float) -> np.ndarray:
+        return (self.residuals < residual_tol) & (self.window_mass >= MASS_FLOOR)
+
+    def count(self, residual_tol: float = WITNESS_TOL) -> int:
         """Witnesses both resolved by the truncation and residual-verified.
 
         The window-mass floor matters: an unresolved witness keeps its norm
         mass at the truncation edge, where the residual window cannot see
         it, and would pass the residual test vacuously.
         """
-        ok = (self.residuals < residual_tol) & (self.window_mass >= mass_floor)
-        return int(np.sum(ok))
+        return int(np.sum(self._passing(residual_tol)))
 
-    def gram_min_eigenvalue(self, residual_tol: float = WITNESS_TOL,
-                            mass_floor: float = 0.5) -> float:
+    def gram_min_eigenvalue(self, residual_tol: float = WITNESS_TOL) -> float:
         """Smallest Gram eigenvalue of the passing set; near 1 means the
         counted directions are genuinely independent."""
-        ok = (self.residuals < residual_tol) & (self.window_mass >= mass_floor)
-        v = self.vectors[:, ok]
+        v = self.vectors[:, self._passing(residual_tol)]
         if v.shape[1] == 0:
             return 0.0
         g = v.conj().T @ (self.weights[:, None] * v)
@@ -491,7 +486,7 @@ def _compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
 
 
 def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
-                                   index_max: int = 64, window_frac: int = 4,
+                                   index_max: int = 64,
                                    compressed: opbuild.OpMatrix | None = None
                                    ) -> WitnessFamily:
     """Near-kernel family for the z-compressed weighted adjoint of C_phi.
@@ -506,11 +501,9 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     compressed: the rung's already-built compressed adjoint, real and of
     shape (trunc - 1, trunc - 1); built here when None.
     """
-    from .analytic import HyperbolicAuto, eigenfunction_coeffs_recurrence, in_annulus
-
-    if not in_annulus(r, lam) or abs(lam) == 1.0:
+    if not analytic.in_annulus(r, lam) or abs(lam) == 1.0:
         raise ValueError("lambda must lie in the open annulus, off the unit circle")
-    t_r = HyperbolicAuto(r).t_param
+    t_r = analytic.HyperbolicAuto(r).t_param
     m = trunc - 1
     if compressed is None:
         compressed = _compressed_adjoint(r, trunc)
@@ -520,14 +513,14 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     elif np.iscomplexobj(compressed.entries):
         raise ValueError("the compressed adjoint of C_phi for real r is real")
     wts = compressed.domain_space.weights
-    win = m // window_frac
+    win = m // WINDOW_FRAC
     k = np.arange(1, trunc)
     base = -np.log(complex(lam)) / t_r
     indices = tuple(range(-index_max, index_max + 1))
     freqs = 2.0 * np.pi * np.arange(-index_max, index_max + 1) / t_r
     # one row per witness, contiguous, so each sum below runs in the same
     # order as on a lone vector
-    coeffs = eigenfunction_coeffs_recurrence(base + 1j * freqs, trunc)[:, 1:] / k
+    coeffs = analytic.eigenfunction_coeffs_recurrence(base + 1j * freqs, trunc)[:, 1:] / k
     vectors = np.zeros((m, len(indices)), dtype=complex)
     residuals = np.ones(len(indices))
     window_mass = np.zeros(len(indices))
@@ -560,6 +553,8 @@ def family_identity(n: int):
 def family_halfshift_plus_rank1(n: int):
     """U: e_{2k} -> e_k, odd basis vectors -> 0, plus the rank-1 bump
     K e_2 = -e_1; surjective up to the single lost direction e_1."""
+    if n < 3:
+        raise ValueError(f"the rank-1 bump needs n >= 3, got {n}")
     m = np.zeros((n, n))
     for k in range(n):
         if 2 * k < n:
@@ -587,43 +582,17 @@ def family_composition(r: float, beta: float = 1.0, variant: str = "power"):
     return build
 
 
-def family_adjoint_compressed(r: float, window_frac: int = 4):
-    """z-compressed weighted adjoint of the composition operator on the
-    derivative-norm space, with an interior section for the corank."""
-    def build(trunc: int):
-        a = _compressed_adjoint(r, trunc)
-        drop = (trunc - 1) // window_frac
-        return Rung(a, opbuild.interior_section(a, drop))
-    return build
-
-
 def family_adjoint_witnessed(r: float, lam: complex, index_max: int = 64):
-    """Rungs of A - lambda I for the compressed adjoint A, each carrying the
-    witness family of A at lambda built from the same matrix: one
-    composition matrix per rung."""
-    compressed = family_adjoint_compressed(r)
-
-    def with_witnesses(trunc: int) -> Rung:
-        rung = compressed(trunc)
-        return Rung(rung.square, rung.interior, adjoint_multiplicity_witnesses(
-            r, lam, trunc, index_max, compressed=rung.square))
-    return shifted(with_witnesses, lam)
-
-
-def shifted(builder, lam: complex):
-    """Family A - lambda I built from a square family; a rung's witness
-    family is kept."""
-    def build(size) -> Rung:
-        rung = _rung(builder(size))
-        square = rung.square
-        n = square.entries.shape[0]
-        ent = square.entries - lam * np.eye(n)
-        shifted_sq = opbuild.OpMatrix(ent, square.domain_space, square.codomain_space)
-        interior = None
-        if rung.interior is not None:
-            drop = n - rung.interior.entries.shape[0]
-            interior = opbuild.interior_section(shifted_sq, drop)
-        return Rung(shifted_sq, interior, rung.witnesses)
+    """Rungs of A - lambda I for the z-compressed weighted adjoint A of C_phi
+    on the derivative-norm space: one A per rung gives the square, its
+    interior section for the corank and the witness family of A at lambda."""
+    def build(trunc: int) -> Rung:
+        a = _compressed_adjoint(r, trunc)
+        square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1),
+                                  a.domain_space, a.codomain_space)
+        interior = opbuild.interior_section(square, (trunc - 1) // WINDOW_FRAC)
+        return Rung(square, interior, adjoint_multiplicity_witnesses(
+            r, lam, trunc, index_max, compressed=a))
     return build
 
 

@@ -33,10 +33,6 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def _report_payload(report: certify.CertificateReport) -> dict:
-    return json.loads(report.to_json())
-
-
 # -- parameter checks: each returns a problem message or None -----------------
 
 def _real_unit(key):
@@ -101,11 +97,22 @@ def _halfplane(p):
         return str(exc)
 
 
-def _ladder(p):
-    try:
-        certify._check_ladder(p["ladder"])
-    except ValueError as exc:
-        return str(exc)
+def _rung_text(rung) -> str:
+    return "x".join(map(str, rung)) if isinstance(rung, tuple) else str(rung)
+
+
+def _ladder(floor):
+    """certify's ladder rule, then the smallest rung the run accepts: every
+    rung, and each part of a KxD rung, at least floor."""
+    def check(p):
+        try:
+            certify._check_ladder(p["ladder"])
+        except ValueError as exc:
+            return str(exc)
+        if any(np.any(np.less(rung, floor)) for rung in p["ladder"]):
+            return (f"ladder rungs must be at least {_rung_text(floor)}, got "
+                    f"{','.join(map(_rung_text, p['ladder']))}")
+    return check
 
 
 # -- scenario bodies ----------------------------------------------------------
@@ -153,8 +160,8 @@ def _sc_ex25_notC(p):
     rep_cplus = certify.kernel_verdict("Cplus", walk)
     summary = {
         "scenario": "ex25-notC",
-        "check_C": _report_payload(rep_c),
-        "check_Cplus": _report_payload(rep_cplus),
+        "check_C": rep_c.as_dict(),
+        "check_Cplus": rep_cplus.as_dict(),
         "narrative": "a rank-1 bump on a surjective half shift destroys "
                      "surjectivity (one lost direction) while the kernel keeps "
                      "growing: the stricter condition fails, the corank-tolerant "
@@ -167,17 +174,15 @@ def _sc_ex26_perturbation(p):
     trunc = p["trunc"]
     base = opbuild.block2x2(opbuild.backward_shift(trunc), np.eye(trunc),
                             np.zeros((trunc, trunc)), np.zeros((trunc, trunc)))
-    rows = []
-    defects = []
+    sigmas, defects = [], []
     for n in range(1, p["n_max"] + 1):
         vn = certify.family_ex26(n)(trunc)
-        smin = numlin.Spectrum.of(vn).sigma_min
-        dn = np.linalg.norm(vn.entries - base.entries, 2)
-        defects.append(abs(dn - 1.0 / n))
-        rows.append([n, repr(smin), repr(1.0 / (2 * n))])
+        sigmas.append(numlin.Spectrum.of(vn).sigma_min)
+        defects.append(abs(np.linalg.norm(vn.entries - base.entries, 2) - 1.0 / n))
+    rows = [[n, repr(s), repr(1.0 / (2 * n))] for n, s in enumerate(sigmas, 1)]
     summary = {
         "scenario": "ex26-perturbation", "trunc": trunc,
-        "all_injective": all(float(r[1]) > 0 for r in rows),
+        "all_injective": all(s > 0 for s in sigmas),
         "max_norm_identity_defect": float(max(defects)),
         "narrative": "every perturbed operator is injective (kernel trivial), "
                      "yet sits at distance exactly 1/n from a universal operator",
@@ -228,7 +233,7 @@ def _sc_ex31_falsify(p):
             + [dims[(complex(lam), tol)][-1] for tol in tols] for lam in grid]
     summary = {
         "scenario": "ex31-falsify-dirichlet",
-        "report": _report_payload(rep),
+        "report": rep.as_dict(),
         "narrative": "over the whole annulus grid only lambda = 1 carries a "
                      "kernel, and it stays one-dimensional: no candidate "
                      "eigenvalue of growing multiplicity",
@@ -246,7 +251,7 @@ def _sc_thm32_certify(p):
             for n, res, massf in zip(top.indices, top.residuals, top.window_mass)]
     summary = {
         "scenario": "thm32-adjoint-certify",
-        "report": _report_payload(rep),
+        "report": rep.as_dict(),
         "gram_min_eigenvalue_top_rung": top.gram_min_eigenvalue(),
         "narrative": "the compressed weighted adjoint passes growing counts of "
                      "independent resolved witnesses with vanishing corank",
@@ -259,8 +264,8 @@ def _sc_cor34_heller(p):
     r, trunc = p["r"], p["trunc"]
     space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
     reference = opbuild.weighted_adjoint(opbuild.composition_matrix(-r, space))
-    displayed = opbuild.heller_principal(r, 0.0, space)
-    flipped = opbuild.heller_principal(r, 0.0, space, sign=1)
+    displayed = opbuild.heller_principal(r, space)
+    flipped = opbuild.heller_principal(r, space, sign=1)
     prof = certify.compactness_proxy(displayed, reference, count=p["count"])
     prof_flipped = certify.compactness_proxy(flipped, reference, count=p["count"])
     rows = [[j + 1, repr(float(s)), repr(float(t))]
@@ -335,9 +340,9 @@ def _sc_prop41_falsifiers(p):
                                           poly=[1.0])
     summary = {
         "scenario": "prop41-falsifiers", "n": n,
-        "poly_pair": _report_payload(rep_poly),
-        "power_pair": _report_payload(rep_pow),
-        "control": _report_payload(control),
+        "poly_pair": rep_poly.as_dict(),
+        "power_pair": rep_pow.as_dict(),
+        "control": control.as_dict(),
         "narrative": "both algebraically dependent pairs are falsified by their "
                      "explicit witnesses; the unrelated control stays "
                      "inconclusive",
@@ -402,13 +407,13 @@ class Scenario:
     checks: tuple = ()
 
 
-def _pair_scenario(name, pair_builder, ladder, description, narrative) -> Scenario:
+def _pair_scenario(name, pair_builder, ladder, floor, description, narrative) -> Scenario:
     """A commuting-pair scenario: condition M over the pair's ladder."""
     def run(p):
         rep = certify.check_M(pair_builder, p["ladder"])
-        return {"scenario": name, "report": _report_payload(rep),
+        return {"scenario": name, "report": rep.as_dict(),
                 "narrative": narrative}, []
-    return Scenario(name, run, {"ladder": ladder}, description, (_ladder,))
+    return Scenario(name, run, {"ladder": ladder}, description, (_ladder(floor),))
 
 
 _DEF_LADDER = (64, 128, 256)
@@ -423,7 +428,7 @@ REGISTRY = {s.name: s for s in (
              (_at_least("n", 2),)),
     Scenario("ex25-notC", _sc_ex25_notC, {"ladder": (32, 64, 128)},
              "rank-1 compact bump: kernel keeps growing, one range direction lost",
-             (_ladder,)),
+             (_ladder(3),)),
     Scenario("ex26-perturbation", _sc_ex26_perturbation,
              {"trunc": 128, "n_max": 10},
              "injective perturbations at distance 1/n from a universal operator",
@@ -437,14 +442,14 @@ REGISTRY = {s.name: s for s in (
     Scenario("ex31-falsify-dirichlet", _sc_ex31_falsify,
              {"r": 0.5, "ladder": _DEF_LADDER, "n_radial": 5, "n_angular": 12},
              "annulus grid of kernel dimensions falsifies the forward operator",
-             (_real_unit("r"), _ladder, _at_least("n_radial", 1),
+             (_real_unit("r"), _ladder(1), _at_least("n_radial", 1),
               _at_least("n_angular", 1))),
     Scenario("thm32-adjoint-certify", _sc_thm32_certify,
              {"r": 0.5, "lam": 3.0 ** 0.25, "ladder": (256, 512, 1024),
               "index_max": 64},
              "growing resolved-witness counts certify the compressed adjoint",
              (_real_unit("r"), _in_annulus("r", "lam"), _off_unit_circle("lam"),
-              _ladder, _at_least("index_max", 0))),
+              _ladder(5), _at_least("index_max", 0))),
     Scenario("cor34-heller", _sc_cor34_heller,
              {"r": 0.5, "trunc": 512, "count": 64},
              "singular-value decay of the adjoint minus its principal part",
@@ -459,16 +464,16 @@ REGISTRY = {s.name: s for s in (
     Scenario("prop41-falsifiers", _sc_prop41_falsifiers, {"n": 32},
              "algebraic dependence witnesses falsify shift power pairs",
              (_at_least("n", 2),)),
-    _pair_scenario("ex43-diagonal", certify.pair_diagonal_blocks, (8, 16, 32),
+    _pair_scenario("ex43-diagonal", certify.pair_diagonal_blocks, (8, 16, 32), 2,
                    "commuting diagonal pair with disjoint kernels",
                    "the commuting diagonal pair keeps disjoint kernels, so the "
                    "common-kernel requirement fails"),
-    _pair_scenario("thm44-scalar-pair", certify.hs_pair_scalar, (8, 16, 32),
+    _pair_scenario("thm44-scalar-pair", certify.hs_pair_scalar, (8, 16, 32), 2,
                    "scalar multiplication pair: intersection pinned at one",
                    "the scalar shift pair pins its kernel intersection at one "
                    "dimension at every truncation"),
     _pair_scenario("thm44-block-pair", certify.hs_pair_block,
-                   ((4, 4), (6, 6), (8, 8)),
+                   ((4, 4), (6, 6), (8, 8)), (2, 1),
                    "block multiplication pair: the model universal commuting pair",
                    "the block shift pair shows growing kernel overlap with exact "
                    "product-kernel bookkeeping"),
@@ -588,10 +593,20 @@ def validate(name: str, params: dict) -> list[str]:
     return _resolve(name, params)[1]
 
 
+FORMATS = ("json", "csv", "both")
+
+
+def _format_problem(fmt):
+    if fmt not in FORMATS:
+        return f"format: expected one of {', '.join(FORMATS)}, got {fmt!r}"
+
+
 def run_scenario(name: str, params: dict, out_dir: Path,
                  fmt: str = "both") -> list[Path]:
     if name not in REGISTRY:
         raise KeyError(f"unknown scenario {name!r}")
+    if problem := _format_problem(fmt):
+        raise ValueError(problem)
     merged, problems = _resolve(name, params)
     if problems:
         raise ValueError("; ".join(problems))
@@ -611,9 +626,6 @@ def _run_one(args):
     name, params, out_dir, fmt = args
     paths = run_scenario(name, params, Path(out_dir), fmt)
     return name, [str(p) for p in paths]
-
-
-FORMATS = ("json", "csv", "both")
 
 
 def _fail(message) -> int:
@@ -661,8 +673,8 @@ def main(argv=None) -> int:
         return flag if flag is not None else cfg.get(key, builtin)
 
     out_dir, fmt = setting("out", "reports"), setting("format", "both")
-    if fmt not in FORMATS:
-        return _fail(f"format: expected one of {', '.join(FORMATS)}, got {fmt!r}")
+    if problem := _format_problem(fmt):
+        return _fail(problem)
     ladder = setting("ladder", None)
     try:
         jobs = _as_kind(1, setting("jobs", 1))

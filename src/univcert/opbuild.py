@@ -46,15 +46,15 @@ def _square(entries: np.ndarray, space: SpaceSpec) -> OpMatrix:
     return OpMatrix(entries, space, space)
 
 
-def _hardy(n: int, offset: int = 0) -> SpaceSpec:
-    return SpaceSpec(beta=0.0, trunc=n, offset=offset)
+def _hardy(n: int) -> SpaceSpec:
+    return SpaceSpec(beta=0.0, trunc=n)
 
 
-def backward_shift(n: int, space: SpaceSpec | None = None) -> OpMatrix:
+def backward_shift(n: int) -> OpMatrix:
     """e_{k+1} -> e_k, e_0 -> 0."""
     if n < 2:
         raise ValueError("backward shift needs n >= 2")
-    return _square(np.eye(n, k=1), space or _hardy(n))
+    return _square(np.eye(n, k=1), _hardy(n))
 
 
 def block_backward_shift(spec: BlockShiftSpec) -> OpMatrix:
@@ -77,7 +77,7 @@ def interior_section(a: OpMatrix, drop_rows: int) -> OpMatrix:
     """
     if not 0 < drop_rows < a.entries.shape[0]:
         raise ValueError("drop_rows out of range")
-    cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - drop_rows, weights=None)
+    cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - drop_rows)
     return OpMatrix(np.ascontiguousarray(a.entries[:-drop_rows, :]), a.domain_space, cod)
 
 
@@ -120,11 +120,11 @@ def mult_z(space: SpaceSpec) -> OpMatrix:
     return _square(np.eye(space.trunc, k=-1), space)
 
 
-def weighted_adjoint(a: OpMatrix, space: SpaceSpec | None = None) -> OpMatrix:
-    """Gram adjoint W^{-1} A^H W for the diagonal weight W of the space."""
-    s = space or a.domain_space
+def weighted_adjoint(a: OpMatrix) -> OpMatrix:
+    """Gram adjoint W^{-1} A^H W for the diagonal weight W of the domain space."""
+    s = a.domain_space
     if a.entries.shape[0] != a.entries.shape[1] or a.entries.shape[0] != s.trunc:
-        raise ValueError("weighted adjoint requires a square matrix on the given space")
+        raise ValueError("weighted adjoint requires a square matrix on its domain space")
     w = s.weights
     adj = a.entries.conj().T * (w[None, :] / w[:, None])
     return _square(adj, s)
@@ -141,11 +141,10 @@ def weighted_frame(a: OpMatrix) -> np.ndarray:
     return a.entries * (wo[:, None] / wi[None, :])
 
 
-def heller_principal(r: float, lam: complex, space: SpaceSpec,
-                     sign: int = -1) -> OpMatrix:
+def heller_principal(r: float, space: SpaceSpec, sign: int = -1) -> OpMatrix:
     """Principal part of the adjoint of the inverse composition operator.
 
-    (1+r^2)/(1-r^2) C + sign r/(1-r^2) (M_z^* + M_z) C - lambda I with
+    (1+r^2)/(1-r^2) C + sign r/(1-r^2) (M_z^* + M_z) C with
     sign = -1 as displayed, +1 for the combination with the middle sign
     flipped; the compact remainder is not constructible and is assessed by
     singular-value decay.
@@ -156,10 +155,8 @@ def heller_principal(r: float, lam: complex, space: SpaceSpec,
     c2 = r / (1.0 - r * r)
     comp = composition_matrix(r, space)
     mz = mult_z(space)
-    mzs = weighted_adjoint(mz, space)
-    n = space.trunc
+    mzs = weighted_adjoint(mz)
     ent = c1 * comp.entries + sign * (c2 * (mzs.entries + mz.entries) @ comp.entries)
-    ent = ent - lam * np.eye(n)
     return _square(ent, space)
 
 
@@ -197,9 +194,9 @@ def compress_zH2(a: OpMatrix) -> OpMatrix:
     if n < 2 or a.entries.shape[1] < 2:
         raise ValueError("compression needs size >= 2")
     dom = replace(a.domain_space, trunc=a.domain_space.trunc - 1,
-                  offset=a.domain_space.offset + 1, weights=None)
+                  offset=a.domain_space.offset + 1)
     cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - 1,
-                  offset=a.codomain_space.offset + 1, weights=None)
+                  offset=a.codomain_space.offset + 1)
     return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), dom, cod)
 
 

@@ -26,7 +26,7 @@ class SpaceSpec:
     trunc: int
     variant: Variant = Variant.POWER
     offset: int = 0
-    weights: np.ndarray = field(default=None, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.trunc < 1:
@@ -37,16 +37,12 @@ class SpaceSpec:
         object.__setattr__(self, "variant", variant)
         if variant is Variant.DERIVATIVE and self.beta != 1.0:
             raise ValueError("derivative variant is defined only for beta = 1")
-        if self.weights is None:
-            object.__setattr__(
-                self, "weights", _weights(self.beta, self.trunc, variant, self.offset)
-            )
-        if self.weights.shape != (self.trunc,):
-            raise ValueError("weight sequence length must equal the truncation")
-        self.weights.setflags(write=False)
+        weights = _weights(self.beta, self.trunc, variant, self.offset)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
 
-def _weights(beta: float, n: int, variant: Variant, offset: int = 0) -> np.ndarray:
+def _weights(beta: float, n: int, variant: Variant, offset: int) -> np.ndarray:
     idx = np.arange(offset, offset + n, dtype=float)
     if variant is Variant.POWER:
         w = (idx + 1.0) ** (2.0 * beta)

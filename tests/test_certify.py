@@ -53,10 +53,18 @@ def test_plain_backward_shift_kernel_stays_one():
 
 def test_rank_one_bump_splits_C_from_Cplus():
     rep_c = certify.check_C(certify.family_halfshift_plus_rank1, LADDER)
-    rep_cp = certify.check_Cplus(certify.family_halfshift_plus_rank1, LADDER)
+    rep_cp = certify.kernel_verdict(
+        "Cplus", certify.kernel_ladder(certify.family_halfshift_plus_rank1, LADDER))
     assert rep_c.verdict == certify.INCONCLUSIVE
     assert rep_cp.verdict == certify.CERTIFIED
     assert all(r.corank == 1 for r in rep_cp.ladder)
+
+
+def test_rank_one_bump_needs_three_coefficients():
+    with pytest.raises(ValueError, match="n >= 3"):
+        certify.family_halfshift_plus_rank1(2)
+    with pytest.raises(ValueError, match="n >= 3"):
+        certify.check_C(certify.family_halfshift_plus_rank1, (2, 3, 4))
 
 
 def test_perturbed_pair_family_is_injective():
@@ -84,6 +92,7 @@ def test_report_json_shape():
     assert payload["verdict"] == certify.FALSIFIED
     assert len(payload["ladder"]) == 3
     assert payload["tolerances"] == {"rank_tol": certify.RANK_TOL}
+    assert payload == rep.as_dict()
     with pytest.raises(ValueError):
         certify.CertificateReport("C", "maybe", rep.ladder, {}, "")
 
@@ -387,7 +396,7 @@ def _same_family(a, b) -> bool:
 
 def test_witness_family_reuses_a_given_compressed_adjoint():
     lam = 3.0 ** 0.25
-    a = certify.family_adjoint_compressed(0.5)(64).square
+    a = certify._compressed_adjoint(0.5, 64)
     given = certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
                                                    compressed=a)
     assert _same_family(given, certify.adjoint_multiplicity_witnesses(
@@ -405,7 +414,7 @@ def _full_product_family(r, lam, trunc, index_max):
     """Oracle: the witness family with each residual read off the full
     product (A @ v - lambda v)[:win] of a complex copy of A, one witness at
     a time."""
-    a = certify.family_adjoint_compressed(r)(trunc).square
+    a = certify._compressed_adjoint(r, trunc)
     am, wts = a.entries.astype(complex), a.domain_space.weights
     m = trunc - 1
     win = m // 4
@@ -446,9 +455,10 @@ def test_windowed_residuals_match_the_full_product_oracle(trunc):
 def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     lam = 3.0 ** 0.25
     rung = certify.family_adjoint_witnessed(0.5, lam, index_max=8)(64)
-    base = certify.family_adjoint_compressed(0.5)(64)
-    assert np.array_equal(rung.square.entries, base.square.entries - lam * np.eye(63))
-    assert rung.interior.entries.shape == base.interior.entries.shape
+    base = certify._compressed_adjoint(0.5, 64)
+    assert np.array_equal(rung.square.entries, base.entries - lam * np.eye(63))
+    # the interior section drops the window's 63 // 4 = 15 trailing rows
+    assert np.array_equal(rung.interior.entries, rung.square.entries[:48])
     assert _same_family(rung.witnesses, certify.adjoint_multiplicity_witnesses(
         0.5, lam, 64, index_max=8))
     # check_C counts each rung's family and hands back the top one
@@ -498,12 +508,3 @@ def test_constant_witness_counts_falsify_only_below_the_cap(size, passing, verdi
     rep = certify.check_C(_identity_with_family(size, passing), LADDER)
     assert [r.kernel_dim for r in rep.ladder] == [passing] * 3
     assert rep.verdict == verdict
-
-
-def test_shifted_family_subtracts_lambda():
-    fam = certify.shifted(certify.family_adjoint_compressed(0.5), 1.5)
-    rung = fam(32)
-    base = certify.family_adjoint_compressed(0.5)(32)
-    assert np.abs(rung.square.entries - (base.square.entries - 1.5 * np.eye(31))).max() == 0.0
-    assert rung.interior.entries.shape == base.interior.entries.shape
-    assert rung.witnesses is None

@@ -130,6 +130,34 @@ def test_integer_below_its_floor_fails_validate_and_run_alike(name, key, value, 
     assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("name, below, message, at_floor", [
+    ("ex25-notC", "2,3,4", "at least 3, got 2,3,4", "3,4,5"),
+    ("ex31-falsify-dirichlet", "0,1,2", "at least 1, got 0,1,2", "1,2,3"),
+    ("thm32-adjoint-certify", "4,5,6", "at least 5, got 4,5,6", "5,6,7"),
+    ("ex43-diagonal", "1,2,3", "at least 2, got 1,2,3", "2,3,4"),
+    ("thm44-scalar-pair", "1,2,3", "at least 2, got 1,2,3", "2,3,4"),
+    ("thm44-block-pair", "1x1,2x2,3x3", "at least 2x1, got 1x1,2x2,3x3", "2x1,3x1,4x2"),
+    ("thm44-block-pair", "2x0,3x1,4x2", "at least 2x1, got 2x0,3x1,4x2", "2x1,3x1,4x2"),
+], ids=["ex25", "ex31", "thm32", "ex43", "thm44-scalar", "thm44-block-K", "thm44-block-d"])
+def test_ladder_below_its_floor_fails_validate_and_run_alike(name, below, message,
+                                                             at_floor, tmp_path, capsys):
+    message = f"ladder rungs must be {message}"
+    argv = ["--scenario", name, "--ladder", below]
+    assert cli.main(argv + ["--validate"]) == 2
+    assert capsys.readouterr().out == f"{name}: {message}\n"
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"univcert-lab: error: {message}\n"
+    assert not (tmp_path / name).exists()
+    # the floor itself validates and runs
+    argv = ["--scenario", name, "--ladder", at_floor]
+    assert cli.main(argv + ["--validate"]) == 0
+    assert capsys.readouterr().out == f"{name}: ok\n"
+    assert cli.main(argv + ["--out", str(tmp_path), "--format", "json"]) == 0
+    assert (tmp_path / name / "summary.json").exists()
+
+
 @pytest.mark.parametrize("config", [
     "scenario = annulus\njobs = two\n",
     "scenario = annulus\nno separator here\n",
@@ -202,6 +230,12 @@ def test_run_scenario_rejects_invalid_input(tmp_path):
         cli.run_scenario("nope", {}, tmp_path)
     with pytest.raises(ValueError):
         cli.run_scenario("annulus", {"r": 2.0}, tmp_path)
+
+
+def test_run_scenario_rejects_an_unknown_format_before_it_runs(tmp_path):
+    with pytest.raises(ValueError, match="expected one of json, csv, both, got 'xml'"):
+        cli.run_scenario("annulus", {}, tmp_path, fmt="xml")
+    assert not (tmp_path / "annulus").exists()
 
 
 def test_eigenfield_scenario_is_bitwise_exact(tmp_path):

@@ -167,20 +167,19 @@ def test_mzstar_superdiagonal_weight_ratios():
 @settings(deadline=None)
 @given(st.sampled_from([-1, 1]))
 def test_heller_principal_assembly(sign):
-    r, lam = 0.5, 0.7 + 0.1j
+    r = 0.5
     space = _deriv(8)
-    hp = opbuild.heller_principal(r, lam, space, sign=sign)
+    hp = opbuild.heller_principal(r, space, sign=sign)
     comp = opbuild.composition_matrix(r, space)
     mz = opbuild.mult_z(space)
     mzs = opbuild.weighted_adjoint(mz)
     c1 = (1 + r * r) / (1 - r * r)
     c2 = r / (1 - r * r)
     manual = (c1 * comp.entries
-              + sign * c2 * (mzs.entries + mz.entries) @ comp.entries
-              - lam * np.eye(8))
+              + sign * c2 * (mzs.entries + mz.entries) @ comp.entries)
     assert np.abs(hp.entries - manual).max() < 1e-14
     with pytest.raises(ValueError):
-        opbuild.heller_principal(r, lam, SpaceSpec(beta=0.5, trunc=8))
+        opbuild.heller_principal(r, SpaceSpec(beta=0.5, trunc=8))
 
 
 def test_block2x2_layout_and_zero_inference():

@@ -50,6 +50,11 @@ def test_weights_are_write_protected():
         s.weights[0] = 7.0
 
 
+def test_weights_are_computed_never_supplied():
+    with pytest.raises(TypeError):
+        spaces.SpaceSpec(beta=0.0, trunc=4, weights=np.ones(4))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1.0, 1.5), st.integers(1, 40))
 def test_weights_stay_positive(beta, n):
