@@ -134,17 +134,24 @@ def ratio_condition(r: float, s: float) -> Fraction | None:
 def halfplane_radius(mu: float, space: str = "hardy", alpha: float | None = None) -> float:
     """Spectral circle radius for the half-plane dilation w -> mu w + w_0.
 
-    hardy: mu^{-1/2}; weighted bergman: mu^{-(alpha+2)/2}.
+    hardy: mu^{-1/2}; weighted bergman: mu^{-(alpha+2)/2}. A radius that
+    overflows a double, or underflows it to zero, raises ValueError.
     """
     if not (0 < mu < np.inf and mu != 1.0):
         raise ValueError("dilation factor must be positive, finite and != 1")
-    if space == "hardy":
-        return float(mu ** -0.5)
-    if space == "bergman":
-        if alpha is None or not -1 < alpha < np.inf:
-            raise ValueError("bergman requires a finite alpha > -1")
-        return float(mu ** (-(alpha + 2.0) / 2.0))
-    raise ValueError(f"unknown half-plane space {space!r}")
+    if space not in ("hardy", "bergman"):
+        raise ValueError(f"unknown half-plane space {space!r}")
+    if space == "bergman" and (alpha is None or not -1 < alpha < np.inf):
+        raise ValueError("bergman requires a finite alpha > -1")
+    exponent = 0.5 if space == "hardy" else (alpha + 2.0) / 2.0
+    try:
+        radius = float(mu ** -exponent)
+    except OverflowError:
+        radius = np.inf
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"the {space} radius mu^-{exponent!r} does not fit a double "
+                         f"at mu={mu!r}")
+    return radius
 
 
 def holomorphic_eigenfield(x0: np.ndarray, z: complex, k_blocks: int) -> np.ndarray:

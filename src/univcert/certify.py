@@ -106,6 +106,19 @@ class Rung:
     witnesses: WitnessFamily | None = None
 
 
+@dataclass(frozen=True)
+class PairRung:
+    """One commuting-pair rung, the pair analogue of Rung: the two operators
+    and their coranks (None: by rank-nullity, their kernel dims). A
+    Hilbert-Schmidt pair (hs) holds S -> U S and S -> S V as their factors
+    u = U and v = V, square on n x n truncations."""
+
+    u: object
+    v: object
+    coranks: tuple[int, int] | None = None
+    hs: bool = False
+
+
 def _rung(built) -> Rung:
     """Builders return a Rung or a bare square matrix."""
     return built if isinstance(built, Rung) else Rung(built)
@@ -220,40 +233,33 @@ def check_C(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
 
 # -- commuting pairs ----------------------------------------------------------
 
-def _pure_hs_pair(u1, u2) -> bool:
-    return (isinstance(u1, opbuild.HSOperator) and isinstance(u2, opbuild.HSOperator)
-            and u1.factor_right is None and u2.factor_left is None)
+def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """||AB - BA|| / max(||A|| ||B||, 1), in Frobenius norms."""
+    return np.linalg.norm(a @ b - b @ a) / max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
 
 
 def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     """Muller's condition for a commuting pair: the kernels overlap in an
     unbounded-looking intersection, Ker(U1 U2) = Ker(U1) + Ker(U2) at every
-    rung, and both operators look surjective. A pair without coranks gets
-    them from its kernel bases by rank-nullity."""
+    rung, and both operators look surjective. pair_builder returns a
+    PairRung."""
     _check_ladder(ladder)
     rungs = []
     for size in ladder:
-        built = pair_builder(size)
-        u1, u2, cor1, cor2 = built if len(built) == 4 else (*built, None, None)
-        if _pure_hs_pair(u1, u2):
+        pair = pair_builder(size)
+        if pair.hs:
             # U S against S V: the pair commutes identically and is square.
-            b1, b2, prod_kernel = opbuild.hs_pair_kernels(u1, u2, tol)
-            excess1 = excess2 = 0
+            b1, b2, prod_kernel = opbuild.hs_pair_kernels(pair.u, pair.v, tol)
         else:
-            m1, m2 = numlin._as_matrix(u1), numlin._as_matrix(u2)
-            comm = np.linalg.norm(m1 @ m2 - m2 @ m1)
-            scale = np.linalg.norm(m1) * np.linalg.norm(m2)
-            if comm > tol * max(scale, 1.0):
+            m1, m2 = numlin._as_matrix(pair.u), numlin._as_matrix(pair.v)
+            if _relative_commutator(m1, m2) > tol:
                 raise ValueError("the supplied pair does not commute")
             prod_kernel = numlin.Spectrum.of(m1 @ m2).kernel_dim(tol)
             b1, b2 = numlin.svd_kernel(m1, tol), numlin.svd_kernel(m2, tol)
-            excess1, excess2 = (m.shape[0] - m.shape[1] for m in (m1, m2))
         ssum, inter = numlin.subspace_dims(b1, b2, tol)
         k1, k2 = b1.shape[1], b2.shape[1]
-        if cor1 is None:
-            cor1 = excess1 + k1
-        if cor2 is None:
-            cor2 = excess2 + k2
+        # a commuting pair is square, so by rank-nullity each corank is a kernel dim
+        cor1, cor2 = pair.coranks or (k1, k2)
         label = f"K={size[0]},d={size[1]}" if isinstance(size, tuple) else _rung_label(size)
         n = int(np.prod(size)) if isinstance(size, tuple) else int(size)
         rungs.append(RungStats(label, n, kernel_dim=k1, corank=max(cor1, cor2),
@@ -394,8 +400,7 @@ def algebraic_falsifier(t, w, poly=None, powers=None,
                                 - np.linalg.matrix_power(tm, n)) / scale
         witness = f"W^{m} = T^{n}"
         condition_hits = defect <= tol
-    comm = np.linalg.norm(tm @ wm - wm @ tm) / max(
-        np.linalg.norm(tm) * np.linalg.norm(wm), 1.0)
+    comm = _relative_commutator(tm, wm)
     rung = RungStats("pair", tm.shape[0],
                      extra={"defect": float(defect), "commutator": float(comm),
                             "witness": witness})
@@ -428,8 +433,9 @@ class DecayProfile:
 
 
 def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
-                      count: int | None = None) -> DecayProfile:
-    """Singular values of (reference - A) in the weighted frame.
+                      count: int) -> DecayProfile:
+    """The count largest singular values of (reference - A) in the weighted
+    frame.
 
     A compact remainder shows fast decay; the profile is reported, not
     judged, because no truncation threshold is canonical.
@@ -438,10 +444,7 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
         raise ValueError("compactness proxy needs operators of equal shape")
     diff = opbuild.OpMatrix(reference.entries - a.entries, a.domain_space,
                             a.codomain_space)
-    sv = numlin.Spectrum.of(_framed(diff)).values
-    if count is not None:
-        sv = sv[:count]
-    return DecayProfile(sv)
+    return DecayProfile(numlin.Spectrum.of(_framed(diff)).values[:count])
 
 
 # -- multiplicity witnesses for composition adjoints --------------------------
@@ -596,29 +599,27 @@ def family_adjoint_witnessed(r: float, lam: complex, index_max: int = 64):
     return build
 
 
-def hs_pair_scalar(n: int):
+def hs_pair_scalar(n: int) -> PairRung:
     """Left multiplication by the backward shift against right multiplication
     by its adjoint, on n x n truncations: the block pair with d = 1."""
     return hs_pair_block((n, 1))
 
 
-def hs_pair_block(size: tuple[int, int]):
+def hs_pair_block(size: tuple[int, int]) -> PairRung:
     """Block backward shift pair on HS truncations of K blocks, inner
     dimension d; the model universal commuting pair."""
     spec = opbuild.BlockShiftSpec(*size)
     b = opbuild.block_backward_shift(spec)
     bstar = opbuild.block_forward_shift(spec)
-    left = opbuild.hs_left(b)
-    right = opbuild.hs_right(bstar)
     n, d = spec.K * spec.d, spec.d
     # S -> B S loses n directions for each one that B's interior section
     # loses, and S -> S B* likewise with B*'s; B* = B^T makes that section
     # bstar[:, :-d].T equal to b[:-d, :], so one spectrum gives both
     corank = n * numlin.Spectrum.of(b.entries[:-d, :]).corank()
-    return left, right, corank, corank
+    return PairRung(b, bstar, (corank, corank), hs=True)
 
 
-def pair_diagonal_blocks(n: int):
+def pair_diagonal_blocks(n: int) -> PairRung:
     """Diagonal pair (U0 + I, I + V0) on a doubled space: commuting, but the
     kernels live in complementary components."""
     u0 = opbuild.backward_shift(n)
@@ -626,4 +627,4 @@ def pair_diagonal_blocks(n: int):
     zero = np.zeros((n, n))
     u = opbuild.block2x2(u0, zero, zero, eye)
     v = opbuild.block2x2(eye, zero, zero, u0)
-    return u, v
+    return PairRung(u, v)

@@ -634,8 +634,15 @@ def _fail(message) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors raise ValueError, for main to print as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="univcert-lab",
         description="run registered numerical experiments on operator "
                     "truncation ladders")
@@ -645,18 +652,21 @@ def main(argv=None) -> int:
                         help="scenario parameter, parsed by the kind of its "
                              "default; repeatable")
     parser.add_argument("--out", help="output directory (default: reports)")
-    parser.add_argument("--format", choices=FORMATS,
-                        help="report files to write (default: both)")
+    parser.add_argument("--format",
+                        help="report files to write: json, csv or both (default: both)")
     parser.add_argument("--ladder",
                         help="comma-separated rungs, e.g. 64,128,256 or 4x4,6x6,8x8")
-    parser.add_argument("--jobs", type=int, help="worker processes (default: 1)")
+    parser.add_argument("--jobs", help="worker processes (default: 1)")
     parser.add_argument("--config", default=None,
                         help="key = value file mirroring the flags")
     parser.add_argument("--list", action="store_true", dest="list_flag",
                         help="list registered scenarios")
     parser.add_argument("--validate", action="store_true",
                         help="check the parameters without running")
-    ns = parser.parse_args(argv)
+    try:
+        ns = parser.parse_args(argv)
+    except ValueError as exc:
+        return _fail(exc)
 
     if ns.list_flag:
         print(list_scenarios())
@@ -680,14 +690,16 @@ def main(argv=None) -> int:
         jobs = _as_kind(1, setting("jobs", 1))
     except ValueError as exc:
         return _fail(f"jobs: {exc}")
+    if problem := _at_least("jobs", 1)({"jobs": jobs}):
+        return _fail(problem)
     scenarios = ns.scenario or ([cfg["scenario"]] if "scenario" in cfg else [])
     if not scenarios:
-        parser.error("no scenario given (use --scenario or --list)")
+        return _fail("no scenario given (use --scenario or --list)")
 
     params = {}
     for item in cfg["param"] + ns.param:
         if "=" not in item:
-            parser.error(f"malformed --param {item!r}, expected K=V")
+            return _fail(f"malformed --param {item!r}, expected K=V")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
     if ladder is not None:
@@ -712,8 +724,9 @@ def main(argv=None) -> int:
                 results = list(pool.map(_run_one, tasks))
         else:
             results = [_run_one(task) for task in tasks]
-    except (ValueError, KeyError) as exc:
-        return _fail(exc.args[0] if exc.args else exc)
+    except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError quotes its message
+        return _fail(exc.args[0] if isinstance(exc, KeyError) else exc)
     for name, paths in results:
         for path in paths:
             print(f"{name}: {path}")

@@ -202,27 +202,6 @@ def compress_zH2(a: OpMatrix) -> OpMatrix:
 
 # -- Hilbert-Schmidt multiplications -----------------------------------------
 
-@dataclass(frozen=True)
-class HSOperator:
-    """Linear action S -> U S V on vectorized n x n truncations, held as its
-    factors only.
-
-    Column-major vectorization makes it kron(V^T, U), an n^2 x n^2 matrix
-    that is never formed. A missing factor means the identity on that side.
-    """
-
-    factor_left: OpMatrix | None
-    factor_right: OpMatrix | None
-
-
-def hs_left(u: OpMatrix) -> HSOperator:
-    return HSOperator(u, None)
-
-
-def hs_right(v: OpMatrix) -> HSOperator:
-    return HSOperator(None, v)
-
-
 def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columns kron(a[:, i], b[:, j]) in (i, j) order, each entry the single
     product a[p, i] * b[q, j] that the Kronecker product forms."""
@@ -230,21 +209,19 @@ def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(a.shape[0] * b.shape[0], -1)
 
 
-def hs_pair_kernels(left: HSOperator, right: HSOperator,
-                    tol_rel: float = numlin.DEFAULT_TOL
+def hs_pair_kernels(u: OpMatrix, v: OpMatrix, tol_rel: float = numlin.DEFAULT_TOL
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Kernels of S -> U S and S -> S V, as orthonormal columns, and the
-    kernel dim of S -> U S V.
+    kernel dim of S -> U S V, from the factors U and V alone.
 
-    The SVD of kron(A, B) is the Kronecker product of the factor SVDs, so
-    one SVD of U and one of V^T give all three: Ker(S -> U S) is spanned by
-    e_i (x) q_j over U's negligible singular values, Ker(S -> S V) by
-    p_i (x) e_j over V^T's, and S -> U S V = kron(V^T, U) has as many
-    negligible singular values as the outer product of the two spectra.
+    On column-major vectorized n x n truncations S -> U S V is kron(V^T, U),
+    an n^2 x n^2 matrix that is never formed. The SVD of kron(A, B) is the
+    Kronecker product of the factor SVDs, so one SVD of U and one of V^T
+    give all three: Ker(S -> U S) is spanned by e_i (x) q_j over U's
+    negligible singular values, Ker(S -> S V) by p_i (x) e_j over V^T's,
+    and kron(V^T, U) has as many negligible singular values as the outer
+    product of the two spectra.
     """
-    u, v = left.factor_left, right.factor_right
-    if u is None or v is None or left.factor_right is not None or right.factor_left is not None:
-        raise ValueError("hs_pair_kernels expects a pure left and a pure right factor")
     if u.entries.shape[0] != v.entries.shape[0]:
         raise ValueError("base dimensions differ")
     eye = np.eye(u.entries.shape[0])

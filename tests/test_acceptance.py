@@ -63,9 +63,9 @@ def test_criterion_03_multiplication_pair_dimensions():
             k * d * d, d * d, (2 * k - 1) * d * d, (2 * k - 1) * d * d, 0)
     # exact subspace identity Ker(L R) = Ker L + Ker R at the middle rung
     # (the product kernel basis comes from the Kronecker oracle in tests/)
-    left, right, _, _ = certify.hs_pair_block((6, 6))
-    b1, b2, prod_dim = opbuild.hs_pair_kernels(left, right)
-    prod = hs_dense.product_kernel(left, right)
+    pair = certify.hs_pair_block((6, 6))
+    b1, b2, prod_dim = opbuild.hs_pair_kernels(pair.u, pair.v)
+    prod = hs_dense.product_kernel(pair.u, pair.v)
     stacked = np.hstack([b1, b2, prod])
     ok = ok and prod.shape[1] == prod_dim == numlin.subspace_dims(b1, b2)[0]
     ok = ok and numlin.Spectrum.of(stacked).rank() == prod.shape[1]

@@ -130,14 +130,11 @@ def test_diagonal_pair_keeps_disjoint_kernels():
 
 def test_check_M_is_symmetric_under_swap():
     def swapped(size):
-        left, right, c1, c2 = certify.hs_pair_block(size)
-
+        pair = certify.hs_pair_block(size)
+        c1, c2 = pair.coranks
         # present the same kernels through dense matrices, in the other order
-        class Dense:
-            def __init__(self, m):
-                self.entries = m
-
-        return Dense(hs_dense.hs_matrix(right)), Dense(hs_dense.hs_matrix(left)), c2, c1
+        return certify.PairRung(hs_dense.hs_matrix(None, pair.v),
+                                hs_dense.hs_matrix(pair.u, None), (c2, c1))
 
     a = certify.check_M(certify.hs_pair_block, ((2, 2), (3, 3), (4, 4)))
     b = certify.check_M(swapped, ((2, 2), (3, 3), (4, 4)))
@@ -151,7 +148,7 @@ def test_check_M_is_symmetric_under_swap():
 def test_check_M_rejects_noncommuting_pairs():
     def bad(n):
         rng = np.random.default_rng(n)
-        return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        return certify.PairRung(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
     with pytest.raises(ValueError):
         certify.check_M(bad, (4, 5, 6))
@@ -347,7 +344,7 @@ def test_algebraic_falsifier_power_witness_and_control():
 
 def test_compactness_proxy_of_identical_operators_is_zero():
     a = certify.family_identity(8)
-    prof = certify.compactness_proxy(a, a)
+    prof = certify.compactness_proxy(a, a, count=8)
     assert np.all(prof.values == 0.0)
     assert prof.ratio(3) == 0.0
 

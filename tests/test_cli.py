@@ -78,6 +78,13 @@ def test_main_param_values_parse_by_default_kind(tmp_path, capsys):
      "--param", "n=1", "--jobs", "2"],
     ["--scenario", "cor34-heller", "--param", "count=8"],
     ["--scenario", "cor34-heller", "--param", "trunc=16"],
+    ["--scenario", "annulus", "--param", "foo"],
+    ["--scenario", "annulus", "--jobs", "two"],
+    ["--scenario", "annulus", "--jobs", "0"],
+    ["--scenario", "annulus", "--jobs", "-3"],
+    ["--scenario", "annulus", "--format", "xml"],
+    ["--scenario", "annulus", "--bogus"],
+    [],
 ])
 def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -162,7 +169,10 @@ def test_ladder_below_its_floor_fails_validate_and_run_alike(name, below, messag
     "scenario = annulus\njobs = two\n",
     "scenario = annulus\nno separator here\n",
     "scenario = annulus\nformat = xml\n",
-], ids=["jobs-not-an-integer", "malformed-line", "format-not-json-csv-both"])
+    "scenario = annulus\nparam = bogus\n",
+    "scenario = annulus\njobs = 0\n",
+], ids=["jobs-not-an-integer", "malformed-line", "format-not-json-csv-both",
+        "param-not-K=V", "jobs-below-1"])
 def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + f"out = {tmp_path}\n", encoding="utf-8")
@@ -173,18 +183,25 @@ def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
     assert not (tmp_path / "annulus").exists()
 
 
-@pytest.mark.parametrize("name, key, value, message", [
-    ("prop35-halfplane", "mu", "1.0", "dilation factor must be positive, finite and != 1"),
-    ("prop35-halfplane", "mu", "nan", "dilation factor must be positive, finite and != 1"),
-    ("prop35-halfplane", "alphas", "-2", "bergman requires a finite alpha > -1"),
-    ("prop35-halfplane", "alphas", "nan", "bergman requires a finite alpha > -1"),
-    ("thm22-eigenfield", "z", "1.0", "z must satisfy |z| < 1, got 1.0"),
-    ("thm32-adjoint-certify", "lam", "-1", "lam must lie off the unit circle, got -1"),
-], ids=["mu-1.0", "mu-nan", "alphas--2", "alphas-nan", "z-1.0", "lam--1"])
-def test_domain_rule_of_the_run_fails_validate_too(name, key, value, message,
+@pytest.mark.parametrize("name, params, message", [
+    ("prop35-halfplane", {"mu": "1.0"}, "dilation factor must be positive, finite and != 1"),
+    ("prop35-halfplane", {"mu": "nan"}, "dilation factor must be positive, finite and != 1"),
+    ("prop35-halfplane", {"alphas": "-2"}, "bergman requires a finite alpha > -1"),
+    ("prop35-halfplane", {"alphas": "nan"}, "bergman requires a finite alpha > -1"),
+    ("thm22-eigenfield", {"z": "1.0"}, "z must satisfy |z| < 1, got 1.0"),
+    ("thm32-adjoint-certify", {"lam": "-1"}, "lam must lie off the unit circle, got -1"),
+    ("prop35-halfplane", {"mu": "1e-300"},
+     "the bergman radius mu^-2.0 does not fit a double at mu=1e-300"),
+    ("prop35-halfplane", {"mu": "0.5", "alphas": "3000"},
+     "the bergman radius mu^-1501.0 does not fit a double at mu=0.5"),
+], ids=["mu-1.0", "mu-nan", "alphas--2", "alphas-nan", "z-1.0", "lam--1",
+        "mu-1e-300", "mu-0.5-alphas-3000"])
+def test_domain_rule_of_the_run_fails_validate_too(name, params, message,
                                                    tmp_path, capsys):
-    assert cli.validate(name, {key: value}) == [message]
-    argv = ["--scenario", name, "--param", f"{key}={value}"]
+    assert cli.validate(name, params) == [message]
+    argv = ["--scenario", name]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
     assert cli.main(argv + ["--validate"]) == 2
     assert capsys.readouterr().out == f"{name}: {message}\n"
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -192,6 +209,29 @@ def test_domain_rule_of_the_run_fails_validate_too(name, key, value, message,
     assert captured.out == ""
     assert captured.err == f"univcert-lab: error: {message}\n"
     assert not (tmp_path / name).exists()
+
+
+SWEEP_VALUES = ("-1", "0", "1", "2", "nan", "inf", "-inf", "1e-300", "1e300", "2j",
+                "x", "")
+
+
+def test_validate_returns_a_list_and_never_raises():
+    for name, sc in cli.REGISTRY.items():
+        for key in sc.defaults:
+            for value in SWEEP_VALUES:
+                assert isinstance(cli.validate(name, {key: value}), list)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_unwritable_out_exits_2_with_one_line(jobs, tmp_path, capsys):
+    out = tmp_path / "a-file"
+    out.write_text("", encoding="utf-8")
+    argv = ["--scenario", "annulus", "--scenario", "prop21-block", "--jobs", jobs]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("univcert-lab: error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_main_validate_reports_non_increasing_ladder(capsys):

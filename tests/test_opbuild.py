@@ -209,27 +209,20 @@ def test_hs_operators_realize_two_sided_multiplication():
     u = opbuild.OpMatrix(rng.standard_normal((n, n)), _hardy(n), _hardy(n))
     v = opbuild.OpMatrix(rng.standard_normal((n, n)), _hardy(n), _hardy(n))
     s = rng.standard_normal((n, n))
-    left, right = opbuild.hs_left(u), opbuild.hs_right(v)
     direct = u.entries @ s @ v.entries
-    assert np.abs(hs_dense.apply_to(left, hs_dense.apply_to(right, s)) - direct).max() < 1e-12
-    # matrix action on the column-major vectorization agrees
-    prod = hs_dense.hs_matrix(left) @ hs_dense.hs_matrix(right)
+    # the left and right matrices compose to kron(V^T, U) on the
+    # column-major vectorization
+    prod = hs_dense.hs_matrix(u, None) @ hs_dense.hs_matrix(None, v)
+    assert np.array_equal(prod, hs_dense.hs_matrix(u, v))
     vec = prod @ s.flatten(order="F")
     assert np.abs(vec - direct.flatten(order="F")).max() < 1e-12
-
-
-def test_hs_product_requires_pure_sides():
-    u = opbuild.backward_shift(3)
-    with pytest.raises(ValueError):
-        opbuild.hs_pair_kernels(opbuild.hs_right(u), opbuild.hs_left(u))
 
 
 def test_hs_kernel_basis_matches_dense_svd():
     n = 6
     b = opbuild.backward_shift(n)
-    left = opbuild.hs_left(b)
-    structured, _, _ = opbuild.hs_pair_kernels(left, opbuild.hs_right(b))
-    dense = numlin.svd_kernel(hs_dense.hs_matrix(left))
+    structured, _, _ = opbuild.hs_pair_kernels(b, b)
+    dense = numlin.svd_kernel(hs_dense.hs_matrix(b, None))
     assert structured.shape[1] == dense.shape[1] == n
     assert numlin.subspace_dims(structured, dense) == (n, n)
 
@@ -253,10 +246,10 @@ def test_hs_pair_kernels_match_dense_kron(n, rank_u, rank_v, seed):
     rank_u, rank_v = min(rank_u, n), min(rank_v, n)
     rng = np.random.default_rng(seed)
     u, v = _low_rank(rng, n, rank_u), _low_rank(rng, n, rank_v)
-    left, right = opbuild.hs_left(u), opbuild.hs_right(v)
-    ker_left, ker_right, product_dim = opbuild.hs_pair_kernels(left, right)
-    for basis, op, rank in ((ker_left, left, rank_u), (ker_right, right, rank_v)):
-        dense = numlin.svd_kernel(hs_dense.hs_matrix(op))
+    ker_left, ker_right, product_dim = opbuild.hs_pair_kernels(u, v)
+    for basis, dense_op, rank in ((ker_left, hs_dense.hs_matrix(u, None), rank_u),
+                                  (ker_right, hs_dense.hs_matrix(None, v), rank_v)):
+        dense = numlin.svd_kernel(dense_op)
         assert basis.shape == (n * n, n * (n - rank))
         assert dense.shape[1] == basis.shape[1]
         assert numlin.subspace_dims(basis, dense) == (basis.shape[1], basis.shape[1])
