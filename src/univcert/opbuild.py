@@ -2,8 +2,8 @@
 
 Shifts, composition operators for hyperbolic disc automorphisms,
 multiplication by z and weighted adjoints, 2x2 block assemblies,
-compressions to the z-invariant subspace, and left/right multiplication
-operators on vectorized Hilbert-Schmidt truncations.
+compressions to the z-invariant subspace, and the kernels of left/right
+multiplications on Hilbert-Schmidt truncations, read from their factors.
 """
 
 from __future__ import annotations
