@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, numlin, opbuild
-from .spaces import SpaceSpec
+from . import analytic, numlin, opbuild, spaces
 
 CERTIFIED = "certified_at_scale"
 FALSIFIED = "falsified"
@@ -442,8 +441,7 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
     """
     if a.entries.shape != reference.entries.shape:
         raise ValueError("compactness proxy needs operators of equal shape")
-    diff = opbuild.OpMatrix(reference.entries - a.entries, a.domain_space,
-                            a.codomain_space)
+    diff = opbuild.OpMatrix(reference.entries - a.entries, a.w_in, a.w_out)
     return DecayProfile(numlin.Spectrum.of(_framed(diff)).values[:count])
 
 
@@ -483,9 +481,8 @@ class WitnessFamily:
 
 def _compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
     """z-compressed weighted adjoint of C_phi on the derivative-norm space."""
-    space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
-    return opbuild.compress_zH2(opbuild.weighted_adjoint(
-        opbuild.composition_matrix(r, space)))
+    w = spaces.weights(1.0, trunc, "derivative")
+    return opbuild.compress_zH2(opbuild.weighted_adjoint(opbuild.composition_matrix(r, w)))
 
 
 def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
@@ -515,7 +512,7 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
                          f"expected {(m, m)} for trunc={trunc}")
     elif np.iscomplexobj(compressed.entries):
         raise ValueError("the compressed adjoint of C_phi for real r is real")
-    wts = compressed.domain_space.weights
+    wts = compressed.w_in
     win = m // WINDOW_FRAC
     k = np.arange(1, trunc)
     base = -np.log(complex(lam)) / t_r
@@ -580,8 +577,7 @@ def family_ex26(n_param: int):
 
 def family_composition(r: float, beta: float = 1.0, variant: str = "power"):
     def build(trunc: int):
-        return opbuild.composition_matrix(
-            r, SpaceSpec(beta=beta, trunc=trunc, variant=variant))
+        return opbuild.composition_matrix(r, spaces.weights(beta, trunc, variant))
     return build
 
 
@@ -591,8 +587,7 @@ def family_adjoint_witnessed(r: float, lam: complex, index_max: int = 64):
     interior section for the corank and the witness family of A at lambda."""
     def build(trunc: int) -> Rung:
         a = _compressed_adjoint(r, trunc)
-        square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1),
-                                  a.domain_space, a.codomain_space)
+        square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1), a.w_in, a.w_out)
         interior = opbuild.interior_section(square, (trunc - 1) // WINDOW_FRAC)
         return Rung(square, interior, adjoint_multiplicity_witnesses(
             r, lam, trunc, index_max, compressed=a))
@@ -608,15 +603,14 @@ def hs_pair_scalar(n: int) -> PairRung:
 def hs_pair_block(size: tuple[int, int]) -> PairRung:
     """Block backward shift pair on HS truncations of K blocks, inner
     dimension d; the model universal commuting pair."""
-    spec = opbuild.BlockShiftSpec(*size)
-    b = opbuild.block_backward_shift(spec)
-    bstar = opbuild.block_forward_shift(spec)
-    n, d = spec.K * spec.d, spec.d
-    # S -> B S loses n directions for each one that B's interior section
-    # loses, and S -> S B* likewise with B*'s; B* = B^T makes that section
-    # bstar[:, :-d].T equal to b[:-d, :], so one spectrum gives both
-    corank = n * numlin.Spectrum.of(b.entries[:-d, :]).corank()
-    return PairRung(b, bstar, (corank, corank), hs=True)
+    K, d = size
+    b = opbuild.block_backward_shift(K, d)
+    # S -> B S loses K d directions for each one that B's interior section
+    # loses, and S -> S B* likewise with B*'s; on the Hardy space B* = B^T
+    # makes that section B*[:, :-d].T equal to B[:-d, :], so one spectrum
+    # gives both
+    corank = K * d * numlin.Spectrum.of(b.entries[:-d, :]).corank()
+    return PairRung(b, opbuild.weighted_adjoint(b), (corank, corank), hs=True)
 
 
 def pair_diagonal_blocks(n: int) -> PairRung:

@@ -15,8 +15,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-from . import analytic, certify, numlin, opbuild
-from .spaces import SpaceSpec
+from . import analytic, certify, numlin, opbuild, spaces
 
 
 def _write_json(path: Path, payload) -> Path:
@@ -118,18 +117,18 @@ def _ladder(floor):
 # -- scenario bodies ----------------------------------------------------------
 
 def _sc_thm22_eigenfield(p):
-    spec = opbuild.BlockShiftSpec(p["K"], p["d"])
-    b = opbuild.block_backward_shift(spec)
-    x0 = 1.0 / (1.0 + np.arange(spec.d))
-    v = analytic.holomorphic_eigenfield(x0, p["z"], spec.K)
+    K, d = p["K"], p["d"]
+    b = opbuild.block_backward_shift(K, d)
+    x0 = 1.0 / (1.0 + np.arange(d))
+    v = analytic.holomorphic_eigenfield(x0, p["z"], K)
     defect = b.entries @ v - p["z"] * v
-    interior = defect[: (spec.K - 1) * spec.d]
+    interior = defect[: (K - 1) * d]
     summary = {
         "scenario": "thm22-eigenfield",
-        "K": spec.K, "d": spec.d, "z": [p["z"].real, p["z"].imag],
+        "K": K, "d": d, "z": [p["z"].real, p["z"].imag],
         "interior_residual_max": float(np.abs(interior).max()),
         "bitwise_exact_interior": bool(np.all(interior == 0)),
-        "boundary_defect": float(np.abs(defect[(spec.K - 1) * spec.d:]).max()),
+        "boundary_defect": float(np.abs(defect[(K - 1) * d:]).max()),
         "narrative": "the geometric block vector is an exact eigenvector of the "
                      "block backward shift away from the truncation boundary",
     }
@@ -140,7 +139,7 @@ def _sc_prop21_block(p):
     n = p["n"]
     u = opbuild.backward_shift(n)
     bdiag = 0.25 + 0.5 * np.arange(n) / n
-    v = opbuild.block2x2(u, np.eye(n), None, np.diag(bdiag))
+    v = opbuild.block2x2(u, np.eye(n), np.zeros((n, n)), np.diag(bdiag))
     ev = numlin.eigenvalues(v)
     parts = np.sort_complex(np.concatenate([np.zeros(n), bdiag.astype(complex)]))
     gap = float(np.abs(np.sort_complex(ev) - parts).max())
@@ -262,10 +261,9 @@ def _sc_thm32_certify(p):
 
 def _sc_cor34_heller(p):
     r, trunc = p["r"], p["trunc"]
-    space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
-    reference = opbuild.weighted_adjoint(opbuild.composition_matrix(-r, space))
-    displayed = opbuild.heller_principal(r, space)
-    flipped = opbuild.heller_principal(r, space, sign=1)
+    reference = opbuild.weighted_adjoint(opbuild.composition_matrix(
+        -r, spaces.weights(1.0, trunc, "derivative")))
+    displayed, flipped = opbuild.heller_principal(r, trunc)
     prof = certify.compactness_proxy(displayed, reference, count=p["count"])
     prof_flipped = certify.compactness_proxy(flipped, reference, count=p["count"])
     rows = [[j + 1, repr(float(s)), repr(float(t))]
@@ -286,8 +284,7 @@ def _sc_cor34_heller(p):
 
 def _sc_mzstar_compare(p):
     trunc = p["trunc"]
-    space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
-    mzs = opbuild.weighted_adjoint(opbuild.mult_z(space))
+    mzs = opbuild.weighted_adjoint(opbuild.mult_z(spaces.weights(1.0, trunc, "derivative")))
     rows = []
     agree = []
     for m in range(trunc - 1):
@@ -332,8 +329,8 @@ def _sc_prop35_halfplane(p):
 def _sc_prop41_falsifiers(p):
     n = p["n"]
     b = opbuild.backward_shift(n)
-    b2 = opbuild.OpMatrix(b.entries @ b.entries, b.domain_space, b.codomain_space)
-    b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.domain_space, b.codomain_space)
+    b2 = opbuild.OpMatrix(b.entries @ b.entries, b.w_in, b.w_out)
+    b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.w_in, b.w_out)
     rep_poly = certify.algebraic_falsifier(b, b2, poly=[1.0])
     rep_pow = certify.algebraic_falsifier(b2, b3, powers=(2, 3))
     control = certify.algebraic_falsifier(b, certify.family_identity(n),
@@ -516,8 +513,9 @@ def _parse_ladder(text: str):
 def _as_kind(default, value):
     """value in the kind of default: strings are parsed first, then tuples
     need sequences of the default's element kind (a rung of KxD rungs needs
-    as many parts as the default's), ints need integers and float or
-    complex defaults take any number. Raises ValueError."""
+    as many parts as the default's), ints need integers that fit 64 bits and
+    float or complex defaults take any number that fits a double. Raises
+    ValueError."""
     if isinstance(default, tuple):
         if isinstance(value, str):
             value = _parse_ladder(value)
@@ -533,9 +531,15 @@ def _as_kind(default, value):
     if isinstance(default, int):
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"expected an integer, got {value!r}")
+        if not -2**63 <= value < 2**63:
+            raise ValueError(f"expected an integer in [-2**63, 2**63), got {value!r}")
         return int(value)
     if not isinstance(value, numbers.Number):
         raise ValueError(f"expected a number, got {value!r}")
+    try:
+        complex(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} does not fit a double") from None
     return value
 
 
@@ -720,7 +724,9 @@ def main(argv=None) -> int:
     tasks = [(name, params, out_dir, fmt) for name in scenarios]
     try:
         if jobs > 1 and len(tasks) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            # a forking pool starts all of its workers at once
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(jobs, len(tasks))) as pool:
                 results = list(pool.map(_run_one, tasks))
         else:
             results = [_run_one(task) for task in tasks]

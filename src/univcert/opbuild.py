@@ -8,46 +8,37 @@ multiplications on Hilbert-Schmidt truncations, read from their factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import numlin
-from .spaces import SpaceSpec
+from . import numlin, spaces
 
 
 @dataclass(frozen=True)
 class OpMatrix:
-    """Dense truncation matrix with its domain and codomain spaces."""
+    """Dense truncation matrix from the space weighted by w_in to the space
+    weighted by w_out; the weights are all a computation reads of a space."""
 
     entries: np.ndarray
-    domain_space: SpaceSpec
-    codomain_space: SpaceSpec
+    w_in: np.ndarray
+    w_out: np.ndarray
 
     def __post_init__(self):
+        if self.entries.shape != (self.w_out.size, self.w_in.size):
+            raise ValueError(f"entries of shape {self.entries.shape} do not map "
+                             f"{self.w_in.size} weights onto {self.w_out.size}")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("matrix entries must be finite")
         self.entries.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class BlockShiftSpec:
-    """K blocks of inner dimension d."""
-
-    K: int
-    d: int
-
-    def __post_init__(self):
-        if self.K < 2 or self.d < 1:
-            raise ValueError("need K >= 2 blocks of dimension d >= 1")
+def _square(entries: np.ndarray, w: np.ndarray) -> OpMatrix:
+    return OpMatrix(entries, w, w)
 
 
-def _square(entries: np.ndarray, space: SpaceSpec) -> OpMatrix:
-    return OpMatrix(entries, space, space)
-
-
-def _hardy(n: int) -> SpaceSpec:
-    return SpaceSpec(beta=0.0, trunc=n)
+def _hardy(n: int) -> np.ndarray:
+    return spaces.weights(0.0, n)
 
 
 def backward_shift(n: int) -> OpMatrix:
@@ -57,15 +48,12 @@ def backward_shift(n: int) -> OpMatrix:
     return _square(np.eye(n, k=1), _hardy(n))
 
 
-def block_backward_shift(spec: BlockShiftSpec) -> OpMatrix:
-    """Block shift (x_0, x_1, ..., x_{K-1}) -> (x_1, ..., x_{K-1}, 0)."""
-    n = spec.K * spec.d
-    return _square(np.eye(n, k=spec.d), _hardy(n))
-
-
-def block_forward_shift(spec: BlockShiftSpec) -> OpMatrix:
-    n = spec.K * spec.d
-    return _square(np.eye(n, k=-spec.d), _hardy(n))
+def block_backward_shift(K: int, d: int) -> OpMatrix:
+    """Block shift (x_0, x_1, ..., x_{K-1}) -> (x_1, ..., x_{K-1}, 0) on K
+    blocks of inner dimension d."""
+    if K < 2 or d < 1:
+        raise ValueError("need K >= 2 blocks of dimension d >= 1")
+    return _square(np.eye(K * d, k=d), _hardy(K * d))
 
 
 def interior_section(a: OpMatrix, drop_rows: int) -> OpMatrix:
@@ -77,13 +65,13 @@ def interior_section(a: OpMatrix, drop_rows: int) -> OpMatrix:
     """
     if not 0 < drop_rows < a.entries.shape[0]:
         raise ValueError("drop_rows out of range")
-    cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - drop_rows)
-    return OpMatrix(np.ascontiguousarray(a.entries[:-drop_rows, :]), a.domain_space, cod)
+    return OpMatrix(np.ascontiguousarray(a.entries[:-drop_rows, :]), a.w_in,
+                    a.w_out[:-drop_rows])
 
 
 # -- composition operators ---------------------------------------------------
 
-def composition_matrix(r: float, space: SpaceSpec) -> OpMatrix:
+def composition_matrix(r: float, w: np.ndarray) -> OpMatrix:
     """Column k holds the leading Taylor coefficients of phi_r^k.
 
     Built from (1 + r z) phi^{k+1} = (z + r) phi^k, entry by entry
@@ -98,7 +86,7 @@ def composition_matrix(r: float, space: SpaceSpec) -> OpMatrix:
         raise ValueError(f"automorphism parameter must satisfy |r| < 1, got {r}")
     if r == 0:
         raise ValueError("r = 0 is the identity map, not a hyperbolic automorphism")
-    n = space.trunc
+    n = w.size
     m = np.zeros((n, n))
     m[0, 0] = 1.0
     m[0, 1:] = np.cumprod(np.full(n - 1, r))   # C[0, k] = r C[0, k-1]
@@ -112,22 +100,19 @@ def composition_matrix(r: float, space: SpaceSpec) -> OpMatrix:
         np.subtract(flat[start - 1:stop - 1:step], flat[start - n:stop - n:step], out=out)
         out *= r
         out += flat[start - n - 1:stop - n - 1:step]
-    return _square(m, space)
+    return _square(m, w)
 
 
-def mult_z(space: SpaceSpec) -> OpMatrix:
+def mult_z(w: np.ndarray) -> OpMatrix:
     """Coefficient forward shift f -> z f; e_{N-1} falls off the truncation."""
-    return _square(np.eye(space.trunc, k=-1), space)
+    return _square(np.eye(w.size, k=-1), w)
 
 
 def weighted_adjoint(a: OpMatrix) -> OpMatrix:
-    """Gram adjoint W^{-1} A^H W for the diagonal weight W of the domain space."""
-    s = a.domain_space
-    if a.entries.shape[0] != a.entries.shape[1] or a.entries.shape[0] != s.trunc:
-        raise ValueError("weighted adjoint requires a square matrix on its domain space")
-    w = s.weights
-    adj = a.entries.conj().T * (w[None, :] / w[:, None])
-    return _square(adj, s)
+    """Gram adjoint W_in^{-1} A^H W_out, from the space weighted by w_out
+    back to the one weighted by w_in."""
+    adj = a.entries.conj().T * (a.w_out[None, :] / a.w_in[:, None])
+    return OpMatrix(adj, a.w_out, a.w_in)
 
 
 def weighted_frame(a: OpMatrix) -> np.ndarray:
@@ -136,68 +121,45 @@ def weighted_frame(a: OpMatrix) -> np.ndarray:
     Singular values of the framed matrix are the honest singular values of
     the operator between the weighted spaces.
     """
-    wi = np.sqrt(a.domain_space.weights)
-    wo = np.sqrt(a.codomain_space.weights)
+    wi = np.sqrt(a.w_in)
+    wo = np.sqrt(a.w_out)
     return a.entries * (wo[:, None] / wi[None, :])
 
 
-def heller_principal(r: float, space: SpaceSpec, sign: int = -1) -> OpMatrix:
-    """Principal part of the adjoint of the inverse composition operator.
-
-    (1+r^2)/(1-r^2) C + sign r/(1-r^2) (M_z^* + M_z) C with
-    sign = -1 as displayed, +1 for the combination with the middle sign
-    flipped; the compact remainder is not constructible and is assessed by
-    singular-value decay.
+def heller_principal(r: float, trunc: int) -> tuple[OpMatrix, OpMatrix]:
+    """Principal part of the adjoint of the inverse composition operator on
+    the derivative-norm space, as displayed and with its middle sign flipped:
+    (1+r^2)/(1-r^2) C -+ r/(1-r^2) (M_z^* + M_z) C, both read from one C and
+    one product. The compact remainder is not constructible and is assessed
+    by singular-value decay.
     """
-    if space.beta != 1.0:
-        raise ValueError("the principal-part formula lives on the beta = 1 space")
+    w = spaces.weights(1.0, trunc, "derivative")
     c1 = (1.0 + r * r) / (1.0 - r * r)
     c2 = r / (1.0 - r * r)
-    comp = composition_matrix(r, space)
-    mz = mult_z(space)
-    mzs = weighted_adjoint(mz)
-    ent = c1 * comp.entries + sign * (c2 * (mzs.entries + mz.entries) @ comp.entries)
-    return _square(ent, space)
+    comp = composition_matrix(r, w)
+    mz = mult_z(w)
+    middle = c2 * (weighted_adjoint(mz).entries + mz.entries) @ comp.entries
+    base = c1 * comp.entries
+    return _square(base - middle, w), _square(base + middle, w)
 
 
 # -- block assemblies --------------------------------------------------------
 
 def block2x2(u, a, c, b) -> OpMatrix:
-    """Assemble [[U, A], [C, B]]; None stands for a zero block."""
-    blocks = [[u, a], [c, b]]
-    ent = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            blk = blocks[i][j]
-            if blk is not None:
-                ent[i][j] = np.asarray(getattr(blk, "entries", blk))
+    """Assemble [[U, A], [C, B]] on the Hardy space; each block is an
+    OpMatrix or an array. Blocks that do not tile a square raise ValueError."""
+    def ent(blk):
+        return np.asarray(getattr(blk, "entries", blk))
 
-    def _dim(pair, axis):
-        sizes = {e.shape[axis] for e in pair if e is not None}
-        if len(sizes) != 1:
-            raise ValueError("block sizes are inconsistent or underdetermined")
-        return sizes.pop()
-
-    rows = [_dim(ent[i], 0) for i in range(2)]
-    cols = [_dim([ent[0][j], ent[1][j]], 1) for j in range(2)]
-    for i in range(2):
-        for j in range(2):
-            if ent[i][j] is None:
-                ent[i][j] = np.zeros((rows[i], cols[j]))
-    m = np.block(ent)
+    m = np.block([[ent(u), ent(a)], [ent(c), ent(b)]])
     return _square(m, _hardy(m.shape[0]))
 
 
 def compress_zH2(a: OpMatrix) -> OpMatrix:
     """Compression to span{e_1, ...}: delete row 0 and column 0."""
-    n = a.entries.shape[0]
-    if n < 2 or a.entries.shape[1] < 2:
+    if min(a.entries.shape) < 2:
         raise ValueError("compression needs size >= 2")
-    dom = replace(a.domain_space, trunc=a.domain_space.trunc - 1,
-                  offset=a.domain_space.offset + 1)
-    cod = replace(a.codomain_space, trunc=a.codomain_space.trunc - 1,
-                  offset=a.codomain_space.offset + 1)
-    return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), dom, cod)
+    return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), a.w_in[1:], a.w_out[1:])
 
 
 # -- Hilbert-Schmidt multiplications -----------------------------------------

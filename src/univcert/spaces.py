@@ -7,49 +7,26 @@ derivative space (1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-
 import numpy as np
 
 
-class Variant(str, Enum):
-    POWER = "power"
-    DERIVATIVE = "derivative"
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Truncated coefficient space with diagonal weights w_0..w_{N-1}."""
-
-    beta: float
-    trunc: int
-    variant: Variant = Variant.POWER
-    offset: int = 0
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.trunc < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.trunc}")
-        if self.offset < 0:
-            raise ValueError("basis offset must be nonnegative")
-        variant = Variant(self.variant)
-        object.__setattr__(self, "variant", variant)
-        if variant is Variant.DERIVATIVE and self.beta != 1.0:
-            raise ValueError("derivative variant is defined only for beta = 1")
-        weights = _weights(self.beta, self.trunc, variant, self.offset)
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-
-
-def _weights(beta: float, n: int, variant: Variant, offset: int) -> np.ndarray:
-    idx = np.arange(offset, offset + n, dtype=float)
-    if variant is Variant.POWER:
+def weights(beta: float, trunc: int, variant: str = "power") -> np.ndarray:
+    """Read-only weights w_0..w_{trunc-1}: (k + 1)^(2 beta) for "power";
+    for "derivative" (beta = 1 only) |a_0|^2 + sum k^2 |a_k|^2, the norm
+    induced by f -> (f(0), f')."""
+    if trunc < 1:
+        raise ValueError(f"truncation must be >= 1, got {trunc}")
+    idx = np.arange(trunc, dtype=float)
+    if variant == "power":
         w = (idx + 1.0) ** (2.0 * beta)
-    else:
-        # |a_0|^2 + sum n^2 |a_n|^2, the norm induced by f -> (f(0), f').
+    elif variant == "derivative":
+        if beta != 1.0:
+            raise ValueError("derivative variant is defined only for beta = 1")
         w = idx**2
-        w[idx == 0] = 1.0
+        w[0] = 1.0
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
     if not np.all(w > 0):
         raise ValueError("weights must be strictly positive")
+    w.setflags(write=False)
     return w

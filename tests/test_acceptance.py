@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from univcert import analytic, certify, cli, numlin, opbuild
-from univcert.spaces import SpaceSpec
+from univcert import analytic, certify, cli, numlin, opbuild, spaces
 
 import hs_dense
 from eigenfunction_spec import EigenfunctionSpec
@@ -35,8 +34,7 @@ def test_criterion_01_annulus_radii():
 def test_criterion_02_eigenfunction_residuals():
     n_coeffs, window = 2048, 256
     lam = 3.0 ** 0.25
-    space = SpaceSpec(beta=0.0, trunc=n_coeffs)
-    c = opbuild.composition_matrix(0.5, space).entries
+    c = opbuild.composition_matrix(0.5, spaces.weights(0.0, n_coeffs)).entries
     ok = True
     worst = 0.0
     for n in (0, 1, -1, 2, -2):
@@ -119,9 +117,8 @@ def test_criterion_06_adjoint_certified_with_growing_witnesses():
 
 def test_criterion_07_mzstar_superdiagonal():
     trunc = 12
-    space = SpaceSpec(beta=1.0, trunc=trunc, variant="derivative")
-    mzs = opbuild.weighted_adjoint(opbuild.mult_z(space)).entries
-    w = space.weights
+    w = spaces.weights(1.0, trunc, "derivative")
+    mzs = opbuild.weighted_adjoint(opbuild.mult_z(w)).entries
     ok = True
     for m in range(trunc - 1):
         ok = ok and abs(mzs[m, m + 1] - w[m + 1] / w[m]) < 1e-12

@@ -27,8 +27,7 @@ def family_backward_shift(n: int):
 def family_block_backward(n: int, block_frac: int = 4):
     """Fixture: backward shift of growing inner dimension d = n / block_frac."""
     d = max(n // block_frac, 1)
-    spec = opbuild.BlockShiftSpec(max(n // d, 2), d)
-    b = opbuild.block_backward_shift(spec)
+    b = opbuild.block_backward_shift(max(n // d, 2), d)
     return certify.Rung(b, opbuild.interior_section(b, d))
 
 
@@ -353,7 +352,7 @@ def test_compactness_proxy_rank_one_difference():
     a = certify.family_identity(8)
     bump = np.zeros((8, 8))
     bump[0, 0] = 2.0
-    b = opbuild.OpMatrix(np.eye(8) + bump, a.domain_space, a.codomain_space)
+    b = opbuild.OpMatrix(np.eye(8) + bump, a.w_in, a.w_out)
     prof = certify.compactness_proxy(a, b, count=4)
     assert prof.values[0] == pytest.approx(2.0)
     assert prof.ratio(2) < 1e-14
@@ -401,7 +400,7 @@ def test_witness_family_reuses_a_given_compressed_adjoint():
     with pytest.raises(ValueError, match="shape"):
         certify.adjoint_multiplicity_witnesses(0.5, lam, 65, index_max=8,
                                                compressed=a)
-    complex_a = opbuild.OpMatrix(a.entries + 0j, a.domain_space, a.codomain_space)
+    complex_a = opbuild.OpMatrix(a.entries + 0j, a.w_in, a.w_out)
     with pytest.raises(ValueError, match="real"):
         certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
                                                compressed=complex_a)
@@ -412,7 +411,7 @@ def _full_product_family(r, lam, trunc, index_max):
     product (A @ v - lambda v)[:win] of a complex copy of A, one witness at
     a time."""
     a = certify._compressed_adjoint(r, trunc)
-    am, wts = a.entries.astype(complex), a.domain_space.weights
+    am, wts = a.entries.astype(complex), a.w_in
     m = trunc - 1
     win = m // 4
     t_r = HyperbolicAuto(r).t_param

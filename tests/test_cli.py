@@ -211,8 +211,39 @@ def test_domain_rule_of_the_run_fails_validate_too(name, params, message,
     assert not (tmp_path / name).exists()
 
 
+# 10**23 is past 64 bits; 10**400 parses as an int that no double holds
+PAST_INT64, PAST_DOUBLE = "1" + "0" * 23, "1" + "0" * 400
+
+
+@pytest.mark.parametrize("name, key, value, message", [
+    ("thm32-adjoint-certify", "index_max", PAST_INT64,
+     f"index_max: expected an integer in [-2**63, 2**63), got {PAST_INT64}"),
+    ("prop35-halfplane", "mu", PAST_DOUBLE, f"mu: {PAST_DOUBLE} does not fit a double"),
+], ids=["index_max-past-int64", "mu-past-double"])
+def test_number_too_large_for_its_kind_fails_validate_and_run_alike(name, key, value,
+                                                                    message, tmp_path,
+                                                                    capsys):
+    assert cli.validate(name, {key: value}) == [message]
+    argv = ["--scenario", name, "--param", f"{key}={value}"]
+    assert cli.main(argv + ["--validate"]) == 2
+    assert capsys.readouterr().out == f"{name}: {message}\n"
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"univcert-lab: error: {message}\n"
+    assert not (tmp_path / name).exists()
+
+
+def test_integer_kind_holds_exactly_the_int64_range():
+    assert cli._as_kind(1, 2**63 - 1) == 2**63 - 1
+    assert cli._as_kind(1, -2**63) == -2**63
+    for value in (2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            cli._as_kind(1, value)
+
+
 SWEEP_VALUES = ("-1", "0", "1", "2", "nan", "inf", "-inf", "1e-300", "1e300", "2j",
-                "x", "")
+                "x", "", PAST_INT64, PAST_DOUBLE)
 
 
 def test_validate_returns_a_list_and_never_raises():
@@ -346,6 +377,32 @@ def test_main_config_and_ladder_override(tmp_path, capsys):
     summary = _summary(tmp_path, "ex25-notC")
     sizes = [r["size"] for r in summary["check_Cplus"]["ladder"]]
     assert sizes == [16, 32, 64]
+
+
+def test_jobs_beyond_the_scenario_count_start_one_worker_each(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process: nothing is forked."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    rc = cli.main(["--scenario", "annulus", "--scenario", "prop35-halfplane",
+                   "--out", str(tmp_path), "--format", "json", "--jobs", "100000"])
+    assert rc == 0
+    assert sizes == [2]
+    assert (tmp_path / "prop35-halfplane" / "summary.json").exists()
 
 
 def test_main_parallel_jobs(tmp_path):

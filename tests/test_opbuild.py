@@ -6,18 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from univcert import numlin, opbuild
-from univcert.spaces import SpaceSpec
+from univcert import numlin, opbuild, spaces
 
 import hs_dense
 
 
 def _hardy(n):
-    return SpaceSpec(beta=0.0, trunc=n)
+    return spaces.weights(0.0, n)
 
 
 def _deriv(n):
-    return SpaceSpec(beta=1.0, trunc=n, variant="derivative")
+    return spaces.weights(1.0, n, "derivative")
 
 
 def test_backward_forward_shift_matrices():
@@ -29,17 +28,21 @@ def test_backward_forward_shift_matrices():
 
 
 def test_block_shift_moves_whole_blocks():
-    b = opbuild.block_backward_shift(opbuild.BlockShiftSpec(3, 2))
+    b = opbuild.block_backward_shift(3, 2)
     x = np.arange(6.0)
     assert np.array_equal(b.entries @ x, [2, 3, 4, 5, 0, 0])
-    with pytest.raises(ValueError):
-        opbuild.BlockShiftSpec(1, 2)
+    # on the Hardy space the weighted adjoint is the block forward shift
+    assert np.array_equal(opbuild.weighted_adjoint(b).entries @ x, [0, 0, 0, 1, 2, 3])
+    for K, d in ((1, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            opbuild.block_backward_shift(K, d)
 
 
 def test_interior_section_trims_rows():
     b = opbuild.backward_shift(5)
     sec = opbuild.interior_section(b, 1)
     assert sec.entries.shape == (4, 5)
+    assert sec.w_in.size == 5 and sec.w_out.size == 4
     assert numlin.Spectrum.of(sec.entries).corank() == 0
     with pytest.raises(ValueError):
         opbuild.interior_section(b, 5)
@@ -119,12 +122,12 @@ def test_sign_conjugation_flips_the_parameter(r, side, n):
 
 
 def test_weighted_adjoint_matches_inner_products():
-    space = _deriv(7)
-    a = opbuild.composition_matrix(0.5, space)
+    w = _deriv(7)
+    a = opbuild.composition_matrix(0.5, w)
     astar = opbuild.weighted_adjoint(a)
 
     def inner(f, g):
-        return np.sum(space.weights * f * np.conj(g))
+        return np.sum(w * f * np.conj(g))
 
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -136,8 +139,7 @@ def test_weighted_adjoint_matches_inner_products():
 
 
 def test_weighted_adjoint_is_an_involution():
-    space = _deriv(6)
-    a = opbuild.composition_matrix(0.3, space)
+    a = opbuild.composition_matrix(0.3, _deriv(6))
     back = opbuild.weighted_adjoint(opbuild.weighted_adjoint(a))
     assert np.abs(back.entries - a.entries).max() < 1e-14
 
@@ -145,8 +147,8 @@ def test_weighted_adjoint_is_an_involution():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 0.9), st.integers(2, 24), st.sampled_from(["power", "derivative"]))
 def test_weighted_frame_is_a_unitary_change_of_coordinates(r, n, variant):
-    space = SpaceSpec(beta=1.0, trunc=n, variant=variant)
-    for a in (opbuild.mult_z(space), opbuild.composition_matrix(r, space)):
+    w = spaces.weights(1.0, n, variant)
+    for a in (opbuild.mult_z(w), opbuild.composition_matrix(r, w)):
         framed = opbuild.weighted_frame(a)
         # the framed matrix of the adjoint is the conjugate transpose
         framed_star = opbuild.weighted_frame(opbuild.weighted_adjoint(a))
@@ -155,52 +157,55 @@ def test_weighted_frame_is_a_unitary_change_of_coordinates(r, n, variant):
 
 
 def test_mzstar_superdiagonal_weight_ratios():
-    space = _deriv(6)
-    mzs = opbuild.weighted_adjoint(opbuild.mult_z(space))
-    w = space.weights
+    w = _deriv(6)
+    mzs = opbuild.weighted_adjoint(opbuild.mult_z(w))
     expect = np.zeros((6, 6))
     for m in range(5):
         expect[m, m + 1] = w[m + 1] / w[m]
     assert np.abs(mzs.entries - expect).max() < 1e-14
 
 
-@settings(deadline=None)
-@given(st.sampled_from([-1, 1]))
-def test_heller_principal_assembly(sign):
+def test_heller_principal_assembly():
     r = 0.5
-    space = _deriv(8)
-    hp = opbuild.heller_principal(r, space, sign=sign)
-    comp = opbuild.composition_matrix(r, space)
-    mz = opbuild.mult_z(space)
+    w = _deriv(8)
+    displayed, flipped = opbuild.heller_principal(r, 8)
+    comp = opbuild.composition_matrix(r, w)
+    mz = opbuild.mult_z(w)
     mzs = opbuild.weighted_adjoint(mz)
     c1 = (1 + r * r) / (1 - r * r)
     c2 = r / (1 - r * r)
-    manual = (c1 * comp.entries
-              + sign * c2 * (mzs.entries + mz.entries) @ comp.entries)
-    assert np.abs(hp.entries - manual).max() < 1e-14
-    with pytest.raises(ValueError):
-        opbuild.heller_principal(r, SpaceSpec(beta=0.5, trunc=8))
+    for hp, sign in ((displayed, -1), (flipped, 1)):
+        manual = (c1 * comp.entries
+                  + sign * c2 * (mzs.entries + mz.entries) @ comp.entries)
+        assert np.abs(hp.entries - manual).max() < 1e-14
+        assert np.array_equal(hp.w_in, w) and np.array_equal(hp.w_out, w)
 
 
 def test_block2x2_layout_and_zero_inference():
     u = opbuild.backward_shift(3)
-    m = opbuild.block2x2(u, np.eye(3), None, np.zeros((3, 3)))
+    zero = np.zeros((3, 3))
+    m = opbuild.block2x2(u, np.eye(3), zero, zero)
     assert m.entries.shape == (6, 6)
     assert np.array_equal(m.entries[:3, :3], u.entries)
     assert np.array_equal(m.entries[:3, 3:], np.eye(3))
     assert np.array_equal(m.entries[3:, :], np.zeros((3, 6)))
-    with pytest.raises(ValueError):
-        opbuild.block2x2(None, None, np.eye(3), None)
+    # blocks whose rows or columns disagree do not tile, and blocks that
+    # tile a rectangle are not an operator on one space
+    for blocks in ((u, np.eye(3), np.zeros((2, 3)), zero),
+                   (u, np.eye(3), zero, np.zeros((3, 2))),
+                   (u, np.zeros((3, 4)), zero, np.zeros((3, 4)))):
+        with pytest.raises(ValueError):
+            opbuild.block2x2(*blocks)
 
 
 def test_compress_zH2_drops_constant_direction():
-    space = _deriv(5)
-    a = opbuild.composition_matrix(0.5, space)
+    a = opbuild.composition_matrix(0.5, _deriv(5))
     c = opbuild.compress_zH2(a)
     assert c.entries.shape == (4, 4)
     assert np.array_equal(c.entries, a.entries[1:, 1:])
-    assert c.domain_space.offset == 1
-    assert np.allclose(c.domain_space.weights, [1.0, 4.0, 9.0, 16.0])
+    # the compression slices the weights: e_1, e_2, ... keep their norms
+    assert np.array_equal(c.w_in, [1.0, 4.0, 9.0, 16.0])
+    assert np.array_equal(c.w_out, [1.0, 4.0, 9.0, 16.0])
 
 
 def test_hs_operators_realize_two_sided_multiplication():
@@ -258,3 +263,12 @@ def test_hs_pair_kernels_match_dense_kron(n, rank_u, rank_v, seed):
 def test_opmatrix_rejects_nonfinite_entries():
     with pytest.raises(ValueError):
         opbuild.OpMatrix(np.array([[np.nan]]), _hardy(1), _hardy(1))
+
+
+def test_opmatrix_entries_must_map_w_in_onto_w_out():
+    entries = np.zeros((2, 3))
+    assert opbuild.OpMatrix(entries, _hardy(3), _hardy(2)).entries.shape == (2, 3)
+    for w_in, w_out in ((_hardy(2), _hardy(3)), (_hardy(3), _hardy(3)),
+                        (_hardy(2), _hardy(2))):
+        with pytest.raises(ValueError, match="do not map"):
+            opbuild.OpMatrix(entries, w_in, w_out)

@@ -29,7 +29,8 @@ runs = [("thm32-adjoint-certify", {"ladder": "64,128,256", "index_max": 8}),
         ("ex31-falsify-dirichlet", {}),
         ("ex25-notC", {}),
         ("ex43-diagonal", {}),
-        ("thm44-block-pair", {"ladder": "2x2,3x3,4x4"})]
+        ("thm44-block-pair", {"ladder": "2x2,3x3,4x4"}),
+        ("cor34-heller", {})]
 metrics = {}
 with tempfile.TemporaryDirectory() as out:
     for run_id, (name, params) in enumerate(runs):
@@ -90,3 +91,13 @@ def test_thm44_block_pair_stacks_its_kernel_bases_once(traced):
     # the HS operators keep their factors: no n^2 x n^2 matrix is formed
     assert m["linalg.kron.calls"] == 0
     assert m["opbuild.hs.bytes"] == 0
+
+
+def test_cor34_builds_its_principal_part_from_one_composition_matrix(traced):
+    m = traced["cor34-heller"]
+    # C(-r) for the reference adjoint, and one C(r) read by both signs of
+    # the principal part
+    assert m["opbuild.composition_matrix.calls"] == 2
+    assert m["opbuild.composition_matrix.distinct_ratio"] == 1.0
+    # one decay profile per sign
+    assert m["linalg.svd.calls"] == 2
