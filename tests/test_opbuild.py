@@ -122,20 +122,17 @@ def test_sign_conjugation_flips_the_parameter(r, side, n):
 
 
 def test_weighted_adjoint_matches_inner_products():
-    w = _deriv(7)
-    a = opbuild.composition_matrix(0.5, w)
-    astar = opbuild.weighted_adjoint(a)
-
-    def inner(f, g):
-        return np.sum(w * f * np.conj(g))
-
+    square = opbuild.composition_matrix(0.5, _deriv(7))
+    # the interior section maps onto the first five weights only
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        lhs = inner(a.entries @ f, g)
-        rhs = inner(f, astar.entries @ g)
-        assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+    for a in (square, opbuild.interior_section(square, 2)):
+        astar = opbuild.weighted_adjoint(a)
+        for _ in range(20):
+            f = rng.standard_normal(a.w_in.size) + 1j * rng.standard_normal(a.w_in.size)
+            g = rng.standard_normal(a.w_out.size) + 1j * rng.standard_normal(a.w_out.size)
+            lhs = np.sum(a.w_out * (a.entries @ f) * np.conj(g))
+            rhs = np.sum(a.w_in * f * np.conj(astar.entries @ g))
+            assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_weighted_adjoint_is_an_involution():
