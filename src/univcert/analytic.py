@@ -85,12 +85,11 @@ class ZeroSet:
     dps: int  # decimal precision the zeros were computed at
 
 
-def covering_value(r: float, z, dps: int | None = None):
-    """psi_r(z) = ((1-z)/(1+z))^{i t_r / pi} at mpmath precision."""
+def covering_value(r: float, z):
+    """psi_r(z) = ((1-z)/(1+z))^{i t_r / pi} at the working mpmath precision."""
     t_r = HyperbolicAuto(r).t_param
-    with mp.workdps(dps or mp.mp.dps):
-        zz = mp.mpc(z)
-        return mp.exp(1j * t_r / mp.pi * mp.log((1 - zz) / (1 + zz)))
+    zz = mp.mpc(z)
+    return mp.exp(1j * t_r / mp.pi * mp.log((1 - zz) / (1 + zz)))
 
 
 def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:

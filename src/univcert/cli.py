@@ -114,176 +114,216 @@ def _ladder(floor):
     return check
 
 
-# -- scenario bodies ----------------------------------------------------------
+# -- scenarios ----------------------------------------------------------------
 
-def _sc_thm22_eigenfield(p):
-    K, d = p["K"], p["d"]
+@dataclass(frozen=True)
+class Scenario:
+    """A registered experiment: run(**params) returns (fields, tables), each
+    table a (file name, header, rows) triple; the report's summary is the
+    fields plus the scenario's name and narrative. Every parameter has a
+    default, whose kind decides how a given value is parsed; checks are the
+    domain rules validate() runs on the parsed parameters, in order."""
+
+    name: str
+    run: callable
+    defaults: dict
+    description: str
+    narrative: str
+    checks: tuple
+
+
+REGISTRY: dict[str, Scenario] = {}
+
+
+def _scenario(name, description, narrative, checks):
+    """Registers the decorated body as scenario name; its keyword-only
+    parameters and their defaults are the scenario's."""
+    def register(run):
+        REGISTRY[name] = Scenario(name, run, dict(run.__kwdefaults__), description,
+                                  narrative, checks)
+        return run
+    return register
+
+
+@_scenario("thm22-eigenfield",
+           "exact holomorphic eigenvector field of the block backward shift",
+           "the geometric block vector is an exact eigenvector of the block "
+           "backward shift away from the truncation boundary",
+           (_at_least("K", 2), _at_least("d", 1), _in_disc("z")))
+def _sc_thm22_eigenfield(*, K=8, d=4, z=0.25 + 0.15j):
     b = opbuild.block_backward_shift(K, d)
     x0 = 1.0 / (1.0 + np.arange(d))
-    v = analytic.holomorphic_eigenfield(x0, p["z"], K)
-    defect = b.entries @ v - p["z"] * v
+    v = analytic.holomorphic_eigenfield(x0, z, K)
+    defect = b.entries @ v - z * v
     interior = defect[: (K - 1) * d]
-    summary = {
-        "scenario": "thm22-eigenfield",
-        "K": K, "d": d, "z": [p["z"].real, p["z"].imag],
+    fields = {
+        "K": K, "d": d, "z": [z.real, z.imag],
         "interior_residual_max": float(np.abs(interior).max()),
         "bitwise_exact_interior": bool(np.all(interior == 0)),
         "boundary_defect": float(np.abs(defect[(K - 1) * d:]).max()),
-        "narrative": "the geometric block vector is an exact eigenvector of the "
-                     "block backward shift away from the truncation boundary",
     }
-    return summary, []
+    return fields, []
 
 
-def _sc_prop21_block(p):
-    n = p["n"]
+@_scenario("prop21-block",
+           "triangular block operators keep the union of part spectra",
+           "the triangular block operator keeps exactly the union of the "
+           "diagonal blocks' eigenvalues",
+           (_at_least("n", 2),))
+def _sc_prop21_block(*, n=24):
     u = opbuild.backward_shift(n)
     bdiag = 0.25 + 0.5 * np.arange(n) / n
     v = opbuild.block2x2(u, np.eye(n), np.zeros((n, n)), np.diag(bdiag))
     ev = numlin.eigenvalues(v)
     parts = np.sort_complex(np.concatenate([np.zeros(n), bdiag.astype(complex)]))
     gap = float(np.abs(np.sort_complex(ev) - parts).max())
-    summary = {
-        "scenario": "prop21-block", "n": n,
-        "eigenvalue_union_gap": gap,
-        "narrative": "the triangular block operator keeps exactly the union of "
-                     "the diagonal blocks' eigenvalues",
-    }
-    return summary, []
+    return {"n": n, "eigenvalue_union_gap": gap}, []
 
 
-def _sc_ex25_notC(p):
+@_scenario("ex25-notC",
+           "rank-1 compact bump: kernel keeps growing, one range direction lost",
+           "a rank-1 bump on a surjective half shift destroys surjectivity (one "
+           "lost direction) while the kernel keeps growing: the stricter "
+           "condition fails, the corank-tolerant one certifies",
+           (_ladder(3),))
+def _sc_ex25_notC(*, ladder=(32, 64, 128)):
     # one walk of the ladder, read by both verdict rules
-    walk = certify.kernel_ladder(certify.family_halfshift_plus_rank1, p["ladder"])
+    walk = certify.kernel_ladder(certify.family_halfshift_plus_rank1, ladder)
     rep_c = certify.kernel_verdict("C", walk)
     rep_cplus = certify.kernel_verdict("Cplus", walk)
-    summary = {
-        "scenario": "ex25-notC",
-        "check_C": rep_c.as_dict(),
-        "check_Cplus": rep_cplus.as_dict(),
-        "narrative": "a rank-1 bump on a surjective half shift destroys "
-                     "surjectivity (one lost direction) while the kernel keeps "
-                     "growing: the stricter condition fails, the corank-tolerant "
-                     "one certifies",
-    }
-    return summary, []
+    return {"check_C": rep_c.as_dict(), "check_Cplus": rep_cplus.as_dict()}, []
 
 
-def _sc_ex26_perturbation(p):
-    trunc = p["trunc"]
+@_scenario("ex26-perturbation",
+           "injective perturbations at distance 1/n from a universal operator",
+           "every perturbed operator is injective (kernel trivial), yet sits at "
+           "distance exactly 1/n from a universal operator",
+           (_at_least("trunc", 2), _at_least("n_max", 1)))
+def _sc_ex26_perturbation(*, trunc=128, n_max=10):
     base = opbuild.block2x2(opbuild.backward_shift(trunc), np.eye(trunc),
                             np.zeros((trunc, trunc)), np.zeros((trunc, trunc)))
     sigmas, defects = [], []
-    for n in range(1, p["n_max"] + 1):
+    for n in range(1, n_max + 1):
         vn = certify.family_ex26(n)(trunc)
         sigmas.append(numlin.Spectrum.of(vn).sigma_min)
         defects.append(abs(np.linalg.norm(vn.entries - base.entries, 2) - 1.0 / n))
     rows = [[n, repr(s), repr(1.0 / (2 * n))] for n, s in enumerate(sigmas, 1)]
-    summary = {
-        "scenario": "ex26-perturbation", "trunc": trunc,
+    fields = {
+        "trunc": trunc,
         "all_injective": all(s > 0 for s in sigmas),
         "max_norm_identity_defect": float(max(defects)),
-        "narrative": "every perturbed operator is injective (kernel trivial), "
-                     "yet sits at distance exactly 1/n from a universal operator",
     }
     extra = [("sigma_min.csv", ["n", "sigma_min", "half_inverse_bound"], rows)]
-    return summary, extra
+    return fields, extra
 
 
-def _sc_multiplicativity(p):
-    n = p["n"]
+@_scenario("multiplicativity-failure",
+           "two universal-type diagonal factors with product exactly zero",
+           "two nonzero operators of the universal diagonal type multiply to "
+           "exactly zero, so the full universal class is not closed under "
+           "products",
+           (_at_least("n", 2),))
+def _sc_multiplicativity(*, n=16):
     u0 = opbuild.backward_shift(n)
     zero = np.zeros((n, n))
     u = opbuild.block2x2(u0, zero, zero, zero)
     v = opbuild.block2x2(zero, zero, zero, u0)
     prod = u.entries @ v.entries
-    summary = {
-        "scenario": "multiplicativity-failure", "n": n,
+    fields = {
+        "n": n,
         "norm_U": float(np.linalg.norm(u.entries, 2)),
         "norm_V": float(np.linalg.norm(v.entries, 2)),
         "norm_UV": float(np.linalg.norm(prod, 2)),
-        "narrative": "two nonzero operators of the universal diagonal type "
-                     "multiply to exactly zero, so the full universal class is "
-                     "not closed under products",
     }
-    return summary, []
+    return fields, []
 
 
-def _sc_annulus(p):
-    inner, outer = analytic.annulus(p["r"])
-    summary = {
-        "scenario": "annulus", "r": p["r"], "inner": inner, "outer": outer,
-        "radius_product": inner * outer,
-        "narrative": "spectral annulus radii for the hyperbolic composition "
-                     "operator; the radii are reciprocal",
-    }
-    extra = [("radii.csv", ["r", "inner", "outer"],
-              [[repr(p["r"]), repr(inner), repr(outer)]])]
-    return summary, extra
+@_scenario("annulus",
+           "spectral annulus radii of the hyperbolic composition operator",
+           "spectral annulus radii for the hyperbolic composition operator; the "
+           "radii are reciprocal",
+           (_real_unit("r"),))
+def _sc_annulus(*, r=0.5):
+    inner, outer = analytic.annulus(r)
+    fields = {"r": r, "inner": inner, "outer": outer, "radius_product": inner * outer}
+    extra = [("radii.csv", ["r", "inner", "outer"], [[repr(r), repr(inner), repr(outer)]])]
+    return fields, extra
 
 
-def _sc_ex31_falsify(p):
-    grid = certify.annulus_grid(p["r"], p["n_radial"], p["n_angular"])
-    fam = certify.family_composition(p["r"], beta=1.0, variant="derivative")
+@_scenario("ex31-falsify-dirichlet",
+           "annulus grid of kernel dimensions falsifies the forward operator",
+           "over the whole annulus grid only lambda = 1 carries a kernel, and it "
+           "stays one-dimensional: no candidate eigenvalue of growing "
+           "multiplicity",
+           (_real_unit("r"), _ladder(1), _at_least("n_radial", 1),
+            _at_least("n_angular", 1)))
+def _sc_ex31_falsify(*, r=0.5, ladder=(64, 128, 256), n_radial=5, n_angular=12):
+    grid = certify.annulus_grid(r, n_radial, n_angular)
+    fam = certify.family_composition(r, beta=1.0, variant="derivative")
     tols = (1e-6, 1e-8)
-    rep, dims = certify._spectral_scan(fam, grid, p["ladder"], tols)
+    rep, dims = certify._spectral_scan(fam, grid, ladder, tols)
     # the table shows the top rung of the falsifier's own scan
     rows = [[repr(float(lam.real)), repr(float(lam.imag))]
             + [dims[(complex(lam), tol)][-1] for tol in tols] for lam in grid]
-    summary = {
-        "scenario": "ex31-falsify-dirichlet",
-        "report": rep.as_dict(),
-        "narrative": "over the whole annulus grid only lambda = 1 carries a "
-                     "kernel, and it stays one-dimensional: no candidate "
-                     "eigenvalue of growing multiplicity",
-    }
     extra = [("grid_dims.csv", ["re_lambda", "im_lambda", "dim_1e-6", "dim_1e-8"],
               rows)]
-    return summary, extra
+    return {"report": rep.as_dict()}, extra
 
 
-def _sc_thm32_certify(p):
-    fam = certify.family_adjoint_witnessed(p["r"], p["lam"], p["index_max"])
-    rep = certify.check_C(fam, p["ladder"])
+@_scenario("thm32-adjoint-certify",
+           "growing resolved-witness counts certify the compressed adjoint",
+           "the compressed weighted adjoint passes growing counts of independent "
+           "resolved witnesses with vanishing corank",
+           (_real_unit("r"), _in_annulus("r", "lam"), _off_unit_circle("lam"),
+            _ladder(5), _at_least("index_max", 0)))
+def _sc_thm32_certify(*, r=0.5, lam=3.0 ** 0.25, ladder=(256, 512, 1024),
+                      index_max=64):
+    fam = certify.family_adjoint_witnessed(r, lam, index_max)
+    rep = certify.check_C(fam, ladder)
     top = rep.witnesses
     rows = [[n, repr(float(res)), repr(float(massf))]
             for n, res, massf in zip(top.indices, top.residuals, top.window_mass)]
-    summary = {
-        "scenario": "thm32-adjoint-certify",
+    fields = {
         "report": rep.as_dict(),
         "gram_min_eigenvalue_top_rung": top.gram_min_eigenvalue(),
-        "narrative": "the compressed weighted adjoint passes growing counts of "
-                     "independent resolved witnesses with vanishing corank",
     }
     extra = [("witnesses.csv", ["n", "windowed_residual", "window_mass"], rows)]
-    return summary, extra
+    return fields, extra
 
 
-def _sc_cor34_heller(p):
-    r, trunc = p["r"], p["trunc"]
+@_scenario("cor34-heller",
+           "singular-value decay of the adjoint minus its principal part",
+           "the remainder against the displayed combination does not decay, "
+           "while flipping the sign of the middle term leaves a rapidly "
+           "decaying (compact-looking) remainder; this mirrors the "
+           "printed-adjoint discrepancy reported by the mzstar comparison "
+           "scenario",
+           (_real_unit("r"), _count_in_trunc))
+def _sc_cor34_heller(*, r=0.5, trunc=512, count=64):
     reference = opbuild.weighted_adjoint(opbuild.composition_matrix(
         -r, spaces.weights(1.0, trunc, "derivative")))
     displayed, flipped = opbuild.heller_principal(r, trunc)
-    prof = certify.compactness_proxy(displayed, reference, count=p["count"])
-    prof_flipped = certify.compactness_proxy(flipped, reference, count=p["count"])
+    prof = certify.compactness_proxy(displayed, reference, count=count)
+    prof_flipped = certify.compactness_proxy(flipped, reference, count=count)
     rows = [[j + 1, repr(float(s)), repr(float(t))]
             for j, (s, t) in enumerate(zip(prof.values, prof_flipped.values))]
-    summary = {
-        "scenario": "cor34-heller", "r": r, "trunc": trunc,
+    fields = {
+        "r": r, "trunc": trunc,
         "displayed_s32_over_s1": prof.ratio(32),
         "flipped_s32_over_s1": prof_flipped.ratio(32),
-        "narrative": "the remainder against the displayed combination does not "
-                     "decay, while flipping the sign of the middle term leaves "
-                     "a rapidly decaying (compact-looking) remainder; this "
-                     "mirrors the printed-adjoint discrepancy reported by the "
-                     "mzstar comparison scenario",
     }
     extra = [("decay.csv", ["j", "s_displayed", "s_flipped"], rows)]
-    return summary, extra
+    return fields, extra
 
 
-def _sc_mzstar_compare(p):
-    trunc = p["trunc"]
+@_scenario("mzstar-adjoint-compare",
+           "superdiagonal of the adjoint of multiplication by z, two formulas",
+           "the inner-product adjoint of multiplication by z has superdiagonal "
+           "entries w_{m+1}/w_m; the alternative closed form ((m+1)/m)^m matches "
+           "only at m = 0 and m = 2, so the inner-product adjoint is taken as "
+           "definitional",
+           (_at_least("trunc", 1),))
+def _sc_mzstar_compare(*, trunc=12):
     mzs = opbuild.weighted_adjoint(opbuild.mult_z(spaces.weights(1.0, trunc, "derivative")))
     rows = []
     agree = []
@@ -294,40 +334,36 @@ def _sc_mzstar_compare(p):
             agree.append(m)
         rows.append([m, repr(gram_val), repr(printed),
                      repr(abs(gram_val - printed))])
-    summary = {
-        "scenario": "mzstar-adjoint-compare", "trunc": trunc,
-        "agreement_rows": agree,
-        "narrative": "the inner-product adjoint of multiplication by z has "
-                     "superdiagonal entries w_{m+1}/w_m; the alternative closed "
-                     "form ((m+1)/m)^m matches only at m = 0 and m = 2, so the "
-                     "inner-product adjoint is taken as definitional",
-    }
     extra = [("entries.csv", ["m", "gram_adjoint", "printed_form", "abs_diff"],
               rows)]
-    return summary, extra
+    return {"trunc": trunc, "agreement_rows": agree}, extra
 
 
-def _sc_prop35_halfplane(p):
-    mu = p["mu"]
-    rows = [["hardy", repr(mu), "", repr(analytic.halfplane_radius(mu))]]
-    for alpha in p["alphas"]:
-        rows.append(["bergman", repr(mu), repr(alpha),
-                     repr(analytic.halfplane_radius(mu, "bergman", alpha))])
-    summary = {
-        "scenario": "prop35-halfplane", "mu": mu,
-        "hardy_radius": analytic.halfplane_radius(mu),
-        "bergman_radii": {repr(a): analytic.halfplane_radius(mu, "bergman", a)
-                          for a in p["alphas"]},
-        "narrative": "the half-plane dilation pins its candidate eigenvalues to "
-                     "a single circle, which rules out interior point spectrum "
-                     "and hence universality of the shifted operator",
+@_scenario("prop35-halfplane", "half-plane dilation spectral radii",
+           "the half-plane dilation pins its candidate eigenvalues to a single "
+           "circle, which rules out interior point spectrum and hence "
+           "universality of the shifted operator",
+           (_real("mu"), _real("alphas"), _halfplane))
+def _sc_prop35_halfplane(*, mu=4.0, alphas=(0.0, 2.0)):
+    hardy = analytic.halfplane_radius(mu)
+    bergman = [analytic.halfplane_radius(mu, "bergman", alpha) for alpha in alphas]
+    rows = [["hardy", repr(mu), "", repr(hardy)]]
+    rows += [["bergman", repr(mu), repr(alpha), repr(radius)]
+             for alpha, radius in zip(alphas, bergman)]
+    fields = {
+        "mu": mu, "hardy_radius": hardy,
+        "bergman_radii": {repr(alpha): radius for alpha, radius in zip(alphas, bergman)},
     }
     extra = [("radii.csv", ["space", "mu", "alpha", "radius"], rows)]
-    return summary, extra
+    return fields, extra
 
 
-def _sc_prop41_falsifiers(p):
-    n = p["n"]
+@_scenario("prop41-falsifiers",
+           "algebraic dependence witnesses falsify shift power pairs",
+           "both algebraically dependent pairs are falsified by their explicit "
+           "witnesses; the unrelated control stays inconclusive",
+           (_at_least("n", 2),))
+def _sc_prop41_falsifiers(*, n=32):
     b = opbuild.backward_shift(n)
     b2 = opbuild.OpMatrix(b.entries @ b.entries, b.w_in, b.w_out)
     b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.w_in, b.w_out)
@@ -335,49 +371,68 @@ def _sc_prop41_falsifiers(p):
     rep_pow = certify.algebraic_falsifier(b2, b3, powers=(2, 3))
     control = certify.algebraic_falsifier(b, certify.family_identity(n),
                                           poly=[1.0])
-    summary = {
-        "scenario": "prop41-falsifiers", "n": n,
+    fields = {
+        "n": n,
         "poly_pair": rep_poly.as_dict(),
         "power_pair": rep_pow.as_dict(),
         "control": control.as_dict(),
-        "narrative": "both algebraically dependent pairs are falsified by their "
-                     "explicit witnesses; the unrelated control stays "
-                     "inconclusive",
     }
-    return summary, []
+    return fields, []
 
 
-def _sc_ex46_zeros(p):
-    frac = analytic.ratio_condition(p["r"], p["s"])
-    zr = analytic.covering_map_zeros(p["r"], p["lam"], p["k_max"])
-    zs = analytic.covering_map_zeros(p["s"], p["mu"], p["k_max"] // 2)
+def _pair_scenario(name, pair_builder, default_ladder, floor, description, narrative):
+    """A commuting-pair scenario: condition M over the pair's ladder."""
+    @_scenario(name, description, narrative, (_ladder(floor),))
+    def run(*, ladder=default_ladder):
+        return {"report": certify.check_M(pair_builder, ladder).as_dict()}, []
+
+
+_pair_scenario("ex43-diagonal", certify.pair_diagonal_blocks, (8, 16, 32), 2,
+               "commuting diagonal pair with disjoint kernels",
+               "the commuting diagonal pair keeps disjoint kernels, so the "
+               "common-kernel requirement fails")
+_pair_scenario("thm44-scalar-pair", certify.hs_pair_scalar, (8, 16, 32), 2,
+               "scalar multiplication pair: intersection pinned at one",
+               "the scalar shift pair pins its kernel intersection at one "
+               "dimension at every truncation")
+_pair_scenario("thm44-block-pair", certify.hs_pair_block, ((4, 4), (6, 6), (8, 8)),
+               (2, 1), "block multiplication pair: the model universal commuting pair",
+               "the block shift pair shows growing kernel overlap with exact "
+               "product-kernel bookkeeping")
+
+
+@_scenario("ex46-common-zeros",
+           "covering-map zero sets sharing every other zero at ratio 2:1",
+           "with translation lengths in ratio 2:1 every other zero of the finer "
+           "covering map is a zero of the coarser one, so the two symbols share "
+           "infinitely many zeros",
+           (_real_unit("r"), _real_unit("s"), _in_annulus("r", "lam"),
+            _in_annulus("s", "mu"), _at_least("k_max", 0)))
+def _sc_ex46_zeros(*, r=0.5, s=2.0 - 3.0 ** 0.5, lam=1.0 + 0j, mu=1.0 + 0j, k_max=20):
+    frac = analytic.ratio_condition(r, s)
+    zr = analytic.covering_map_zeros(r, lam, k_max)
+    zs = analytic.covering_map_zeros(s, mu, k_max // 2)
+    # zs holds |j| <= k_max // 2, so each 2j lies among zr's |k| <= k_max
     by_k_r = {e.k: e for e in zr.entries}
-    by_k_s = {e.k: e for e in zs.entries}
     pair_rows = []
     max_gap = mp.mpf(0)
     max_cross = mp.mpf(0)
     # the zeros crowd +-1 at double-exponential speed, so the comparison must
     # run at the same precision the zero sets were built with
     with mp.workdps(zr.dps):
-        for j in sorted(by_k_s):
-            if 2 * j not in by_k_r:
-                continue
-            za, zb = by_k_r[2 * j].z, by_k_s[j].z
-            gap = mp.fabs(za - zb)
-            cross = mp.fabs(analytic.covering_value(p["s"], za, dps=zr.dps) - p["mu"])
+        for e in sorted(zs.entries, key=lambda entry: entry.k):
+            za = by_k_r[2 * e.k].z
+            gap = mp.fabs(za - e.z)
+            cross = mp.fabs(analytic.covering_value(s, za) - mu)
             max_gap = max(max_gap, gap)
             max_cross = max(max_cross, cross)
-            pair_rows.append([j, 2 * j, mp.nstr(gap, 6), mp.nstr(cross, 6)])
-    summary = {
-        "scenario": "ex46-common-zeros",
+            pair_rows.append([e.k, 2 * e.k, mp.nstr(gap, 6), mp.nstr(cross, 6)])
+    fields = {
         "ratio": None if frac is None else f"{frac.numerator}/{frac.denominator}",
         "matched_pairs": len(pair_rows),
         "max_pair_gap": mp.nstr(max_gap, 8),
         "max_cross_residual": mp.nstr(max_cross, 8),
         "zero_residual_max": max(e.residual for e in zr.entries + zs.entries),
-        "narrative": "with translation lengths in ratio 2:1 every other zero of "
-                     "the finer covering map is a zero of the coarser one, so "
-                     "the two symbols share infinitely many zeros",
     }
     def zero_rows(zset):
         return [[e.k, mp.nstr(e.z.real, 17), mp.nstr(e.z.imag, 17), repr(e.residual)]
@@ -387,100 +442,7 @@ def _sc_ex46_zeros(p):
     extra = [("zeros_r.csv", zero_header, zero_rows(zr)),
              ("zeros_s.csv", zero_header, zero_rows(zs)),
              ("pairs.csv", ["j", "matched_k", "gap", "cross_residual"], pair_rows)]
-    return summary, extra
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A registered experiment: run(params) returns (summary, tables), each
-    table a (file name, header, rows) triple. Every parameter has a default,
-    whose kind decides how a given value is parsed; checks are the domain
-    rules validate() runs on the parsed parameters, in order."""
-
-    name: str
-    run: callable
-    defaults: dict
-    description: str
-    checks: tuple = ()
-
-
-def _pair_scenario(name, pair_builder, ladder, floor, description, narrative) -> Scenario:
-    """A commuting-pair scenario: condition M over the pair's ladder."""
-    def run(p):
-        rep = certify.check_M(pair_builder, p["ladder"])
-        return {"scenario": name, "report": rep.as_dict(),
-                "narrative": narrative}, []
-    return Scenario(name, run, {"ladder": ladder}, description, (_ladder(floor),))
-
-
-_DEF_LADDER = (64, 128, 256)
-
-REGISTRY = {s.name: s for s in (
-    Scenario("thm22-eigenfield", _sc_thm22_eigenfield,
-             {"K": 8, "d": 4, "z": 0.25 + 0.15j},
-             "exact holomorphic eigenvector field of the block backward shift",
-             (_at_least("K", 2), _at_least("d", 1), _in_disc("z"))),
-    Scenario("prop21-block", _sc_prop21_block, {"n": 24},
-             "triangular block operators keep the union of part spectra",
-             (_at_least("n", 2),)),
-    Scenario("ex25-notC", _sc_ex25_notC, {"ladder": (32, 64, 128)},
-             "rank-1 compact bump: kernel keeps growing, one range direction lost",
-             (_ladder(3),)),
-    Scenario("ex26-perturbation", _sc_ex26_perturbation,
-             {"trunc": 128, "n_max": 10},
-             "injective perturbations at distance 1/n from a universal operator",
-             (_at_least("trunc", 2), _at_least("n_max", 1))),
-    Scenario("multiplicativity-failure", _sc_multiplicativity, {"n": 16},
-             "two universal-type diagonal factors with product exactly zero",
-             (_at_least("n", 2),)),
-    Scenario("annulus", _sc_annulus, {"r": 0.5},
-             "spectral annulus radii of the hyperbolic composition operator",
-             (_real_unit("r"),)),
-    Scenario("ex31-falsify-dirichlet", _sc_ex31_falsify,
-             {"r": 0.5, "ladder": _DEF_LADDER, "n_radial": 5, "n_angular": 12},
-             "annulus grid of kernel dimensions falsifies the forward operator",
-             (_real_unit("r"), _ladder(1), _at_least("n_radial", 1),
-              _at_least("n_angular", 1))),
-    Scenario("thm32-adjoint-certify", _sc_thm32_certify,
-             {"r": 0.5, "lam": 3.0 ** 0.25, "ladder": (256, 512, 1024),
-              "index_max": 64},
-             "growing resolved-witness counts certify the compressed adjoint",
-             (_real_unit("r"), _in_annulus("r", "lam"), _off_unit_circle("lam"),
-              _ladder(5), _at_least("index_max", 0))),
-    Scenario("cor34-heller", _sc_cor34_heller,
-             {"r": 0.5, "trunc": 512, "count": 64},
-             "singular-value decay of the adjoint minus its principal part",
-             (_real_unit("r"), _count_in_trunc)),
-    Scenario("mzstar-adjoint-compare", _sc_mzstar_compare, {"trunc": 12},
-             "superdiagonal of the adjoint of multiplication by z, two formulas",
-             (_at_least("trunc", 1),)),
-    Scenario("prop35-halfplane", _sc_prop35_halfplane,
-             {"mu": 4.0, "alphas": (0.0, 2.0)},
-             "half-plane dilation spectral radii",
-             (_real("mu"), _real("alphas"), _halfplane)),
-    Scenario("prop41-falsifiers", _sc_prop41_falsifiers, {"n": 32},
-             "algebraic dependence witnesses falsify shift power pairs",
-             (_at_least("n", 2),)),
-    _pair_scenario("ex43-diagonal", certify.pair_diagonal_blocks, (8, 16, 32), 2,
-                   "commuting diagonal pair with disjoint kernels",
-                   "the commuting diagonal pair keeps disjoint kernels, so the "
-                   "common-kernel requirement fails"),
-    _pair_scenario("thm44-scalar-pair", certify.hs_pair_scalar, (8, 16, 32), 2,
-                   "scalar multiplication pair: intersection pinned at one",
-                   "the scalar shift pair pins its kernel intersection at one "
-                   "dimension at every truncation"),
-    _pair_scenario("thm44-block-pair", certify.hs_pair_block,
-                   ((4, 4), (6, 6), (8, 8)), (2, 1),
-                   "block multiplication pair: the model universal commuting pair",
-                   "the block shift pair shows growing kernel overlap with exact "
-                   "product-kernel bookkeeping"),
-    Scenario("ex46-common-zeros", _sc_ex46_zeros,
-             {"r": 0.5, "s": 2.0 - 3.0 ** 0.5, "lam": 1.0 + 0j, "mu": 1.0 + 0j,
-              "k_max": 20},
-             "covering-map zero sets sharing every other zero at ratio 2:1",
-             (_real_unit("r"), _real_unit("s"), _in_annulus("r", "lam"),
-              _in_annulus("s", "mu"), _at_least("k_max", 0))),
-)}
+    return fields, extra
 
 
 def _parse_value(text: str):
@@ -616,7 +578,9 @@ def run_scenario(name: str, params: dict, out_dir: Path,
         raise ValueError("; ".join(problems))
     target = out_dir / name
     target.mkdir(parents=True, exist_ok=True)
-    summary, tables = REGISTRY[name].run(merged)
+    sc = REGISTRY[name]
+    fields, tables = sc.run(**merged)
+    summary = {**fields, "scenario": name, "narrative": sc.narrative}
     written = []
     if fmt in ("json", "both"):
         written.append(_write_json(target / "summary.json", summary))

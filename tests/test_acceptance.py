@@ -160,6 +160,11 @@ def test_criterion_10_determinism_and_invariance(tmp_path):
         a = cli.run_scenario(name, {}, tmp_path / "a", fmt="both")
         b = cli.run_scenario(name, {}, tmp_path / "b", fmt="both")
         ok = ok and len(a) == len(b)
+        # the runner, not the body, names the scenario and its narrative
+        summary = json.loads((tmp_path / "a" / name / "summary.json")
+                             .read_text(encoding="utf-8"))
+        ok = ok and summary["scenario"] == name
+        ok = ok and summary["narrative"] == cli.REGISTRY[name].narrative
         for pa, pb in zip(sorted(a), sorted(b)):
             ok = ok and pa.read_bytes() == pb.read_bytes()
             # CSV cells are plain numbers, never reprs of numpy scalars

@@ -124,7 +124,8 @@ def test_recurrence_of_no_exponents_is_empty():
 
 
 def test_covering_value_at_origin_is_one():
-    assert abs(analytic.covering_value(0.5, 0.0, dps=30) - 1) < 1e-25
+    with mp.workdps(30):
+        assert abs(analytic.covering_value(0.5, 0.0) - 1) < 1e-25
 
 
 def _covering_derivative(r, z, dps):
@@ -132,7 +133,7 @@ def _covering_derivative(r, z, dps):
     t_r = analytic.HyperbolicAuto(r).t_param
     with mp.workdps(dps):
         zz = mp.mpc(z)
-        return (analytic.covering_value(r, zz, dps) * (1j * t_r / mp.pi)
+        return (analytic.covering_value(r, zz) * (1j * t_r / mp.pi)
                 * (-2 / (1 - zz * zz)))
 
 
@@ -140,8 +141,8 @@ def test_covering_derivative_matches_difference_quotient():
     h = mp.mpf(10) ** -20
     with mp.workdps(50):
         d = _covering_derivative(0.5, 0.2, dps=50)
-        quot = (analytic.covering_value(0.5, 0.2 + h, dps=50)
-                - analytic.covering_value(0.5, 0.2 - h, dps=50)) / (2 * h)
+        quot = (analytic.covering_value(0.5, 0.2 + h)
+                - analytic.covering_value(0.5, 0.2 - h)) / (2 * h)
         assert mp.fabs(d - quot) < mp.mpf(10) ** -15
 
 

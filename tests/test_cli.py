@@ -18,6 +18,40 @@ def test_registry_is_complete():
     assert all(name in listing for name in cli.REGISTRY)
 
 
+# every scenario's defaults, written out once more so that a value mistyped in
+# a body's signature fails here and not only through a verdict
+DEFAULTS = {
+    "thm22-eigenfield": {"K": 8, "d": 4, "z": 0.25 + 0.15j},
+    "prop21-block": {"n": 24},
+    "ex25-notC": {"ladder": (32, 64, 128)},
+    "ex26-perturbation": {"trunc": 128, "n_max": 10},
+    "multiplicativity-failure": {"n": 16},
+    "annulus": {"r": 0.5},
+    "ex31-falsify-dirichlet": {"r": 0.5, "ladder": (64, 128, 256), "n_radial": 5,
+                               "n_angular": 12},
+    "thm32-adjoint-certify": {"r": 0.5, "lam": 3.0 ** 0.25, "ladder": (256, 512, 1024),
+                              "index_max": 64},
+    "cor34-heller": {"r": 0.5, "trunc": 512, "count": 64},
+    "mzstar-adjoint-compare": {"trunc": 12},
+    "prop35-halfplane": {"mu": 4.0, "alphas": (0.0, 2.0)},
+    "prop41-falsifiers": {"n": 32},
+    "ex43-diagonal": {"ladder": (8, 16, 32)},
+    "thm44-scalar-pair": {"ladder": (8, 16, 32)},
+    "thm44-block-pair": {"ladder": ((4, 4), (6, 6), (8, 8))},
+    "ex46-common-zeros": {"r": 0.5, "s": 2.0 - 3.0 ** 0.5, "lam": 1.0 + 0j,
+                          "mu": 1.0 + 0j, "k_max": 20},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_registry_defaults_are_pinned(name):
+    defaults = cli.REGISTRY[name].defaults
+    assert defaults == DEFAULTS[name]
+    # repr tells 8 from 8.0 and 1.0 from (1+0j), down to each rung's parts:
+    # the kind of a default decides how a given value is parsed
+    assert repr(defaults) == repr(DEFAULTS[name])
+
+
 def test_parse_value_types():
     assert cli._parse_value("3") == 3
     assert cli._parse_value("0.5") == 0.5
