@@ -249,20 +249,30 @@ def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
         if pair.hs:
             # U S against S V: the pair commutes identically and is square.
             b1, b2, prod_kernel = opbuild.hs_pair_kernels(pair.u, pair.v, tol)
+            k1, k2 = b1.shape[1], b2.shape[1]
+            inter = numlin.subspace_dims(b1, b2, tol)[1]
         else:
-            m1, m2 = numlin._as_matrix(pair.u), numlin._as_matrix(pair.v)
+            m1, m2 = _framed(pair.u), _framed(pair.v)
             if _relative_commutator(m1, m2) > tol:
                 raise ValueError("the supplied pair does not commute")
-            prod_kernel = numlin.Spectrum.of(m1 @ m2).kernel_dim(tol)
-            b1, b2 = numlin.svd_kernel(m1, tol), numlin.svd_kernel(m2, tol)
-        ssum, inter = numlin.subspace_dims(b1, b2, tol)
-        k1, k2 = b1.shape[1], b2.shape[1]
+            s1, s2 = numlin.Spectrum.of(m1), numlin.Spectrum.of(m2)
+            k1, k2 = s1.kernel_dim(tol), s2.kernel_dim(tol)
+            # Ker U & Ker V = ker [U; V], each nonzero block scaled to norm 1
+            # lest the larger one's threshold swallow the other's values
+            scaled = [m / (s.values[0] or 1.0) for m, s in ((m1, s1), (m2, s2))]
+            inter = numlin.Spectrum.of(np.vstack(scaled)).kernel_dim(tol)
+            # UV's threshold is tol ||U|| ||V||, as for an HS pair: a product
+            # that vanishes up to rounding has a full kernel
+            prod = numlin.Spectrum.of(m1 @ m2).values
+            prod_kernel = int(np.count_nonzero(
+                numlin.negligible(prod, tol, s1.values[0] * s2.values[0])))
+        sum_dim = k1 + k2 - inter
         # a commuting pair is square, so by rank-nullity each corank is a kernel dim
         cor1, cor2 = pair.coranks or (k1, k2)
         label = f"K={size[0]},d={size[1]}" if isinstance(size, tuple) else _rung_label(size)
         n = int(np.prod(size)) if isinstance(size, tuple) else int(size)
         rungs.append(RungStats(label, n, kernel_dim=k1, corank=max(cor1, cor2),
-                               intersection_dim=inter, sum_dim=ssum,
+                               intersection_dim=inter, sum_dim=sum_dim,
                                product_kernel_dim=prod_kernel,
                                extra={"kernel_dim_2": k2, "corank_1": cor1,
                                       "corank_2": cor2}))
@@ -379,8 +389,7 @@ def algebraic_falsifier(t, w, poly=None, powers=None,
     """
     if (poly is None) == (powers is None):
         raise ValueError("supply exactly one of poly or powers")
-    tm = numlin._as_matrix(t)
-    wm = numlin._as_matrix(w)
+    tm, wm = _framed(t), _framed(w)
     scale = max(np.linalg.norm(wm), 1.0)
     if poly is not None:
         acc = np.zeros_like(tm)

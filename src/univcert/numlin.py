@@ -1,4 +1,4 @@
-"""Dense numerical linear algebra kernel: one spectrum per matrix, kernels,
+"""Dense numerical linear algebra kernel: one spectrum per matrix and
 subspace arithmetic."""
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def negligible(values: np.ndarray, tol_rel: float = DEFAULT_TOL) -> np.ndarray:
-    """The rank threshold: True where sigma <= tol_rel * sigma_max. When
-    sigma_max = 0 every value counts as small, so the zero matrix has full
-    kernel."""
-    return values <= tol_rel * (values.max() if values.size else 0.0)
+def negligible(values: np.ndarray, tol_rel: float = DEFAULT_TOL,
+               top: float | None = None) -> np.ndarray:
+    """The rank threshold: True where sigma <= tol_rel * top, with top =
+    sigma_max unless given (||U|| ||V|| for a product UV). When top = 0
+    every value counts as small, so the zero matrix has full kernel."""
+    top = (values.max() if values.size else 0.0) if top is None else top
+    return values <= tol_rel * top
 
 
 @dataclass(frozen=True)
@@ -50,26 +52,6 @@ class Spectrum:
     def corank(self, tol_rel: float = DEFAULT_TOL) -> int:
         """Codimension of the numerical range inside the codomain."""
         return self.shape[0] - self.rank(tol_rel)
-
-
-def svd_kernel(a, tol_rel: float = DEFAULT_TOL) -> np.ndarray:
-    """Right singular vectors whose singular value is negligible, as
-    orthonormal columns."""
-    m = _as_matrix(a)
-    _, s, vh = np.linalg.svd(m)
-    k = int(np.count_nonzero(negligible(s, tol_rel)))
-    # rows of vh beyond min(m, n) are always annihilated (wide matrices)
-    return np.ascontiguousarray(vh[min(m.shape) - k :].conj().T)
-
-
-def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues, sorted by (|lambda|, arg lambda) for determinism."""
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("eigenvalues require a square matrix")
-    vals = np.linalg.eigvals(m)
-    order = np.lexsort((np.angle(vals), np.abs(vals)))
-    return vals[order]
 
 
 def subspace_dims(u: np.ndarray, v: np.ndarray,

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from univcert import analytic, certify, numlin, opbuild
@@ -13,6 +13,7 @@ from univcert.analytic import HyperbolicAuto
 
 import hs_dense
 import report_parity
+from dense_kernel import svd_kernel
 
 
 LADDER = (16, 32, 64)
@@ -151,6 +152,89 @@ def test_check_M_rejects_noncommuting_pairs():
 
     with pytest.raises(ValueError):
         certify.check_M(bad, (4, 5, 6))
+
+
+@st.composite
+def _commuting_diagonals(draw):
+    """Two diagonals of one length, each at its own scale in 1e-6 ... 1e6:
+    zeros at random places, the other entries in [1, 10] or 1e-4 times
+    that, small but never negligible."""
+    n = draw(st.integers(1, 6))
+
+    def diagonal():
+        scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+        return [scale * draw(st.sampled_from([0.0, 1.0, 1e-4])) * draw(st.floats(1.0, 10.0))
+                for _ in range(n)]
+
+    return diagonal(), diagonal()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_commuting_diagonals(), st.integers(0, 2**32 - 1))
+# reads (2, 1, 1, 2); unscaled, [U; V] would read intersection 2, as V's
+# 1e-3 falls below U's threshold
+@example(([0.0, 0.0, 1e6], [0.0, 1e-3, 1.0]), 0)
+@example(([0.0, 0.0, 0.0], [0.0, 2.0, 5.0]), 1)  # a zero operator
+# UV vanishes up to rounding, so its kernel is everything
+@example(([0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]), 0)
+def test_dense_check_M_counts_agree_with_kernel_bases(diagonals, seed):
+    n = len(diagonals[0])
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    u, v = (q @ np.diag(d) @ q.T for d in diagonals)
+    rep = certify.check_M(lambda size: certify.PairRung(u, v), (1, 2, 3))
+    b1, b2 = svd_kernel(u), svd_kernel(v)
+    total, inter = numlin.subspace_dims(b1, b2)
+    for r in rep.ladder:
+        assert (r.kernel_dim, r.extra["kernel_dim_2"], r.intersection_dim,
+                r.sum_dim) == (b1.shape[1], b2.shape[1], inter, total)
+        assert r.product_kernel_dim >= r.sum_dim
+
+
+def _phases(n):
+    """The diagonal of a seeded random diagonal unitary."""
+    return np.exp(2j * np.pi * np.random.default_rng(11).random(n))
+
+
+def _unitarily_similar(a, phases):
+    """D A D* for D = diag(phases). D commutes with the diagonal weights, so
+    this is a unitary similarity in the weighted frame too; a rectangular
+    interior section keeps D's leading entries on its rows."""
+    rows, cols = a.entries.shape
+    entries = phases[:rows, None] * a.entries * phases[None, :cols].conj()
+    return opbuild.OpMatrix(entries, a.w_in, a.w_out)
+
+
+def test_diagonal_unitary_similarity_leaves_rung_counts_unchanged():
+    def halfshift(n):
+        rung = certify.family_halfshift_plus_rank1(n)
+        return certify.Rung(*(_unitarily_similar(a, _phases(n))
+                              for a in (rung.square, rung.interior)))
+
+    def counts(builder):
+        walk = certify.kernel_ladder(builder, LADDER)
+        return [(r.kernel_dim, r.corank) for r in walk.rungs]
+
+    assert counts(halfshift) == counts(certify.family_halfshift_plus_rank1)
+
+    # the conjugated section is complex, so the scan no longer folds
+    # conjugate grid points
+    ex31 = certify.family_composition(0.5, 1.0, "derivative")
+    grid, ladder, tols = certify.annulus_grid(0.5), (32, 64, 128), (1e-6, 1e-8)
+    similar = certify._spectral_scan(
+        lambda n: _unitarily_similar(ex31(n), _phases(n)), grid, ladder, tols)
+    assert similar[1] == certify._spectral_scan(ex31, grid, ladder, tols)[1]
+
+    def diagonal_blocks(n):
+        pair = certify.pair_diagonal_blocks(n)
+        return certify.PairRung(*(_unitarily_similar(a, _phases(2 * n))
+                                  for a in (pair.u, pair.v)))
+
+    def pair_counts(builder):
+        return [(r.kernel_dim, r.extra["kernel_dim_2"], r.intersection_dim,
+                 r.sum_dim, r.product_kernel_dim, r.corank)
+                for r in certify.check_M(builder, (8, 16, 32)).ladder]
+
+    assert pair_counts(diagonal_blocks) == pair_counts(certify.pair_diagonal_blocks)
 
 
 # -- falsifiers ---------------------------------------------------------------

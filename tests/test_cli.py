@@ -377,6 +377,19 @@ def test_mzstar_scenario_reports_agreement_rows(tmp_path):
     assert summary["agreement_rows"] == [0, 2]
 
 
+@pytest.mark.parametrize("s, ratio, matched", [(2.0 - 3.0 ** 0.5, "2/1", 21),
+                                               (0.3, None, 1)])
+def test_ex46_matches_only_pairs_with_a_small_cross_residual(s, ratio, matched,
+                                                             tmp_path):
+    # off the 2:1 ratio only the k = 0 pair (both zeros at z = 0) matches;
+    # pairs.csv keeps a row for every pair compared
+    cli.run_scenario("ex46-common-zeros", {"s": s}, tmp_path, fmt="both")
+    summary = _summary(tmp_path, "ex46-common-zeros")
+    assert (summary["ratio"], summary["matched_pairs"]) == (ratio, matched)
+    pairs = (tmp_path / "ex46-common-zeros" / "pairs.csv").read_text(encoding="utf-8")
+    assert len(pairs.splitlines()) == 1 + 21
+
+
 def test_scenario_outputs_are_deterministic(tmp_path):
     names = ["annulus", "ex25-notC", "prop41-falsifiers"]
     for name in names:

@@ -75,10 +75,11 @@ def test_ex25_takes_one_svd_per_framed_square(traced):
     assert m["linalg.svd.repeat_frac"] == 0
 
 
-def test_ex43_reads_coranks_from_its_kernel_bases(traced):
+def test_ex43_reads_every_count_from_values_only_spectra(traced):
     m = traced["ex43-diagonal"]
-    # 3 rungs x (two kernel bases + product kernel + one stacked basis)
+    # 3 rungs x (U, V, U stacked on V, UV)
     assert m["linalg.svd.calls"] == 12
+    assert m["linalg.svd.repeat_frac"] == 0
 
 
 def test_thm44_block_pair_stacks_its_kernel_bases_once(traced):
