@@ -18,8 +18,9 @@ CERTIFIED = "certified_at_scale"
 FALSIFIED = "falsified"
 INCONCLUSIVE = "inconclusive"
 
-RANK_TOL = numlin.DEFAULT_TOL
 WITNESS_TOL = 1e-4
+SCAN_TOLS = (1e-6, 1e-8)  # rank thresholds the spectral scan reads each cell at
+ALGEBRAIC_TOL = 1e-10     # bound on a dependence witness's defect and commutator
 MASS_FLOOR = 0.5     # least share of a counted witness's norm in the window
 WINDOW_FRAC = 4      # residual window and dropped interior rows: 1/4 of a rung
 ANNULUS_SPAN = 0.8   # annulus_grid's span in u, where |lambda| = exp(u t_r / 2)
@@ -132,23 +133,27 @@ def _strictly_increasing(xs) -> bool:
 
 
 def _check_ladder(ladder) -> None:
-    """Every ladder check needs at least 3 strictly increasing rungs."""
+    """Every ladder check needs at least 3 strictly increasing rungs. A KxD
+    rung differs from the last and is no smaller in either part, so each
+    truncation nests in the next."""
     if len(ladder) < 3:
         raise ValueError("the ladder needs at least 3 rungs")
-    if not _strictly_increasing(ladder):
-        raise ValueError("the ladder must be strictly increasing")
+    if not all(a != b and np.all(np.greater_equal(b, a))
+               for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("the ladder must be strictly increasing, "
+                         "each part of a KxD rung at least the last one's")
 
 
-def _kernel_rung_stats(rung: Rung, size, tol) -> RungStats:
+def _kernel_rung_stats(rung: Rung, size) -> RungStats:
     spec = numlin.Spectrum.of(_framed(rung.square))
     if rung.witnesses is not None:
         kdim = rung.witnesses.count()
     else:
-        kdim = spec.kernel_dim(tol)
+        kdim = spec.kernel_dim()
     if rung.interior is not None:
-        cor = numlin.Spectrum.of(_framed(rung.interior)).corank(tol)
+        cor = numlin.Spectrum.of(_framed(rung.interior)).corank()
     else:
-        cor = spec.corank(tol)
+        cor = spec.corank()
     return RungStats(_rung_label(size), size, kernel_dim=kdim, corank=cor,
                      sigma_min=spec.sigma_min)
 
@@ -160,27 +165,26 @@ class KernelLadder:
 
     rungs: tuple[RungStats, ...]
     top_witnesses: WitnessFamily | None
-    tol: float
 
 
-def kernel_ladder(builder, ladder, tol: float = RANK_TOL) -> KernelLadder:
+def kernel_ladder(builder, ladder) -> KernelLadder:
     _check_ladder(ladder)
     rungs = []
     for size in ladder:
         # only the stats and the witness family outlive the rung, so its
         # matrices are freed before the next rung is built
         rung = _rung(builder(size))
-        rungs.append(_kernel_rung_stats(rung, size, tol))
+        rungs.append(_kernel_rung_stats(rung, size))
         top_witnesses = rung.witnesses
         del rung
-    return KernelLadder(tuple(rungs), top_witnesses, tol)
+    return KernelLadder(tuple(rungs), top_witnesses)
 
 
 def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
     """Condition "C" wants corank 0 at every rung, "Cplus" a constant one;
     both want strictly growing kernel evidence. Constant evidence falsifies,
     unless it is the size of the top rung's witness family."""
-    rungs, top_witnesses, tol = walk.rungs, walk.top_witnesses, walk.tol
+    rungs, top_witnesses = walk.rungs, walk.top_witnesses
     corank_target = {"C": 0, "Cplus": None}[condition]
     kdims = [r.kernel_dim for r in rungs]
     coranks = [r.corank for r in rungs]
@@ -212,14 +216,14 @@ def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
         verdict = INCONCLUSIVE
         narrative = (f"kernel evidence {kdims} neither grows strictly nor "
                      f"stays constant; {SCALE_CAVEAT}")
-    tols = {"rank_tol": tol}
+    tols = {"rank_tol": numlin.DEFAULT_TOL}
     if top_witnesses is not None:
         tols["witness_tol"] = WITNESS_TOL
     return CertificateReport(condition, verdict, rungs, tols, narrative,
                              top_witnesses)
 
 
-def check_C(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
+def check_C(builder, ladder) -> CertificateReport:
     """Kernel grows without bound and the range is everything.
 
     certified_at_scale iff the kernel evidence strictly increases across the
@@ -227,7 +231,7 @@ def check_C(builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
     the builder provides one). The kernel evidence is the rung's witness
     count when the builder returns a Rung with a witness family.
     """
-    return kernel_verdict("C", kernel_ladder(builder, ladder, tol))
+    return kernel_verdict("C", kernel_ladder(builder, ladder))
 
 
 # -- commuting pairs ----------------------------------------------------------
@@ -237,7 +241,7 @@ def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
     return np.linalg.norm(a @ b - b @ a) / max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
 
 
-def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
+def check_M(pair_builder, ladder) -> CertificateReport:
     """Muller's condition for a commuting pair: the kernels overlap in an
     unbounded-looking intersection, Ker(U1 U2) = Ker(U1) + Ker(U2) at every
     rung, and both operators look surjective. pair_builder returns a
@@ -248,24 +252,24 @@ def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
         pair = pair_builder(size)
         if pair.hs:
             # U S against S V: the pair commutes identically and is square.
-            b1, b2, prod_kernel = opbuild.hs_pair_kernels(pair.u, pair.v, tol)
+            b1, b2, prod_kernel = opbuild.hs_pair_kernels(pair.u, pair.v)
             k1, k2 = b1.shape[1], b2.shape[1]
-            inter = numlin.subspace_dims(b1, b2, tol)[1]
+            inter = numlin.subspace_dims(b1, b2)[1]
         else:
             m1, m2 = _framed(pair.u), _framed(pair.v)
-            if _relative_commutator(m1, m2) > tol:
+            if _relative_commutator(m1, m2) > numlin.DEFAULT_TOL:
                 raise ValueError("the supplied pair does not commute")
             s1, s2 = numlin.Spectrum.of(m1), numlin.Spectrum.of(m2)
-            k1, k2 = s1.kernel_dim(tol), s2.kernel_dim(tol)
+            k1, k2 = s1.kernel_dim(), s2.kernel_dim()
             # Ker U & Ker V = ker [U; V], each nonzero block scaled to norm 1
             # lest the larger one's threshold swallow the other's values
             scaled = [m / (s.values[0] or 1.0) for m, s in ((m1, s1), (m2, s2))]
-            inter = numlin.Spectrum.of(np.vstack(scaled)).kernel_dim(tol)
-            # UV's threshold is tol ||U|| ||V||, as for an HS pair: a product
-            # that vanishes up to rounding has a full kernel
+            inter = numlin.Spectrum.of(np.vstack(scaled)).kernel_dim()
+            # UV's threshold is relative to ||U|| ||V||, as for an HS pair: a
+            # product that vanishes up to rounding has a full kernel
             prod = numlin.Spectrum.of(m1 @ m2).values
             prod_kernel = int(np.count_nonzero(
-                numlin.negligible(prod, tol, s1.values[0] * s2.values[0])))
+                numlin.negligible(prod, top=s1.values[0] * s2.values[0])))
         sum_dim = k1 + k2 - inter
         # a commuting pair is square, so by rank-nullity each corank is a kernel dim
         cor1, cor2 = pair.coranks or (k1, k2)
@@ -293,12 +297,13 @@ def check_M(pair_builder, ladder, tol: float = RANK_TOL) -> CertificateReport:
         verdict = INCONCLUSIVE
         narrative = (f"intersections {inters}, product-kernel match {sums_match}, "
                      f"coranks zero {coranks_zero}; mixed evidence")
-    return CertificateReport("M", verdict, tuple(rungs), {"rank_tol": tol}, narrative)
+    return CertificateReport("M", verdict, tuple(rungs), {"rank_tol": numlin.DEFAULT_TOL},
+                             narrative)
 
 
 # -- spectral falsifiers ------------------------------------------------------
 
-def annulus_grid(r: float, n_radial: int = 5, n_angular: int = 12) -> np.ndarray:
+def annulus_grid(r: float, n_radial: int, n_angular: int) -> np.ndarray:
     """Polar grid strictly inside the annulus, symmetric about |lambda| = 1.
 
     Radii are exp(u * t_r / 2) for u equally spaced in ANNULUS_SPAN * [-1/2, 1/2],
@@ -319,24 +324,23 @@ def annulus_grid(r: float, n_radial: int = 5, n_angular: int = 12) -> np.ndarray
     return (radii[:, None] * unit[None, :]).ravel()
 
 
-def spectral_falsifier(builder, lam_grid, ladder, tols=(1e-6, 1e-8)) -> CertificateReport:
+def spectral_falsifier(builder, lam_grid, ladder) -> CertificateReport:
     """Track kernel dimensions of (A - lambda I) over a ladder and a grid.
 
     A universal candidate must show eigenvalues of growing multiplicity
     somewhere; when every grid point keeps a bounded, non-growing kernel the
     family is falsified. This operation never certifies.
     """
-    return _spectral_scan(builder, lam_grid, ladder, tols)[0]
+    return _spectral_scan(builder, lam_grid, ladder)[0]
 
 
-def _spectral_scan(builder, lam_grid, ladder, tols):
+def _spectral_scan(builder, lam_grid, ladder):
     """spectral_falsifier's report and the per-cell dims it is drawn from:
-    {(lambda, tol): [kernel dim at each rung]}."""
+    {(lambda, tol): [kernel dim at each rung]} for tol in SCAN_TOLS."""
     lam_grid = np.asarray(lam_grid)
     if lam_grid.size == 0:
         raise ValueError("the falsifier needs a non-empty grid")
     _check_ladder(ladder)
-    tols = tuple(tols)
     # one cell per distinct lambda: a repeated point is scanned once
     cells = list(dict.fromkeys(lam_grid.tolist()))
     dims = {}
@@ -357,7 +361,7 @@ def _spectral_scan(builder, lam_grid, ladder, tols):
             if key not in spectra:
                 np.subtract(base, lam, out=diag)
                 spectra[key] = numlin.Spectrum.of(shifted)
-            for tol in tols:
+            for tol in SCAN_TOLS:
                 d = spectra[key].kernel_dim(tol)
                 dims.setdefault((complex(lam), tol), []).append(d)
                 worst = max(worst, d)
@@ -375,12 +379,11 @@ def _spectral_scan(builder, lam_grid, ladder, tols):
         narrative = (f"{len(growth)} grid cell(s) show growing kernel evidence; "
                      f"consistent with universality at scale; {SCALE_CAVEAT}")
     report = CertificateReport("spectral", verdict, tuple(rungs),
-                               {"svd_tols": list(tols)}, narrative)
+                               {"svd_tols": list(SCAN_TOLS)}, narrative)
     return report, dims
 
 
-def algebraic_falsifier(t, w, poly=None, powers=None,
-                        tol: float = 1e-10) -> CertificateReport:
+def algebraic_falsifier(t, w, poly=None, powers=None) -> CertificateReport:
     """Falsify a commuting pair through an explicit algebraic dependence.
 
     poly: coefficients (c_1, c_2, ...) of p(z) = sum c_k z^k with p(0) = 0;
@@ -399,7 +402,6 @@ def algebraic_falsifier(t, w, poly=None, powers=None,
             acc = acc + c * power
         defect = np.linalg.norm(wm - acc @ tm) / scale
         witness = f"p(T) T with p of degree {len(poly)}"
-        condition_hits = defect <= tol
     else:
         m, n = powers
         if m < 1 or n < 1:
@@ -407,12 +409,11 @@ def algebraic_falsifier(t, w, poly=None, powers=None,
         defect = np.linalg.norm(np.linalg.matrix_power(wm, m)
                                 - np.linalg.matrix_power(tm, n)) / scale
         witness = f"W^{m} = T^{n}"
-        condition_hits = defect <= tol
     comm = _relative_commutator(tm, wm)
     rung = RungStats("pair", tm.shape[0],
                      extra={"defect": float(defect), "commutator": float(comm),
                             "witness": witness})
-    if condition_hits and comm <= tol:
+    if defect <= ALGEBRAIC_TOL and comm <= ALGEBRAIC_TOL:
         verdict = FALSIFIED
         narrative = (f"witness {witness} matches with defect {defect:.3e}; an "
                      "algebraically dependent commuting pair is never universal")
@@ -421,7 +422,7 @@ def algebraic_falsifier(t, w, poly=None, powers=None,
         narrative = (f"witness {witness} does not match (defect {defect:.3e}); "
                      "no conclusion")
     return CertificateReport("algebraic", verdict, (rung,),
-                             {"witness_tol": tol}, narrative)
+                             {"witness_tol": ALGEBRAIC_TOL}, narrative)
 
 
 # -- compact-remainder proxy --------------------------------------------------
@@ -495,7 +496,7 @@ def _compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
 
 
 def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
-                                   index_max: int = 64,
+                                   index_max: int,
                                    compressed: opbuild.OpMatrix | None = None
                                    ) -> WitnessFamily:
     """Near-kernel family for the z-compressed weighted adjoint of C_phi.
@@ -584,13 +585,13 @@ def family_ex26(n_param: int):
     return build
 
 
-def family_composition(r: float, beta: float = 1.0, variant: str = "power"):
+def family_composition(r: float, beta: float, variant: str):
     def build(trunc: int):
         return opbuild.composition_matrix(r, spaces.weights(beta, trunc, variant))
     return build
 
 
-def family_adjoint_witnessed(r: float, lam: complex, index_max: int = 64):
+def family_adjoint_witnessed(r: float, lam: complex, index_max: int):
     """Rungs of A - lambda I for the z-compressed weighted adjoint A of C_phi
     on the derivative-norm space: one A per rung gives the square, its
     interior section for the corank and the witness family of A at lambda."""

@@ -54,8 +54,7 @@ class Spectrum:
         return self.shape[0] - self.rank(tol_rel)
 
 
-def subspace_dims(u: np.ndarray, v: np.ndarray,
-                  tol_rel: float = DEFAULT_TOL) -> tuple[int, int]:
+def subspace_dims(u: np.ndarray, v: np.ndarray) -> tuple[int, int]:
     """(dim(U + V), dim(U & V)) for subspaces spanned by orthonormal columns,
     from one SVD of the stacked bases."""
     if u.shape[0] != v.shape[0]:
@@ -63,5 +62,5 @@ def subspace_dims(u: np.ndarray, v: np.ndarray,
     dims = u.shape[1] + v.shape[1]
     if u.shape[1] == 0 or v.shape[1] == 0:
         return dims, 0
-    total = Spectrum.of(np.hstack([u, v])).rank(tol_rel)
+    total = Spectrum.of(np.hstack([u, v])).rank()
     return total, dims - total

@@ -171,8 +171,7 @@ def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(a.shape[0] * b.shape[0], -1)
 
 
-def hs_pair_kernels(u: OpMatrix, v: OpMatrix, tol_rel: float = numlin.DEFAULT_TOL
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
+def hs_pair_kernels(u: OpMatrix, v: OpMatrix) -> tuple[np.ndarray, np.ndarray, int]:
     """Kernels of S -> U S and S -> S V, as orthonormal columns, and the
     kernel dim of S -> U S V, from the factors U and V alone.
 
@@ -193,7 +192,7 @@ def hs_pair_kernels(u: OpMatrix, v: OpMatrix, tol_rel: float = numlin.DEFAULT_TO
         s_v, vh_v = s_u, vh_u
     else:
         _, s_v, vh_v = np.linalg.svd(v.entries.T)
-    ker_u = vh_u.conj().T[:, numlin.negligible(s_u, tol_rel)]
-    ker_v = vh_v.conj().T[:, numlin.negligible(s_v, tol_rel)]
-    product = np.count_nonzero(numlin.negligible(np.multiply.outer(s_v, s_u), tol_rel))
+    ker_u = vh_u.conj().T[:, numlin.negligible(s_u)]
+    ker_v = vh_v.conj().T[:, numlin.negligible(s_v)]
+    product = np.count_nonzero(numlin.negligible(np.multiply.outer(s_v, s_u)))
     return _kron_columns(eye, ker_u), _kron_columns(ker_v, eye), int(product)

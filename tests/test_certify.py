@@ -79,7 +79,8 @@ def test_ladder_validation():
               lambda ladder: certify.check_M(certify.pair_diagonal_blocks, ladder),
               lambda ladder: certify.spectral_falsifier(composition, [1.0, 0.5j], ladder))
     for check in checks:
-        for ladder in ((16, 32), (32,), (32, 16, 64)):
+        # sizes 16, 3, 4: in lexicographic order these KxD rungs would pass
+        for ladder in ((16, 32), (32,), (32, 16, 64), ((2, 8), (3, 1), (4, 1))):
             with pytest.raises(ValueError, match="ladder"):
                 check(ladder)
 
@@ -91,10 +92,38 @@ def test_report_json_shape():
     assert payload["condition"] == "C"
     assert payload["verdict"] == certify.FALSIFIED
     assert len(payload["ladder"]) == 3
-    assert payload["tolerances"] == {"rank_tol": certify.RANK_TOL}
+    assert payload["tolerances"] == {"rank_tol": numlin.DEFAULT_TOL}
     assert payload == rep.as_dict()
     with pytest.raises(ValueError):
         certify.CertificateReport("C", "maybe", rep.ladder, {}, "")
+
+
+def _straddling(n: int) -> np.ndarray:
+    """Fixture: relative singular values 1e-7 and 1e-9 on either side of
+    the rank threshold 1e-8; both lie under the scan's looser 1e-6."""
+    return np.diag(np.r_[np.ones(n - 2), 1e-7, 1e-9])
+
+
+def test_each_report_names_the_threshold_its_check_applies():
+    assert certify.SCAN_TOLS[1] == numlin.DEFAULT_TOL < certify.SCAN_TOLS[0]
+    rep = certify.check_C(_straddling, LADDER)
+    assert [r.kernel_dim for r in rep.ladder] == [1, 1, 1]
+    assert rep.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
+    rep = certify.check_M(lambda n: certify.PairRung(_straddling(n), _straddling(n)),
+                          LADDER)
+    assert [r.intersection_dim for r in rep.ladder] == [1, 1, 1]
+    assert rep.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
+    rep, dims = certify._spectral_scan(_straddling, [0.0], LADDER)
+    assert dims == {(0j, certify.SCAN_TOLS[0]): [2, 2, 2],
+                    (0j, certify.SCAN_TOLS[1]): [1, 1, 1]}
+    assert rep.tolerances == {"svd_tols": list(certify.SCAN_TOLS)}
+    # W = T^2 + eps T^3 commutes with T, at defect about eps
+    t = opbuild.backward_shift(12).entries
+    for eps, verdict in ((0.2 * certify.ALGEBRAIC_TOL, certify.FALSIFIED),
+                         (5.0 * certify.ALGEBRAIC_TOL, certify.INCONCLUSIVE)):
+        rep = certify.algebraic_falsifier(t, t @ t + eps * (t @ t @ t), poly=[1.0])
+        assert rep.verdict == verdict
+        assert rep.tolerances == {"witness_tol": certify.ALGEBRAIC_TOL}
 
 
 # -- commuting pairs ----------------------------------------------------------
@@ -219,10 +248,10 @@ def test_diagonal_unitary_similarity_leaves_rung_counts_unchanged():
     # the conjugated section is complex, so the scan no longer folds
     # conjugate grid points
     ex31 = certify.family_composition(0.5, 1.0, "derivative")
-    grid, ladder, tols = certify.annulus_grid(0.5), (32, 64, 128), (1e-6, 1e-8)
+    grid, ladder = certify.annulus_grid(0.5, 5, 12), (32, 64, 128)
     similar = certify._spectral_scan(
-        lambda n: _unitarily_similar(ex31(n), _phases(n)), grid, ladder, tols)
-    assert similar[1] == certify._spectral_scan(ex31, grid, ladder, tols)[1]
+        lambda n: _unitarily_similar(ex31(n), _phases(n)), grid, ladder)
+    assert similar[1] == certify._spectral_scan(ex31, grid, ladder)[1]
 
     def diagonal_blocks(n):
         pair = certify.pair_diagonal_blocks(n)
@@ -324,7 +353,7 @@ def _dense_dims(builder, lams, ladder, tols):
     return dims
 
 
-def _counted_scan(builder, grid, ladder, tols):
+def _counted_scan(builder, grid, ladder):
     """_spectral_scan's dims and the number of spectra it took."""
     taken = []
     of = numlin.Spectrum.of
@@ -334,7 +363,7 @@ def _counted_scan(builder, grid, ladder, tols):
         return of(a)
 
     with mock.patch.object(numlin.Spectrum, "of", counting):
-        dims = certify._spectral_scan(builder, grid, ladder, tols)[1]
+        dims = certify._spectral_scan(builder, grid, ladder)[1]
     return dims, len(taken)
 
 
@@ -351,14 +380,14 @@ _POINT = st.builds(complex, st.floats(-2.0, 2.0),
        seed=st.integers(0, 999))
 def test_real_section_scan_folds_conjugates_and_repeats(eigen, others, conj, repeat,
                                                         seed):
-    tols, ladder = (1e-6, 1e-8), (8, 16, 24)
+    tols, ladder = certify.SCAN_TOLS, (8, 16, 24)
     base = eigen + others
     grid = list(base)
     grid += [lam.conjugate() for lam, c in zip(base, conj) if c]
     grid += [lam for lam, c in zip(base, repeat) if c]
     grid = [grid[i] for i in np.random.default_rng(seed).permutation(len(grid))]
     fam = _sections_with_eigenvalues(eigen, seed)
-    dims, taken = _counted_scan(fam, grid, ladder, tols)
+    dims, taken = _counted_scan(fam, grid, ladder)
     cells = list(dict.fromkeys(grid))
     dense = _dense_dims(fam, cells, ladder, tols)
     assert dims == dense
@@ -374,11 +403,11 @@ def test_real_section_scan_folds_conjugates_and_repeats(eigen, others, conj, rep
 
 
 def test_complex_section_scan_takes_one_svd_per_cell():
-    tols, ladder = (1e-6, 1e-8), (8, 16, 24)
+    tols, ladder = certify.SCAN_TOLS, (8, 16, 24)
     lam = 0.5 + 1.0j
     grid = [lam, lam.conjugate(), lam, 1.5, 0.3 - 0.7j]
     fam = _sections_with_eigenvalues([lam], 3, complex_entries=True)
-    dims, taken = _counted_scan(fam, grid, ladder, tols)
+    dims, taken = _counted_scan(fam, grid, ladder)
     cells = list(dict.fromkeys(grid))
     assert taken == len(ladder) * len(cells)
     assert dims == _dense_dims(fam, cells, ladder, tols)
@@ -392,12 +421,11 @@ def test_complex_section_scan_takes_one_svd_per_cell():
 def test_sign_conjugation_leaves_scan_dims_unchanged(r):
     # J C_r J = C_{-r} with J = diag((-1)^k), and the diagonal weighted frame
     # commutes with J, so every cell's dims agree at r and -r
-    grid = certify.annulus_grid(r)
-    ladder, tols = (16, 32, 48), (1e-6, 1e-8)
+    grid, ladder = certify.annulus_grid(r, 5, 12), (16, 32, 48)
     plus = certify._spectral_scan(
-        certify.family_composition(r, 1.0, "derivative"), grid, ladder, tols)
+        certify.family_composition(r, 1.0, "derivative"), grid, ladder)
     minus = certify._spectral_scan(
-        certify.family_composition(-r, 1.0, "derivative"), grid, ladder, tols)
+        certify.family_composition(-r, 1.0, "derivative"), grid, ladder)
     assert plus[1] == minus[1]
     assert plus[0].verdict == minus[0].verdict == certify.FALSIFIED
 
@@ -463,9 +491,9 @@ def test_witness_family_gram_is_well_conditioned():
 
 def test_witness_family_rejects_bad_lambda():
     with pytest.raises(ValueError):
-        certify.adjoint_multiplicity_witnesses(0.5, 1.0, 64)
+        certify.adjoint_multiplicity_witnesses(0.5, 1.0, 64, 8)
     with pytest.raises(ValueError):
-        certify.adjoint_multiplicity_witnesses(0.5, 2.0, 64)
+        certify.adjoint_multiplicity_witnesses(0.5, 2.0, 64, 8)
 
 
 def _same_family(a, b) -> bool:

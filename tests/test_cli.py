@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from univcert import cli
+from univcert import certify, cli
 
 
 def _summary(out: Path, name: str) -> dict:
@@ -93,10 +93,11 @@ def test_main_param_values_parse_by_default_kind(tmp_path, capsys):
                      "--out", str(tmp_path), "--format", "json"]) == 0
     sizes = [r["size"] for r in _summary(tmp_path, "ex25-notC")["check_C"]["ladder"]]
     assert sizes == [32, 64, 128]
+    # integers given for float defaults are read as doubles
     assert cli.main(["--scenario", "prop35-halfplane", "--param", "alphas=0,1",
                      "--out", str(tmp_path), "--format", "json"]) == 0
     assert _summary(tmp_path, "prop35-halfplane")["bergman_radii"] == {
-        "0": 0.25, "1": 0.125}
+        "0.0": 0.25, "1.0": 0.125}
     # thm32's lambda takes a complex value
     assert cli.main(["--scenario", "thm32-adjoint-certify", "--param",
                      "lam=1.1+0.2j", "--validate"]) == 0
@@ -223,7 +224,7 @@ def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
     ("prop35-halfplane", {"alphas": "-2"}, "bergman requires a finite alpha > -1"),
     ("prop35-halfplane", {"alphas": "nan"}, "bergman requires a finite alpha > -1"),
     ("thm22-eigenfield", {"z": "1.0"}, "z must satisfy |z| < 1, got 1.0"),
-    ("thm32-adjoint-certify", {"lam": "-1"}, "lam must lie off the unit circle, got -1"),
+    ("thm32-adjoint-certify", {"lam": "-1"}, "lam must lie off the unit circle, got -1.0"),
     ("prop35-halfplane", {"mu": "1e-300"},
      "the bergman radius mu^-2.0 does not fit a double at mu=1e-300"),
     ("prop35-halfplane", {"mu": "0.5", "alphas": "3000"},
@@ -268,6 +269,18 @@ def test_number_too_large_for_its_kind_fails_validate_and_run_alike(name, key, v
     assert not (tmp_path / name).exists()
 
 
+def test_an_integer_for_a_float_default_writes_the_bytes_of_its_double(tmp_path):
+    for value in ("4", "4.0"):
+        assert cli.main(["--scenario", "prop35-halfplane", "--param", f"mu={value}",
+                         "--out", str(tmp_path / value), "--format", "json"]) == 0
+    written = [(tmp_path / value / "prop35-halfplane" / "summary.json").read_bytes()
+               for value in ("4", "4.0")]
+    assert written[0] == written[1]
+    assert repr(cli._as_kind(0.25 + 0.15j, "0")) == "0.0"
+    # a complex value for a float default stays complex
+    assert cli._as_kind(3.0 ** 0.25, "1.1+0.2j") == 1.1 + 0.2j
+
+
 def test_integer_kind_holds_exactly_the_int64_range():
     assert cli._as_kind(1, 2**63 - 1) == 2**63 - 1
     assert cli._as_kind(1, -2**63) == -2**63
@@ -303,6 +316,20 @@ def test_main_validate_reports_non_increasing_ladder(capsys):
     assert cli.main(["--scenario", "ex25-notC", "--param", "ladder=64,32,128",
                      "--validate"]) == 2
     assert "strictly increasing" in capsys.readouterr().out
+
+
+def test_block_ladder_shrinking_in_one_part_fails_validate_and_run_alike(tmp_path, capsys):
+    # sizes 16, 3, 4: each rung is lexicographically larger than the last
+    message = ("the ladder must be strictly increasing, each part of a KxD rung "
+               "at least the last one's")
+    argv = ["--scenario", "thm44-block-pair", "--ladder", "2x8,3x1,4x1"]
+    assert cli.main(argv + ["--validate"]) == 2
+    assert capsys.readouterr().out == f"thm44-block-pair: {message}\n"
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"univcert-lab: error: {message}\n"
+    assert not (tmp_path / "thm44-block-pair").exists()
 
 
 def test_main_explicit_flags_beat_the_config_file(tmp_path, monkeypatch):
@@ -386,8 +413,28 @@ def test_ex46_matches_only_pairs_with_a_small_cross_residual(s, ratio, matched,
     cli.run_scenario("ex46-common-zeros", {"s": s}, tmp_path, fmt="both")
     summary = _summary(tmp_path, "ex46-common-zeros")
     assert (summary["ratio"], summary["matched_pairs"]) == (ratio, matched)
+    # no distance between the zeros: near +-1 any two of them lie close
+    assert set(summary) == {"ratio", "matched_pairs", "max_cross_residual",
+                            "zero_residual_max", "scenario", "narrative"}
+    assert (float(summary["max_cross_residual"]) < cli.PAIR_MATCH_TOL) == (matched == 21)
     pairs = (tmp_path / "ex46-common-zeros" / "pairs.csv").read_text(encoding="utf-8")
     assert len(pairs.splitlines()) == 1 + 21
+    assert pairs.splitlines()[0] == "j,matched_k,cross_residual"
+
+
+def test_ex31_grid_table_is_the_top_rung_of_the_scan_at_each_threshold(tmp_path):
+    params = {"ladder": (16, 32, 48), "n_radial": 3, "n_angular": 4}
+    cli.run_scenario("ex31-falsify-dirichlet", params, tmp_path, fmt="csv")
+    text = (tmp_path / "ex31-falsify-dirichlet" / "grid_dims.csv").read_bytes()
+    header, *rows = text.decode("utf-8").splitlines()
+    assert header == "re_lambda,im_lambda,dim_1e-6,dim_1e-8"
+    assert [float(col[len("dim_"):]) for col in header.split(",")[2:]] == list(
+        certify.SCAN_TOLS)
+    grid = certify.annulus_grid(0.5, 3, 4)
+    dims = certify._spectral_scan(certify.family_composition(0.5, 1.0, "derivative"),
+                                  grid, params["ladder"])[1]
+    assert [[int(d) for d in row.split(",")[2:]] for row in rows] == [
+        [dims[(complex(lam), tol)][-1] for tol in certify.SCAN_TOLS] for lam in grid]
 
 
 def test_scenario_outputs_are_deterministic(tmp_path):
