@@ -426,8 +426,8 @@ def test_ex31_grid_table_is_the_top_rung_of_the_scan_at_each_threshold(tmp_path)
     params = {"ladder": (16, 32, 48), "n_radial": 3, "n_angular": 4}
     cli.run_scenario("ex31-falsify-dirichlet", params, tmp_path, fmt="csv")
     text = (tmp_path / "ex31-falsify-dirichlet" / "grid_dims.csv").read_bytes()
+    assert text.startswith(b"re_lambda,im_lambda,dim_1e-6,dim_1e-8\r\n")
     header, *rows = text.decode("utf-8").splitlines()
-    assert header == "re_lambda,im_lambda,dim_1e-6,dim_1e-8"
     assert [float(col[len("dim_"):]) for col in header.split(",")[2:]] == list(
         certify.SCAN_TOLS)
     grid = certify.annulus_grid(0.5, 3, 4)
