@@ -1,4 +1,4 @@
-"""Function-theoretic layer: hyperbolic automorphisms, annulus spectra,
+"""Function-theoretic layer: translation lengths, annulus spectra,
 eigenfunction families, annulus covering maps and their zero sets, and the
 half-plane spectral radius formulas."""
 
@@ -11,23 +11,12 @@ import mpmath as mp
 import numpy as np
 
 
-@dataclass(frozen=True)
-class HyperbolicAuto:
-    """Normalized hyperbolic automorphism z -> (z + r)/(1 + r z), 0 < r < 1."""
-
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"parameter must lie in (0, 1), got {self.r}")
-
-    @property
-    def t_param(self) -> float:
-        """Translation length t_r = log((1 + r)/(1 - r)) > 0."""
-        return float(np.log1p(self.r) - np.log1p(-self.r))
-
-    def __call__(self, z):
-        return (z + self.r) / (1.0 + self.r * z)
+def translation_length(r: float) -> float:
+    """Translation length t_r = log((1 + r)/(1 - r)) > 0 of the hyperbolic
+    automorphism z -> (z + r)/(1 + r z), 0 < r < 1."""
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"parameter must lie in (0, 1), got {r}")
+    return float(np.log1p(r) - np.log1p(-r))
 
 
 def annulus(r: float) -> tuple[float, float]:
@@ -87,7 +76,7 @@ class ZeroSet:
 
 def covering_value(r: float, z):
     """psi_r(z) = ((1-z)/(1+z))^{i t_r / pi} at the working mpmath precision."""
-    t_r = HyperbolicAuto(r).t_param
+    t_r = translation_length(r)
     zz = mp.mpc(z)
     return mp.exp(1j * t_r / mp.pi * mp.log((1 - zz) / (1 + zz)))
 
@@ -101,7 +90,7 @@ def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:
     """
     if not in_annulus(r, lam):
         raise ValueError(f"lambda = {lam} is not strictly inside the annulus")
-    t_r = HyperbolicAuto(r).t_param
+    t_r = translation_length(r)
     max_re_w = (np.pi / t_r) * (abs(np.angle(lam)) + 2.0 * np.pi * k_max)
     dps = max(50, int(30 + 1.2 * max_re_w / np.log(10.0)))
     entries = []
@@ -123,7 +112,7 @@ def ratio_condition(r: float, s: float) -> Fraction | None:
     """Detect a rational ratio t_r/t_s with denominator at most 50; the
     matched eigenfunction indices (n, m) = (j p, j q) then share
     eigenfunctions across the two families."""
-    x = HyperbolicAuto(r).t_param / HyperbolicAuto(s).t_param
+    x = translation_length(r) / translation_length(s)
     frac = Fraction(x).limit_denominator(50)
     if abs(x - float(frac)) < 1e-9:
         return frac

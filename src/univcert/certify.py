@@ -58,16 +58,13 @@ class RungStats:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """A verdict with its per-rung evidence. When the ladder counted witness
-    families, witnesses is the top rung's family; to_json carries only the
-    counts."""
+    """A verdict with its per-rung evidence."""
 
     condition: str
     verdict: str
     ladder: tuple[RungStats, ...]
     tolerances: dict
     narrative: str
-    witnesses: WitnessFamily | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ladder:
@@ -219,8 +216,7 @@ def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
     tols = {"rank_tol": numlin.DEFAULT_TOL}
     if top_witnesses is not None:
         tols["witness_tol"] = WITNESS_TOL
-    return CertificateReport(condition, verdict, rungs, tols, narrative,
-                             top_witnesses)
+    return CertificateReport(condition, verdict, rungs, tols, narrative)
 
 
 def check_C(builder, ladder) -> CertificateReport:
@@ -282,8 +278,7 @@ def check_M(pair_builder, ladder) -> CertificateReport:
                                       "corank_2": cor2}))
     inters = [r.intersection_dim for r in rungs]
     sums_match = all(r.product_kernel_dim == r.sum_dim for r in rungs)
-    coranks_zero = all(r.extra["corank_1"] == 0 and r.extra["corank_2"] == 0
-                       for r in rungs)
+    coranks_zero = all(r.corank == 0 for r in rungs)
     if _strictly_increasing(inters) and sums_match and coranks_zero:
         verdict = CERTIFIED
         narrative = (f"kernel intersections {inters} grow strictly, the product "
@@ -313,7 +308,7 @@ def annulus_grid(r: float, n_radial: int, n_angular: int) -> np.ndarray:
     The grid is exactly closed under conjugation: angle index k > n - k is
     the conjugate of index n - k, and angle pi lies on the real axis.
     """
-    t_r = analytic.HyperbolicAuto(abs(r)).t_param
+    t_r = analytic.translation_length(abs(r))
     us = np.linspace(-ANNULUS_SPAN / 2.0, ANNULUS_SPAN / 2.0, n_radial)
     radii = np.exp(us * t_r / 2.0)
     ks = np.arange(n_angular)
@@ -325,7 +320,8 @@ def annulus_grid(r: float, n_radial: int, n_angular: int) -> np.ndarray:
 
 
 def spectral_falsifier(builder, lam_grid, ladder) -> CertificateReport:
-    """Track kernel dimensions of (A - lambda I) over a ladder and a grid.
+    """Track kernel dimensions of (A - lambda I) over a ladder and a grid;
+    builder(size) returns the square section A.
 
     A universal candidate must show eigenvalues of growing multiplicity
     somewhere; when every grid point keeps a bounded, non-growing kernel the
@@ -346,7 +342,7 @@ def _spectral_scan(builder, lam_grid, ladder):
     dims = {}
     rungs = []
     for size in ladder:
-        fs = _framed(_rung(builder(size)).square)
+        fs = _framed(builder(size))
         # one A - lambda I buffer per rung, only its diagonal rewritten per
         # point: no N x N temporaries are allocated inside the grid loop
         shifted = fs.astype(np.result_type(fs, lam_grid))
@@ -427,22 +423,8 @@ def algebraic_falsifier(t, w, poly=None, powers=None) -> CertificateReport:
 
 # -- compact-remainder proxy --------------------------------------------------
 
-@dataclass(frozen=True)
-class DecayProfile:
-    """Singular values of a difference, as evidence of compactness."""
-
-    values: np.ndarray
-
-    def ratio(self, j: int) -> float:
-        """s_j / s_1 with 1-based index j."""
-        top = self.values[0]
-        if top == 0.0:
-            return 0.0
-        return float(self.values[j - 1] / top)
-
-
 def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
-                      count: int) -> DecayProfile:
+                      count: int) -> np.ndarray:
     """The count largest singular values of (reference - A) in the weighted
     frame.
 
@@ -452,7 +434,7 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
     if a.entries.shape != reference.entries.shape:
         raise ValueError("compactness proxy needs operators of equal shape")
     diff = opbuild.OpMatrix(reference.entries - a.entries, a.w_in, a.w_out)
-    return DecayProfile(numlin.Spectrum.of(_framed(diff)).values[:count])
+    return numlin.Spectrum.of(_framed(diff)).values[:count]
 
 
 # -- multiplicity witnesses for composition adjoints --------------------------
@@ -513,7 +495,7 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     """
     if not analytic.in_annulus(r, lam) or abs(lam) == 1.0:
         raise ValueError("lambda must lie in the open annulus, off the unit circle")
-    t_r = analytic.HyperbolicAuto(r).t_param
+    t_r = analytic.translation_length(r)
     m = trunc - 1
     if compressed is None:
         compressed = _compressed_adjoint(r, trunc)

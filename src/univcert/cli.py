@@ -279,8 +279,8 @@ def _sc_ex31_falsify(*, r=0.5, ladder=(64, 128, 256), n_radial=5, n_angular=12):
 def _sc_thm32_certify(*, r=0.5, lam=3.0 ** 0.25, ladder=(256, 512, 1024),
                       index_max=64):
     fam = certify.family_adjoint_witnessed(r, lam, index_max)
-    rep = certify.check_C(fam, ladder)
-    top = rep.witnesses
+    walk = certify.kernel_ladder(fam, ladder)
+    rep, top = certify.kernel_verdict("C", walk), walk.top_witnesses
     rows = [[n, repr(float(res)), repr(float(massf))]
             for n, res, massf in zip(top.indices, top.residuals, top.window_mass)]
     fields = {
@@ -303,14 +303,14 @@ def _sc_cor34_heller(*, r=0.5, trunc=512, count=64):
     reference = opbuild.weighted_adjoint(opbuild.composition_matrix(
         -r, spaces.weights(1.0, trunc, "derivative")))
     displayed, flipped = opbuild.heller_principal(r, trunc)
-    prof = certify.compactness_proxy(displayed, reference, count=count)
-    prof_flipped = certify.compactness_proxy(flipped, reference, count=count)
-    rows = [[j + 1, repr(float(s)), repr(float(t))]
-            for j, (s, t) in enumerate(zip(prof.values, prof_flipped.values))]
+    s = certify.compactness_proxy(displayed, reference, count=count)
+    s_flipped = certify.compactness_proxy(flipped, reference, count=count)
+    rows = [[j + 1, repr(float(a)), repr(float(b))]
+            for j, (a, b) in enumerate(zip(s, s_flipped))]
     fields = {
         "r": r, "trunc": trunc,
-        "displayed_s32_over_s1": prof.ratio(32),
-        "flipped_s32_over_s1": prof_flipped.ratio(32),
+        "displayed_s32_over_s1": float(s[31] / s[0]),
+        "flipped_s32_over_s1": float(s_flipped[31] / s_flipped[0]),
     }
     extra = [("decay.csv", ["j", "s_displayed", "s_flipped"], rows)]
     return fields, extra
@@ -569,8 +569,6 @@ def _format_problem(fmt):
 
 def run_scenario(name: str, params: dict, out_dir: Path,
                  fmt: str = "both") -> list[Path]:
-    if name not in REGISTRY:
-        raise KeyError(f"unknown scenario {name!r}")
     if problem := _format_problem(fmt):
         raise ValueError(problem)
     merged, problems = _resolve(name, params)
@@ -673,17 +671,16 @@ def main(argv=None) -> int:
     if ladder is not None:
         params["ladder"] = ladder
 
+    checked = [(name, validate(name, params)) for name in scenarios]
     if ns.validate:
-        status = 0
-        for name in scenarios:
-            problems = validate(name, params)
-            if problems:
-                status = 2
-                for problem in problems:
-                    print(f"{name}: {problem}")
-            else:
-                print(f"{name}: ok")
-        return status
+        for name, problems in checked:
+            for problem in problems or ["ok"]:
+                print(f"{name}: {problem}")
+        return 2 if any(problems for _, problems in checked) else 0
+    # every scenario is resolved before any runs, so bad input writes nothing
+    for _, problems in checked:
+        if problems:
+            return _fail("; ".join(problems))
 
     tasks = [(name, params, out_dir, fmt) for name in scenarios]
     try:
@@ -694,9 +691,8 @@ def main(argv=None) -> int:
                 results = list(pool.map(_run_one, tasks))
         else:
             results = [_run_one(task) for task in tasks]
-    except (ValueError, KeyError, OSError) as exc:
-        # str() of a KeyError quotes its message
-        return _fail(exc.args[0] if isinstance(exc, KeyError) else exc)
+    except (ValueError, OSError) as exc:
+        return _fail(exc)
     for name, paths in results:
         for path in paths:
             print(f"{name}: {path}")

@@ -49,9 +49,9 @@ class Spectrum:
     def kernel_dim(self, tol_rel: float = DEFAULT_TOL) -> int:
         return self.shape[1] - self.rank(tol_rel)
 
-    def corank(self, tol_rel: float = DEFAULT_TOL) -> int:
+    def corank(self) -> int:
         """Codimension of the numerical range inside the codomain."""
-        return self.shape[0] - self.rank(tol_rel)
+        return self.shape[0] - self.rank()
 
 
 def subspace_dims(u: np.ndarray, v: np.ndarray) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from univcert.analytic import HyperbolicAuto
+from univcert.analytic import translation_length
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,11 @@ class EigenfunctionSpec:
     def __post_init__(self):
         if not 0.0 < self.u < 0.5:
             raise ValueError(f"exponent u must lie in (0, 1/2), got {self.u}")
-        HyperbolicAuto(self.r)
+        translation_length(self.r)
 
     @property
     def a_param(self) -> float:
-        return -1.0 / HyperbolicAuto(self.r).t_param
+        return -1.0 / translation_length(self.r)
 
     @property
     def exponent(self) -> complex:
@@ -37,4 +37,4 @@ class EigenfunctionSpec:
     @property
     def eigenvalue(self) -> float:
         """((1-r)/(1+r))^{-u}, independent of the index n."""
-        return float(np.exp(self.u * HyperbolicAuto(self.r).t_param))
+        return float(np.exp(self.u * translation_length(self.r)))

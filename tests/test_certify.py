@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from univcert import analytic, certify, numlin, opbuild
-from univcert.analytic import HyperbolicAuto
 
 import hs_dense
 import report_parity
@@ -276,7 +275,7 @@ def test_annulus_grid_geometry():
     assert np.all(np.abs(grid) < outer)
     # one ring sits exactly on the unit circle and contains lambda = 1
     assert np.min(np.abs(grid - 1.0)) < 1e-15
-    radii = np.exp(np.linspace(-0.4, 0.4, 5) * HyperbolicAuto(0.5).t_param / 2.0)
+    radii = np.exp(np.linspace(-0.4, 0.4, 5) * analytic.translation_length(0.5) / 2.0)
     for n_angular in range(1, 14):
         grid = certify.annulus_grid(0.5, 5, n_angular)
         # exactly closed under conjugation, so a real section's scan may
@@ -303,7 +302,7 @@ def test_spectral_falsifier_flat_dims():
 def test_spectral_falsifier_sees_growing_multiplicity():
     # a repeated point is one cell, so repeating it cannot hide its growth
     for grid in ([0.0], [0.0, 0.0]):
-        rep = certify.spectral_falsifier(family_block_backward,
+        rep = certify.spectral_falsifier(lambda n: family_block_backward(n).square,
                                          np.array(grid), (32, 64, 128))
         assert rep.verdict == certify.INCONCLUSIVE
         assert [r.kernel_dim for r in rep.ladder] == [8, 16, 32]
@@ -455,9 +454,9 @@ def test_algebraic_falsifier_power_witness_and_control():
 
 def test_compactness_proxy_of_identical_operators_is_zero():
     a = certify.family_identity(8)
-    prof = certify.compactness_proxy(a, a, count=8)
-    assert np.all(prof.values == 0.0)
-    assert prof.ratio(3) == 0.0
+    s = certify.compactness_proxy(a, a, count=8)
+    assert s.shape == (8,)
+    assert np.all(s == 0.0)
 
 
 def test_compactness_proxy_rank_one_difference():
@@ -465,10 +464,10 @@ def test_compactness_proxy_rank_one_difference():
     bump = np.zeros((8, 8))
     bump[0, 0] = 2.0
     b = opbuild.OpMatrix(np.eye(8) + bump, a.w_in, a.w_out)
-    prof = certify.compactness_proxy(a, b, count=4)
-    assert prof.values[0] == pytest.approx(2.0)
-    assert prof.ratio(2) < 1e-14
-    assert prof.ratio(1) == 1.0
+    s = certify.compactness_proxy(a, b, count=4)
+    assert s.shape == (4,)
+    assert s[0] == pytest.approx(2.0)
+    assert s[1] / s[0] < 1e-14
 
 
 def test_witness_family_counts_grow_with_resolution():
@@ -526,7 +525,7 @@ def _full_product_family(r, lam, trunc, index_max):
     am, wts = a.entries.astype(complex), a.w_in
     m = trunc - 1
     win = m // 4
-    t_r = HyperbolicAuto(r).t_param
+    t_r = analytic.translation_length(r)
     ns = np.arange(-index_max, index_max + 1)
     ws = -np.log(complex(lam)) / t_r + 2j * np.pi * ns / t_r
     coeffs = analytic.eigenfunction_coeffs_recurrence(ws, trunc)[:, 1:]
@@ -569,15 +568,16 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     assert np.array_equal(rung.interior.entries, rung.square.entries[:48])
     assert _same_family(rung.witnesses, certify.adjoint_multiplicity_witnesses(
         0.5, lam, 64, index_max=8))
-    # check_C counts each rung's family and hands back the top one
-    rep = certify.check_C(certify.family_adjoint_witnessed(0.5, lam, index_max=8),
-                          (32, 48, 64))
-    assert [r.kernel_dim for r in rep.ladder] == [
+    # the ladder walk counts each rung's family and hands back the top one
+    walk = certify.kernel_ladder(certify.family_adjoint_witnessed(0.5, lam, index_max=8),
+                                 (32, 48, 64))
+    assert [r.kernel_dim for r in walk.rungs] == [
         certify.adjoint_multiplicity_witnesses(0.5, lam, n, index_max=8).count()
         for n in (32, 48, 64)]
-    assert _same_family(rep.witnesses, rung.witnesses)
+    assert _same_family(walk.top_witnesses, rung.witnesses)
+    rep = certify.kernel_verdict("C", walk)
     assert rep.tolerances["witness_tol"] == certify.WITNESS_TOL
-    assert certify.check_C(certify.family_identity, LADDER).witnesses is None
+    assert certify.kernel_ladder(certify.family_identity, LADDER).top_witnesses is None
 
 
 def test_a_capped_witness_family_is_never_evidence_of_falsification():
@@ -591,12 +591,12 @@ def test_a_capped_witness_family_is_never_evidence_of_falsification():
 
 
 def test_an_empty_witness_family_says_nothing_about_the_operator():
-    rep = certify.check_C(certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=-1),
-                          LADDER)
-    assert [r.kernel_dim for r in rep.ladder] == [0, 0, 0]
-    assert rep.witnesses.indices == ()
-    assert rep.witnesses.gram_min_eigenvalue() == 0.0
-    assert rep.verdict == certify.INCONCLUSIVE
+    walk = certify.kernel_ladder(
+        certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=-1), LADDER)
+    assert [r.kernel_dim for r in walk.rungs] == [0, 0, 0]
+    assert walk.top_witnesses.indices == ()
+    assert walk.top_witnesses.gram_min_eigenvalue() == 0.0
+    assert certify.kernel_verdict("C", walk).verdict == certify.INCONCLUSIVE
 
 
 def _identity_with_family(size: int, passing: int):

@@ -111,6 +111,7 @@ def test_main_param_values_parse_by_default_kind(tmp_path, capsys):
     ["--scenario", "prop41-falsifiers", "--param", "n=1"],
     ["--scenario", "annulus", "--scenario", "prop41-falsifiers",
      "--param", "n=1", "--jobs", "2"],
+    ["--scenario", "annulus", "--scenario", "ex25-notC", "--param", "r=0.4"],
     ["--scenario", "cor34-heller", "--param", "count=8"],
     ["--scenario", "cor34-heller", "--param", "trunc=16"],
     ["--scenario", "annulus", "--param", "foo"],
@@ -127,6 +128,8 @@ def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+    # every scenario is resolved before any runs: bad input writes nothing
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("ladder", ["4x4x4,6x6x6,8x8x8", "4x4,6x6x6,8x8"])
@@ -358,7 +361,7 @@ def test_run_scenario_json_only(tmp_path):
 
 
 def test_run_scenario_rejects_invalid_input(tmp_path):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown scenario 'nope'$"):
         cli.run_scenario("nope", {}, tmp_path)
     with pytest.raises(ValueError):
         cli.run_scenario("annulus", {"r": 2.0}, tmp_path)

@@ -3,8 +3,9 @@
 The benchmark's tracer (perfbench/tracer.py) is installed read-only in a
 fresh interpreter, so its wrappers never reach the rest of the suite. It
 reads adjoint_multiplicity_witnesses' trunc at position 2 and the family's
-indices and count(), so an API change that breaks the traced benchmark run
-fails here too.
+indices and count(), and the benchmark's seeded-grid part calls
+spectral_falsifier with a builder of bare squares, so an API change that
+breaks the traced benchmark run fails here too.
 """
 
 import json
@@ -30,7 +31,8 @@ runs = [("thm32-adjoint-certify", {"ladder": "64,128,256", "index_max": 8}),
         ("ex25-notC", {}),
         ("ex43-diagonal", {}),
         ("thm44-block-pair", {"ladder": "2x2,3x3,4x4"}),
-        ("cor34-heller", {})]
+        ("cor34-heller", {}),
+        ("ex46-common-zeros", {})]
 metrics = {}
 with tempfile.TemporaryDirectory() as out:
     for run_id, (name, params) in enumerate(runs):
@@ -38,6 +40,14 @@ with tempfile.TemporaryDirectory() as out:
         cli.run_scenario(name, params, Path(out))
         t.active = False
         metrics[name] = tr.run_metrics(t, [run_id])
+# the benchmark's seeded-grid call shape
+t.run_id, t.active = len(runs), True
+report = certify.spectral_falsifier(
+    certify.family_composition(0.5, beta=1.0, variant="derivative"),
+    [1.0, 0.5j], (8, 16, 24)).to_json()
+t.active = False
+metrics["spectral_falsifier"] = tr.run_metrics(t, [len(runs)])
+metrics["spectral_falsifier"]["report"] = json.loads(report)
 print(json.dumps(metrics))
 """
 
@@ -102,3 +112,19 @@ def test_cor34_builds_its_principal_part_from_one_composition_matrix(traced):
     assert m["opbuild.composition_matrix.distinct_ratio"] == 1.0
     # one decay profile per sign
     assert m["linalg.svd.calls"] == 2
+
+
+def test_ex46_evaluates_the_covering_map_83_times(traced):
+    m = traced["ex46-common-zeros"]
+    # one residual per zero, 41 for r and 21 for s, and one cross residual
+    # per matched pair (21): the count the benchmark's registry-light reads
+    assert m["analytic.covering_value.calls"] == 83
+
+
+def test_spectral_falsifier_takes_a_builder_of_bare_squares(traced):
+    m = traced["spectral_falsifier"]
+    # 3 rungs x one composition matrix, each scanned at 2 grid points
+    assert m["opbuild.composition_matrix.calls"] == 3
+    assert m["linalg.svd.calls"] == 6
+    assert m["report"]["verdict"] == "falsified"
+    assert [r["kernel_dim"] for r in m["report"]["ladder"]] == [1, 1, 1]
