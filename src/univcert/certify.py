@@ -8,7 +8,7 @@ bounded evidence only, so the strongest positive verdict is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,37 +32,13 @@ SCALE_CAVEAT = (
 
 
 @dataclass(frozen=True)
-class RungStats:
-    """Numbers observed at one ladder rung; unused fields stay None."""
-
-    label: str
-    size: int
-    kernel_dim: int | None = None
-    corank: int | None = None
-    sigma_min: float | None = None
-    intersection_dim: int | None = None
-    sum_dim: int | None = None
-    product_kernel_dim: int | None = None
-    extra: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = {"label": self.label, "size": self.size}
-        for key in ("kernel_dim", "corank", "sigma_min", "intersection_dim",
-                    "sum_dim", "product_kernel_dim"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
-        d.update(self.extra)
-        return d
-
-
-@dataclass(frozen=True)
 class CertificateReport:
-    """A verdict with its per-rung evidence."""
+    """A verdict with its per-rung evidence: each rung the dict of numbers
+    its report writes."""
 
     condition: str
     verdict: str
-    ladder: tuple[RungStats, ...]
+    ladder: tuple[dict, ...]
     tolerances: dict
     narrative: str
 
@@ -77,8 +53,8 @@ class CertificateReport:
             "schema_version": "1",
             "condition": self.condition,
             "verdict": self.verdict,
-            "ladder": [r.as_dict() for r in self.ladder],
-            "tolerances": self.tolerances,
+            "ladder": [dict(r) for r in self.ladder],
+            "tolerances": dict(self.tolerances),
             "narrative": self.narrative,
         }
 
@@ -116,11 +92,6 @@ class PairRung:
     hs: bool = False
 
 
-def _rung(built) -> Rung:
-    """Builders return a Rung or a bare square matrix."""
-    return built if isinstance(built, Rung) else Rung(built)
-
-
 def _rung_label(size) -> str:
     return f"N={size}"
 
@@ -141,7 +112,7 @@ def _check_ladder(ladder) -> None:
                          "each part of a KxD rung at least the last one's")
 
 
-def _kernel_rung_stats(rung: Rung, size) -> RungStats:
+def _kernel_rung(rung: Rung, size) -> dict:
     spec = numlin.Spectrum.of(_framed(rung.square))
     if rung.witnesses is not None:
         kdim = rung.witnesses.count()
@@ -151,40 +122,34 @@ def _kernel_rung_stats(rung: Rung, size) -> RungStats:
         cor = numlin.Spectrum.of(_framed(rung.interior)).corank()
     else:
         cor = spec.corank()
-    return RungStats(_rung_label(size), size, kernel_dim=kdim, corank=cor,
-                     sigma_min=spec.sigma_min)
+    return {"label": _rung_label(size), "size": size, "kernel_dim": kdim,
+            "corank": cor, "sigma_min": spec.sigma_min}
 
 
-@dataclass(frozen=True)
-class KernelLadder:
-    """The rung walk shared by conditions C and C+: each rung's numbers and
-    the top rung's witness family (None when the kernel was counted)."""
-
-    rungs: tuple[RungStats, ...]
-    top_witnesses: WitnessFamily | None
-
-
-def kernel_ladder(builder, ladder) -> KernelLadder:
+def kernel_ladder(builder, ladder) -> tuple:
+    """The rung walk shared by conditions C and C+: builder(size) returns a
+    Rung. Returns each rung's numbers and the top rung's witness family
+    (None when the kernel was counted)."""
     _check_ladder(ladder)
     rungs = []
     for size in ladder:
-        # only the stats and the witness family outlive the rung, so its
+        # only the numbers and the witness family outlive the rung, so its
         # matrices are freed before the next rung is built
-        rung = _rung(builder(size))
-        rungs.append(_kernel_rung_stats(rung, size))
+        rung = builder(size)
+        rungs.append(_kernel_rung(rung, size))
         top_witnesses = rung.witnesses
         del rung
-    return KernelLadder(tuple(rungs), top_witnesses)
+    return tuple(rungs), top_witnesses
 
 
-def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
+def kernel_verdict(condition: str, rungs, top_witnesses) -> CertificateReport:
     """Condition "C" wants corank 0 at every rung, "Cplus" a constant one;
     both want strictly growing kernel evidence. Constant evidence falsifies,
-    unless it is the size of the top rung's witness family."""
-    rungs, top_witnesses = walk.rungs, walk.top_witnesses
+    unless it is the size of the top rung's witness family. rungs and
+    top_witnesses are what kernel_ladder returns."""
     corank_target = {"C": 0, "Cplus": None}[condition]
-    kdims = [r.kernel_dim for r in rungs]
-    coranks = [r.corank for r in rungs]
+    kdims = [r["kernel_dim"] for r in rungs]
+    coranks = [r["corank"] for r in rungs]
     grows = _strictly_increasing(kdims)
     if corank_target is None:
         corank_ok = len(set(coranks)) == 1
@@ -207,7 +172,7 @@ def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
     elif len(set(kdims)) == 1:
         verdict = FALSIFIED
         narrative = (f"kernel evidence stays at {kdims[0]} across the ladder "
-                     f"(sigma_min {rungs[-1].sigma_min:.3e} at the top rung); "
+                     f"(sigma_min {rungs[-1]['sigma_min']:.3e} at the top rung); "
                      "no sign of unbounded multiplicity")
     else:
         verdict = INCONCLUSIVE
@@ -217,17 +182,6 @@ def kernel_verdict(condition: str, walk: KernelLadder) -> CertificateReport:
     if top_witnesses is not None:
         tols["witness_tol"] = WITNESS_TOL
     return CertificateReport(condition, verdict, rungs, tols, narrative)
-
-
-def check_C(builder, ladder) -> CertificateReport:
-    """Kernel grows without bound and the range is everything.
-
-    certified_at_scale iff the kernel evidence strictly increases across the
-    ladder and every rung has corank 0 (computed on the interior section when
-    the builder provides one). The kernel evidence is the rung's witness
-    count when the builder returns a Rung with a witness family.
-    """
-    return kernel_verdict("C", kernel_ladder(builder, ladder))
 
 
 # -- commuting pairs ----------------------------------------------------------
@@ -271,14 +225,13 @@ def check_M(pair_builder, ladder) -> CertificateReport:
         cor1, cor2 = pair.coranks or (k1, k2)
         label = f"K={size[0]},d={size[1]}" if isinstance(size, tuple) else _rung_label(size)
         n = int(np.prod(size)) if isinstance(size, tuple) else int(size)
-        rungs.append(RungStats(label, n, kernel_dim=k1, corank=max(cor1, cor2),
-                               intersection_dim=inter, sum_dim=sum_dim,
-                               product_kernel_dim=prod_kernel,
-                               extra={"kernel_dim_2": k2, "corank_1": cor1,
-                                      "corank_2": cor2}))
-    inters = [r.intersection_dim for r in rungs]
-    sums_match = all(r.product_kernel_dim == r.sum_dim for r in rungs)
-    coranks_zero = all(r.corank == 0 for r in rungs)
+        rungs.append({"label": label, "size": n, "kernel_dim": k1, "kernel_dim_2": k2,
+                      "corank": max(cor1, cor2), "corank_1": cor1, "corank_2": cor2,
+                      "intersection_dim": inter, "sum_dim": sum_dim,
+                      "product_kernel_dim": prod_kernel})
+    inters = [r["intersection_dim"] for r in rungs]
+    sums_match = all(r["product_kernel_dim"] == r["sum_dim"] for r in rungs)
+    coranks_zero = all(r["corank"] == 0 for r in rungs)
     if _strictly_increasing(inters) and sums_match and coranks_zero:
         verdict = CERTIFIED
         narrative = (f"kernel intersections {inters} grow strictly, the product "
@@ -302,14 +255,16 @@ def annulus_grid(r: float, n_radial: int, n_angular: int) -> np.ndarray:
     """Polar grid strictly inside the annulus, symmetric about |lambda| = 1.
 
     Radii are exp(u * t_r / 2) for u equally spaced in ANNULUS_SPAN * [-1/2, 1/2],
-    so an odd radial count places one ring exactly on the unit circle and the
-    first angle puts lambda = 1 on the grid.
+    so an odd radial count places one ring exactly on the unit circle (a
+    single ring is that circle) and the first angle puts lambda = 1 on the
+    grid.
 
     The grid is exactly closed under conjugation: angle index k > n - k is
     the conjugate of index n - k, and angle pi lies on the real axis.
     """
     t_r = analytic.translation_length(abs(r))
-    us = np.linspace(-ANNULUS_SPAN / 2.0, ANNULUS_SPAN / 2.0, n_radial)
+    us = (np.linspace(-ANNULUS_SPAN / 2.0, ANNULUS_SPAN / 2.0, n_radial)
+          if n_radial != 1 else np.zeros(1))
     radii = np.exp(us * t_r / 2.0)
     ks = np.arange(n_angular)
     unit = np.exp(1j * (2.0 * np.pi * ks / n_angular))
@@ -361,8 +316,8 @@ def _spectral_scan(builder, lam_grid, ladder):
                 d = spectra[key].kernel_dim(tol)
                 dims.setdefault((complex(lam), tol), []).append(d)
                 worst = max(worst, d)
-        rungs.append(RungStats(_rung_label(size), size, kernel_dim=worst,
-                               extra={"grid_points": int(lam_grid.size)}))
+        rungs.append({"label": _rung_label(size), "size": size, "kernel_dim": worst,
+                      "grid_points": int(lam_grid.size)})
     growth = [key for key, ds in dims.items() if _strictly_increasing(ds)]
     bounded = all(max(ds) <= 1 for ds in dims.values())
     if not growth and bounded:
@@ -406,9 +361,8 @@ def algebraic_falsifier(t, w, poly=None, powers=None) -> CertificateReport:
                                 - np.linalg.matrix_power(tm, n)) / scale
         witness = f"W^{m} = T^{n}"
     comm = _relative_commutator(tm, wm)
-    rung = RungStats("pair", tm.shape[0],
-                     extra={"defect": float(defect), "commutator": float(comm),
-                            "witness": witness})
+    rung = {"label": "pair", "size": tm.shape[0], "defect": float(defect),
+            "commutator": float(comm), "witness": witness}
     if defect <= ALGEBRAIC_TOL and comm <= ALGEBRAIC_TOL:
         verdict = FALSIFIED
         narrative = (f"witness {witness} matches with defect {defect:.3e}; an "

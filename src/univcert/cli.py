@@ -189,8 +189,8 @@ def _sc_prop21_block(*, n=24):
 def _sc_ex25_notC(*, ladder=(32, 64, 128)):
     # one walk of the ladder, read by both verdict rules
     walk = certify.kernel_ladder(certify.family_halfshift_plus_rank1, ladder)
-    rep_c = certify.kernel_verdict("C", walk)
-    rep_cplus = certify.kernel_verdict("Cplus", walk)
+    rep_c = certify.kernel_verdict("C", *walk)
+    rep_cplus = certify.kernel_verdict("Cplus", *walk)
     return {"check_C": rep_c.as_dict(), "check_Cplus": rep_cplus.as_dict()}, []
 
 
@@ -279,8 +279,8 @@ def _sc_ex31_falsify(*, r=0.5, ladder=(64, 128, 256), n_radial=5, n_angular=12):
 def _sc_thm32_certify(*, r=0.5, lam=3.0 ** 0.25, ladder=(256, 512, 1024),
                       index_max=64):
     fam = certify.family_adjoint_witnessed(r, lam, index_max)
-    walk = certify.kernel_ladder(fam, ladder)
-    rep, top = certify.kernel_verdict("C", walk), walk.top_witnesses
+    rungs, top = certify.kernel_ladder(fam, ladder)
+    rep = certify.kernel_verdict("C", rungs, top)
     rows = [[n, repr(float(res)), repr(float(massf))]
             for n, res, massf in zip(top.indices, top.residuals, top.window_mass)]
     fields = {
@@ -506,7 +506,7 @@ def _as_kind(default, value):
 
 
 def _read_config(path: str) -> dict:
-    """Plain key = value lines mirroring the flags; 'param' may repeat."""
+    """Plain key = value lines mirroring the flags; only 'param' may repeat."""
     out = {"param": []}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -515,8 +515,12 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ("scenario", "param", "out", "format", "ladder", "jobs"):
+            raise ValueError(f"unknown config key {key!r}")
         if key == "param":
             out["param"].append(value)
+        elif key in out:
+            raise ValueError(f"config key {key!r} given twice; only param may repeat")
         else:
             out[key] = value
     return out
@@ -567,13 +571,8 @@ def _format_problem(fmt):
         return f"format: expected one of {', '.join(FORMATS)}, got {fmt!r}"
 
 
-def run_scenario(name: str, params: dict, out_dir: Path,
-                 fmt: str = "both") -> list[Path]:
-    if problem := _format_problem(fmt):
-        raise ValueError(problem)
-    merged, problems = _resolve(name, params)
-    if problems:
-        raise ValueError("; ".join(problems))
+def _write_report(name: str, merged: dict, out_dir: Path, fmt: str) -> list[Path]:
+    """Runs scenario name on its resolved parameters and writes its report."""
     target = out_dir / name
     target.mkdir(parents=True, exist_ok=True)
     sc = REGISTRY[name]
@@ -588,10 +587,18 @@ def run_scenario(name: str, params: dict, out_dir: Path,
     return written
 
 
-def _run_one(args):
-    name, params, out_dir, fmt = args
-    paths = run_scenario(name, params, Path(out_dir), fmt)
-    return name, [str(p) for p in paths]
+def run_scenario(name: str, params: dict, out_dir: Path,
+                 fmt: str = "both") -> list[Path]:
+    if problem := _format_problem(fmt):
+        raise ValueError(problem)
+    merged, problems = _resolve(name, params)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return _write_report(name, merged, out_dir, fmt)
+
+
+def _run_one(task):
+    return task[0], _write_report(*task)
 
 
 def _fail(message) -> int:
@@ -671,18 +678,18 @@ def main(argv=None) -> int:
     if ladder is not None:
         params["ladder"] = ladder
 
-    checked = [(name, validate(name, params)) for name in scenarios]
+    # every scenario is resolved once, before any runs, so bad input writes nothing
+    resolved = [(name, *_resolve(name, params)) for name in scenarios]
     if ns.validate:
-        for name, problems in checked:
+        for name, _, problems in resolved:
             for problem in problems or ["ok"]:
                 print(f"{name}: {problem}")
-        return 2 if any(problems for _, problems in checked) else 0
-    # every scenario is resolved before any runs, so bad input writes nothing
-    for _, problems in checked:
+        return 2 if any(problems for *_, problems in resolved) else 0
+    for *_, problems in resolved:
         if problems:
             return _fail("; ".join(problems))
 
-    tasks = [(name, params, out_dir, fmt) for name in scenarios]
+    tasks = [(name, merged, Path(out_dir), fmt) for name, merged, _ in resolved]
     try:
         if jobs > 1 and len(tasks) > 1:
             # a forking pool starts all of its workers at once

@@ -52,13 +52,13 @@ def test_criterion_03_multiplication_pair_dimensions():
     scalar = certify.check_M(certify.hs_pair_scalar, (8, 16, 32))
     ok = scalar.verdict == certify.FALSIFIED
     for r, n in zip(scalar.ladder, (8, 16, 32)):
-        ok = ok and (r.kernel_dim, r.intersection_dim, r.sum_dim,
-                     r.product_kernel_dim) == (n, 1, 2 * n - 1, 2 * n - 1)
+        ok = ok and (r["kernel_dim"], r["intersection_dim"], r["sum_dim"],
+                     r["product_kernel_dim"]) == (n, 1, 2 * n - 1, 2 * n - 1)
     block = certify.check_M(certify.hs_pair_block, ((4, 4), (6, 6), (8, 8)))
     ok = ok and block.verdict == certify.CERTIFIED
     for r, (k, d) in zip(block.ladder, ((4, 4), (6, 6), (8, 8))):
-        ok = ok and (r.kernel_dim, r.intersection_dim, r.sum_dim,
-                     r.product_kernel_dim, r.corank) == (
+        ok = ok and (r["kernel_dim"], r["intersection_dim"], r["sum_dim"],
+                     r["product_kernel_dim"], r["corank"]) == (
             k * d * d, d * d, (2 * k - 1) * d * d, (2 * k - 1) * d * d, 0)
     # exact subspace identity Ker(L R) = Ker L + Ker R at the middle rung
     # (the product kernel basis comes from the Kronecker oracle in tests/)
@@ -89,7 +89,7 @@ def test_criterion_05_forward_operator_falsified():
     fam = certify.family_composition(0.5, beta=1.0, variant="derivative")
     rep = certify.spectral_falsifier(fam, grid, (64, 128, 256))
     ok = rep.verdict == certify.FALSIFIED
-    ok = ok and all(r.kernel_dim <= 1 for r in rep.ladder)
+    ok = ok and all(r["kernel_dim"] <= 1 for r in rep.ladder)
     # the only kernel on the grid sits at lambda = 1 and is the constants
     fs = opbuild.weighted_frame(fam(256))
     basis = svd_kernel(fs - np.eye(256), tol_rel=1e-6)
@@ -102,15 +102,15 @@ def test_criterion_05_forward_operator_falsified():
 def test_criterion_06_adjoint_certified_with_growing_witnesses():
     r, lam = 0.5, 3.0 ** 0.25
     ladder = (256, 512, 1024)
-    # independent oracle: each rung's family built on its own, outside check_C
+    # independent oracle: each rung's family built on its own, outside the walk
     counts = tuple(certify.adjoint_multiplicity_witnesses(r, lam, n, index_max=64)
                    .count() for n in ladder)
     ok = counts == (15, 31, 63)
-    rep = certify.check_C(
-        certify.family_adjoint_witnessed(r, lam, index_max=64), ladder)
+    rep = certify.kernel_verdict("C", *certify.kernel_ladder(
+        certify.family_adjoint_witnessed(r, lam, index_max=64), ladder))
     ok = ok and rep.verdict == certify.CERTIFIED
-    ok = ok and all(rg.corank == 0 for rg in rep.ladder)
-    ok = ok and [rg.kernel_dim for rg in rep.ladder] == list(counts)
+    ok = ok and all(rg["corank"] == 0 for rg in rep.ladder)
+    ok = ok and [rg["kernel_dim"] for rg in rep.ladder] == list(counts)
     top = certify.adjoint_multiplicity_witnesses(r, lam, ladder[-1], 64)
     ok = ok and top.gram_min_eigenvalue() > 0.9
     assert _verdict(6, f"compressed adjoint certified, counts {counts}", ok)

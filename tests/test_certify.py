@@ -18,6 +18,11 @@ from dense_kernel import svd_kernel
 LADDER = (16, 32, 64)
 
 
+def check_C(builder, ladder):
+    """Condition C on one kernel_ladder walk: corank 0 and growing evidence."""
+    return certify.kernel_verdict("C", *certify.kernel_ladder(builder, ladder))
+
+
 def family_backward_shift(n: int):
     """Fixture: the plain backward shift, kernel dim 1 at every rung."""
     b = opbuild.backward_shift(n)
@@ -32,38 +37,38 @@ def family_block_backward(n: int, block_frac: int = 4):
 
 
 def test_block_shift_family_is_certified():
-    rep = certify.check_C(family_block_backward, (32, 64, 128))
+    rep = check_C(family_block_backward, (32, 64, 128))
     assert rep.verdict == certify.CERTIFIED
-    assert [r.kernel_dim for r in rep.ladder] == [8, 16, 32]
-    assert all(r.corank == 0 for r in rep.ladder)
+    assert [r["kernel_dim"] for r in rep.ladder] == [8, 16, 32]
+    assert all(r["corank"] == 0 for r in rep.ladder)
 
 
 def test_identity_family_is_falsified():
-    rep = certify.check_C(certify.family_identity, LADDER)
+    rep = check_C(lambda n: certify.Rung(certify.family_identity(n)), LADDER)
     assert rep.verdict == certify.FALSIFIED
-    assert all(r.kernel_dim == 0 for r in rep.ladder)
+    assert all(r["kernel_dim"] == 0 for r in rep.ladder)
 
 
 def test_plain_backward_shift_kernel_stays_one():
-    rep = certify.check_C(family_backward_shift, LADDER)
+    rep = check_C(family_backward_shift, LADDER)
     assert rep.verdict == certify.FALSIFIED
-    assert all(r.kernel_dim == 1 and r.corank == 0 for r in rep.ladder)
+    assert all(r["kernel_dim"] == 1 and r["corank"] == 0 for r in rep.ladder)
 
 
 def test_rank_one_bump_splits_C_from_Cplus():
-    rep_c = certify.check_C(certify.family_halfshift_plus_rank1, LADDER)
+    rep_c = check_C(certify.family_halfshift_plus_rank1, LADDER)
     rep_cp = certify.kernel_verdict(
-        "Cplus", certify.kernel_ladder(certify.family_halfshift_plus_rank1, LADDER))
+        "Cplus", *certify.kernel_ladder(certify.family_halfshift_plus_rank1, LADDER))
     assert rep_c.verdict == certify.INCONCLUSIVE
     assert rep_cp.verdict == certify.CERTIFIED
-    assert all(r.corank == 1 for r in rep_cp.ladder)
+    assert all(r["corank"] == 1 for r in rep_cp.ladder)
 
 
 def test_rank_one_bump_needs_three_coefficients():
     with pytest.raises(ValueError, match="n >= 3"):
         certify.family_halfshift_plus_rank1(2)
     with pytest.raises(ValueError, match="n >= 3"):
-        certify.check_C(certify.family_halfshift_plus_rank1, (2, 3, 4))
+        check_C(certify.family_halfshift_plus_rank1, (2, 3, 4))
 
 
 def test_perturbed_pair_family_is_injective():
@@ -74,7 +79,8 @@ def test_perturbed_pair_family_is_injective():
 
 def test_ladder_validation():
     composition = certify.family_composition(0.5, beta=1.0, variant="derivative")
-    checks = (lambda ladder: certify.check_C(certify.family_identity, ladder),
+    checks = (lambda ladder: check_C(lambda n: certify.Rung(certify.family_identity(n)),
+                                     ladder),
               lambda ladder: certify.check_M(certify.pair_diagonal_blocks, ladder),
               lambda ladder: certify.spectral_falsifier(composition, [1.0, 0.5j], ladder))
     for check in checks:
@@ -84,17 +90,48 @@ def test_ladder_validation():
                 check(ladder)
 
 
+KERNEL_RUNG_KEYS = {"label", "size", "kernel_dim", "corank", "sigma_min"}
+PAIR_RUNG_KEYS = {"label", "size", "kernel_dim", "kernel_dim_2", "corank", "corank_1",
+                  "corank_2", "intersection_dim", "sum_dim", "product_kernel_dim"}
+
+
 def test_report_json_shape():
-    rep = certify.check_C(certify.family_identity, LADDER)
-    payload = json.loads(rep.to_json())
-    assert payload["schema_version"] == "1"
-    assert payload["condition"] == "C"
-    assert payload["verdict"] == certify.FALSIFIED
-    assert len(payload["ladder"]) == 3
-    assert payload["tolerances"] == {"rank_tol": numlin.DEFAULT_TOL}
-    assert payload == rep.as_dict()
+    identity = check_C(lambda n: certify.Rung(certify.family_identity(n)), LADDER)
+    assert identity.verdict == certify.FALSIFIED
+    assert identity.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
+    b = opbuild.backward_shift(16)
+    # one report per condition, with the rung keys schema "1" writes
+    cases = [
+        ("C", identity, KERNEL_RUNG_KEYS),
+        ("Cplus", certify.kernel_verdict(
+            "Cplus", *certify.kernel_ladder(certify.family_halfshift_plus_rank1, LADDER)),
+         KERNEL_RUNG_KEYS),
+        ("M", certify.check_M(certify.pair_diagonal_blocks, (8, 16, 32)), PAIR_RUNG_KEYS),
+        ("M", certify.check_M(certify.hs_pair_block, ((2, 2), (3, 3), (4, 4))),
+         PAIR_RUNG_KEYS),
+        ("spectral", certify.spectral_falsifier(
+            certify.family_composition(0.5, 1.0, "derivative"), [1.0, 0.5j], LADDER),
+         {"label", "size", "kernel_dim", "grid_points"}),
+        ("algebraic", certify.algebraic_falsifier(b, b.entries @ b.entries, poly=[1.0]),
+         {"label", "size", "defect", "commutator", "witness"}),
+    ]
+    for condition, rep, keys in cases:
+        payload = json.loads(rep.to_json())
+        assert payload["schema_version"] == "1"
+        assert payload["condition"] == condition
+        assert payload == rep.as_dict()
+        assert len(payload["ladder"]) == (1 if condition == "algebraic" else 3)
+        for rung in payload["ladder"]:
+            # a rung writes exactly its condition's keys, and never a null
+            assert set(rung) == keys
+            assert None not in rung.values()
+        # a payload is a copy: editing it leaves the report as it was
+        edited = rep.as_dict()
+        edited["ladder"][0]["size"] = -1
+        edited["tolerances"]["edited"] = True
+        assert rep.as_dict() == payload
     with pytest.raises(ValueError):
-        certify.CertificateReport("C", "maybe", rep.ladder, {}, "")
+        certify.CertificateReport("C", "maybe", identity.ladder, {}, "")
 
 
 def _straddling(n: int) -> np.ndarray:
@@ -105,12 +142,12 @@ def _straddling(n: int) -> np.ndarray:
 
 def test_each_report_names_the_threshold_its_check_applies():
     assert certify.SCAN_TOLS[1] == numlin.DEFAULT_TOL < certify.SCAN_TOLS[0]
-    rep = certify.check_C(_straddling, LADDER)
-    assert [r.kernel_dim for r in rep.ladder] == [1, 1, 1]
+    rep = check_C(lambda n: certify.Rung(_straddling(n)), LADDER)
+    assert [r["kernel_dim"] for r in rep.ladder] == [1, 1, 1]
     assert rep.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
     rep = certify.check_M(lambda n: certify.PairRung(_straddling(n), _straddling(n)),
                           LADDER)
-    assert [r.intersection_dim for r in rep.ladder] == [1, 1, 1]
+    assert [r["intersection_dim"] for r in rep.ladder] == [1, 1, 1]
     assert rep.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
     rep, dims = certify._spectral_scan(_straddling, [0.0], LADDER)
     assert dims == {(0j, certify.SCAN_TOLS[0]): [2, 2, 2],
@@ -131,29 +168,29 @@ def test_scalar_multiplication_pair_is_falsified():
     rep = certify.check_M(certify.hs_pair_scalar, (8, 16, 32))
     assert rep.verdict == certify.FALSIFIED
     for r, n in zip(rep.ladder, (8, 16, 32)):
-        assert r.kernel_dim == n
-        assert r.intersection_dim == 1
-        assert r.sum_dim == 2 * n - 1
-        assert r.product_kernel_dim == 2 * n - 1
-        assert r.corank == 0
+        assert r["kernel_dim"] == n
+        assert r["intersection_dim"] == 1
+        assert r["sum_dim"] == 2 * n - 1
+        assert r["product_kernel_dim"] == 2 * n - 1
+        assert r["corank"] == 0
 
 
 def test_block_multiplication_pair_is_certified():
     rep = certify.check_M(certify.hs_pair_block, ((4, 4), (6, 6), (8, 8)))
     assert rep.verdict == certify.CERTIFIED
     for r, (k, d) in zip(rep.ladder, ((4, 4), (6, 6), (8, 8))):
-        assert r.label == f"K={k},d={d}"
-        assert r.kernel_dim == k * d * d
-        assert r.intersection_dim == d * d
-        assert r.sum_dim == (2 * k - 1) * d * d
-        assert r.product_kernel_dim == r.sum_dim
-        assert r.corank == 0
+        assert r["label"] == f"K={k},d={d}"
+        assert r["kernel_dim"] == k * d * d
+        assert r["intersection_dim"] == d * d
+        assert r["sum_dim"] == (2 * k - 1) * d * d
+        assert r["product_kernel_dim"] == r["sum_dim"]
+        assert r["corank"] == 0
 
 
 def test_diagonal_pair_keeps_disjoint_kernels():
     rep = certify.check_M(certify.pair_diagonal_blocks, (8, 16, 32))
     assert rep.verdict == certify.FALSIFIED
-    assert all(r.intersection_dim == 0 for r in rep.ladder)
+    assert all(r["intersection_dim"] == 0 for r in rep.ladder)
 
 
 def test_check_M_is_symmetric_under_swap():
@@ -168,9 +205,9 @@ def test_check_M_is_symmetric_under_swap():
     b = certify.check_M(swapped, ((2, 2), (3, 3), (4, 4)))
     assert a.verdict == b.verdict == certify.CERTIFIED
     for ra, rb in zip(a.ladder, b.ladder):
-        assert ra.intersection_dim == rb.intersection_dim
-        assert ra.sum_dim == rb.sum_dim
-        assert ra.product_kernel_dim == rb.product_kernel_dim
+        assert ra["intersection_dim"] == rb["intersection_dim"]
+        assert ra["sum_dim"] == rb["sum_dim"]
+        assert ra["product_kernel_dim"] == rb["product_kernel_dim"]
 
 
 def test_check_M_rejects_noncommuting_pairs():
@@ -213,9 +250,9 @@ def test_dense_check_M_counts_agree_with_kernel_bases(diagonals, seed):
     b1, b2 = svd_kernel(u), svd_kernel(v)
     total, inter = numlin.subspace_dims(b1, b2)
     for r in rep.ladder:
-        assert (r.kernel_dim, r.extra["kernel_dim_2"], r.intersection_dim,
-                r.sum_dim) == (b1.shape[1], b2.shape[1], inter, total)
-        assert r.product_kernel_dim >= r.sum_dim
+        assert (r["kernel_dim"], r["kernel_dim_2"], r["intersection_dim"],
+                r["sum_dim"]) == (b1.shape[1], b2.shape[1], inter, total)
+        assert r["product_kernel_dim"] >= r["sum_dim"]
 
 
 def _phases(n):
@@ -239,8 +276,8 @@ def test_diagonal_unitary_similarity_leaves_rung_counts_unchanged():
                               for a in (rung.square, rung.interior)))
 
     def counts(builder):
-        walk = certify.kernel_ladder(builder, LADDER)
-        return [(r.kernel_dim, r.corank) for r in walk.rungs]
+        rungs, _ = certify.kernel_ladder(builder, LADDER)
+        return [(r["kernel_dim"], r["corank"]) for r in rungs]
 
     assert counts(halfshift) == counts(certify.family_halfshift_plus_rank1)
 
@@ -258,8 +295,8 @@ def test_diagonal_unitary_similarity_leaves_rung_counts_unchanged():
                                   for a in (pair.u, pair.v)))
 
     def pair_counts(builder):
-        return [(r.kernel_dim, r.extra["kernel_dim_2"], r.intersection_dim,
-                 r.sum_dim, r.product_kernel_dim, r.corank)
+        return [(r["kernel_dim"], r["kernel_dim_2"], r["intersection_dim"],
+                 r["sum_dim"], r["product_kernel_dim"], r["corank"])
                 for r in certify.check_M(builder, (8, 16, 32)).ladder]
 
     assert pair_counts(diagonal_blocks) == pair_counts(certify.pair_diagonal_blocks)
@@ -273,8 +310,12 @@ def test_annulus_grid_geometry():
     inner, outer = 1.0 / np.sqrt(3.0), np.sqrt(3.0)
     assert np.all(np.abs(grid) > inner)
     assert np.all(np.abs(grid) < outer)
-    # one ring sits exactly on the unit circle and contains lambda = 1
-    assert np.min(np.abs(grid - 1.0)) < 1e-15
+    # an odd radial count puts one ring exactly on the unit circle, with
+    # lambda = 1 on it; a single ring is that circle
+    for n_radial in (1, 3, 5):
+        rings = certify.annulus_grid(0.5, n_radial, 12).reshape(n_radial, 12)
+        assert np.all(np.abs(np.abs(rings[n_radial // 2]) - 1.0) < 1e-15)
+        assert rings[n_radial // 2, 0] == 1.0
     radii = np.exp(np.linspace(-0.4, 0.4, 5) * analytic.translation_length(0.5) / 2.0)
     for n_angular in range(1, 14):
         grid = certify.annulus_grid(0.5, 5, n_angular)
@@ -296,7 +337,7 @@ def test_spectral_falsifier_flat_dims():
     fam = certify.family_composition(0.5, beta=1.0, variant="derivative")
     rep = certify.spectral_falsifier(fam, grid, (16, 32, 64))
     assert rep.verdict == certify.FALSIFIED
-    assert all(r.kernel_dim <= 1 for r in rep.ladder)
+    assert all(r["kernel_dim"] <= 1 for r in rep.ladder)
 
 
 def test_spectral_falsifier_sees_growing_multiplicity():
@@ -305,7 +346,7 @@ def test_spectral_falsifier_sees_growing_multiplicity():
         rep = certify.spectral_falsifier(lambda n: family_block_backward(n).square,
                                          np.array(grid), (32, 64, 128))
         assert rep.verdict == certify.INCONCLUSIVE
-        assert [r.kernel_dim for r in rep.ladder] == [8, 16, 32]
+        assert [r["kernel_dim"] for r in rep.ladder] == [8, 16, 32]
         assert rep.narrative.startswith("2 grid cell(s) show growing")
 
 
@@ -434,7 +475,7 @@ def test_algebraic_falsifier_polynomial_witness():
     b2 = b.entries @ b.entries
     rep = certify.algebraic_falsifier(b, b2, poly=[1.0])
     assert rep.verdict == certify.FALSIFIED
-    assert rep.ladder[0].extra["defect"] == 0.0
+    assert rep.ladder[0]["defect"] == 0.0
 
 
 def test_algebraic_falsifier_power_witness_and_control():
@@ -569,34 +610,35 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     assert _same_family(rung.witnesses, certify.adjoint_multiplicity_witnesses(
         0.5, lam, 64, index_max=8))
     # the ladder walk counts each rung's family and hands back the top one
-    walk = certify.kernel_ladder(certify.family_adjoint_witnessed(0.5, lam, index_max=8),
-                                 (32, 48, 64))
-    assert [r.kernel_dim for r in walk.rungs] == [
+    rungs, top = certify.kernel_ladder(
+        certify.family_adjoint_witnessed(0.5, lam, index_max=8), (32, 48, 64))
+    assert [r["kernel_dim"] for r in rungs] == [
         certify.adjoint_multiplicity_witnesses(0.5, lam, n, index_max=8).count()
         for n in (32, 48, 64)]
-    assert _same_family(walk.top_witnesses, rung.witnesses)
-    rep = certify.kernel_verdict("C", walk)
+    assert _same_family(top, rung.witnesses)
+    rep = certify.kernel_verdict("C", rungs, top)
     assert rep.tolerances["witness_tol"] == certify.WITNESS_TOL
-    assert certify.kernel_ladder(certify.family_identity, LADDER).top_witnesses is None
+    assert certify.kernel_ladder(lambda n: certify.Rung(certify.family_identity(n)),
+                                 LADDER)[1] is None
 
 
 def test_a_capped_witness_family_is_never_evidence_of_falsification():
     # index_max = 1 builds 3 witnesses, and all 3 pass at every rung: the
     # cap holds the count constant, not the operator
-    rep = certify.check_C(certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=1),
-                          (64, 128, 256))
-    assert [r.kernel_dim for r in rep.ladder] == [3, 3, 3]
+    rep = check_C(certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=1),
+                  (64, 128, 256))
+    assert [r["kernel_dim"] for r in rep.ladder] == [3, 3, 3]
     assert rep.verdict == certify.INCONCLUSIVE
     assert "cap" in rep.narrative and "raise index_max" in rep.narrative
 
 
 def test_an_empty_witness_family_says_nothing_about_the_operator():
-    walk = certify.kernel_ladder(
+    rungs, top = certify.kernel_ladder(
         certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=-1), LADDER)
-    assert [r.kernel_dim for r in walk.rungs] == [0, 0, 0]
-    assert walk.top_witnesses.indices == ()
-    assert walk.top_witnesses.gram_min_eigenvalue() == 0.0
-    assert certify.kernel_verdict("C", walk).verdict == certify.INCONCLUSIVE
+    assert [r["kernel_dim"] for r in rungs] == [0, 0, 0]
+    assert top.indices == ()
+    assert top.gram_min_eigenvalue() == 0.0
+    assert certify.kernel_verdict("C", rungs, top).verdict == certify.INCONCLUSIVE
 
 
 def _identity_with_family(size: int, passing: int):
@@ -613,6 +655,6 @@ def _identity_with_family(size: int, passing: int):
 @pytest.mark.parametrize("size, passing, verdict", [
     (3, 3, certify.INCONCLUSIVE), (3, 2, certify.FALSIFIED)])
 def test_constant_witness_counts_falsify_only_below_the_cap(size, passing, verdict):
-    rep = certify.check_C(_identity_with_family(size, passing), LADDER)
-    assert [r.kernel_dim for r in rep.ladder] == [passing] * 3
+    rep = check_C(_identity_with_family(size, passing), LADDER)
+    assert [r["kernel_dim"] for r in rep.ladder] == [passing] * 3
     assert rep.verdict == verdict

@@ -209,8 +209,10 @@ def test_ladder_below_its_floor_fails_validate_and_run_alike(name, below, messag
     "scenario = annulus\nformat = xml\n",
     "scenario = annulus\nparam = bogus\n",
     "scenario = annulus\njobs = 0\n",
+    "scenario = annulus\nfromat = json\n",
+    "scenario = prop21-block\nscenario = annulus\n",
 ], ids=["jobs-not-an-integer", "malformed-line", "format-not-json-csv-both",
-        "param-not-K=V", "jobs-below-1"])
+        "param-not-K=V", "jobs-below-1", "unknown-key", "repeated-key"])
 def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + f"out = {tmp_path}\n", encoding="utf-8")
@@ -218,7 +220,7 @@ def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert not (tmp_path / "annulus").exists()
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("name, params, message", [
