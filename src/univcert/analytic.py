@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 
@@ -76,6 +75,7 @@ class ZeroSet:
 
 def covering_value(r: float, z):
     """psi_r(z) = ((1-z)/(1+z))^{i t_r / pi} at the working mpmath precision."""
+    import mpmath as mp
     t_r = translation_length(r)
     zz = mp.mpc(z)
     return mp.exp(1j * t_r / mp.pi * mp.log((1 - zz) / (1 + zz)))
@@ -88,6 +88,7 @@ def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:
     z_k = (1 - e^{w_k})/(1 + e^{w_k}). The zeros approach +-1 exponentially
     fast, far below double spacing, so they are kept as mpmath numbers.
     """
+    import mpmath as mp
     if not in_annulus(r, lam):
         raise ValueError(f"lambda = {lam} is not strictly inside the annulus")
     t_r = translation_length(r)

@@ -22,7 +22,7 @@ WITNESS_TOL = 1e-4
 SCAN_TOLS = (1e-6, 1e-8)  # rank thresholds the spectral scan reads each cell at
 ALGEBRAIC_TOL = 1e-10     # bound on a dependence witness's defect and commutator
 MASS_FLOOR = 0.5     # least share of a counted witness's norm in the window
-WINDOW_FRAC = 4      # residual window and dropped interior rows: 1/4 of a rung
+WINDOW_FRAC = 4      # residual window and rows the corank drops: 1/4 of a rung
 ANNULUS_SPAN = 0.8   # annulus_grid's span in u, where |lambda| = exp(u t_r / 2)
 
 SCALE_CAVEAT = (
@@ -62,20 +62,15 @@ class CertificateReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def _framed(a) -> np.ndarray:
-    if isinstance(a, opbuild.OpMatrix):
-        return opbuild.weighted_frame(a)
-    return numlin._as_matrix(a)
-
-
 @dataclass(frozen=True)
 class Rung:
     """One ladder rung, built once and read by every check: the square
-    section, the interior section for the corank (None: use the square) and
-    the witness family counted as kernel evidence (None: count the kernel)."""
+    section, the trailing codomain rows its corank leaves out (0: none) lest
+    the band that truncation loses read as lost range, and the witness
+    family counted as kernel evidence (None: count the kernel)."""
 
     square: object
-    interior: object = None
+    drop_rows: int = 0
     witnesses: WitnessFamily | None = None
 
 
@@ -113,13 +108,16 @@ def _check_ladder(ladder) -> None:
 
 
 def _kernel_rung(rung: Rung, size) -> dict:
-    spec = numlin.Spectrum.of(_framed(rung.square))
+    framed = opbuild.weighted_frame(rung.square)
+    if not 0 <= rung.drop_rows < framed.shape[0]:
+        raise ValueError("drop_rows out of range")
+    spec = numlin.Spectrum.of(framed)
     if rung.witnesses is not None:
         kdim = rung.witnesses.count()
     else:
         kdim = spec.kernel_dim()
-    if rung.interior is not None:
-        cor = numlin.Spectrum.of(_framed(rung.interior)).corank()
+    if rung.drop_rows:
+        cor = numlin.Spectrum.of(framed[:-rung.drop_rows]).corank()
     else:
         cor = spec.corank()
     return {"label": _rung_label(size), "size": size, "kernel_dim": kdim,
@@ -206,7 +204,7 @@ def check_M(pair_builder, ladder) -> CertificateReport:
             k1, k2 = b1.shape[1], b2.shape[1]
             inter = numlin.subspace_dims(b1, b2)[1]
         else:
-            m1, m2 = _framed(pair.u), _framed(pair.v)
+            m1, m2 = opbuild.weighted_frame(pair.u), opbuild.weighted_frame(pair.v)
             if _relative_commutator(m1, m2) > numlin.DEFAULT_TOL:
                 raise ValueError("the supplied pair does not commute")
             s1, s2 = numlin.Spectrum.of(m1), numlin.Spectrum.of(m2)
@@ -297,7 +295,7 @@ def _spectral_scan(builder, lam_grid, ladder):
     dims = {}
     rungs = []
     for size in ladder:
-        fs = _framed(builder(size))
+        fs = opbuild.weighted_frame(builder(size))
         # one A - lambda I buffer per rung, only its diagonal rewritten per
         # point: no N x N temporaries are allocated inside the grid loop
         shifted = fs.astype(np.result_type(fs, lam_grid))
@@ -343,7 +341,7 @@ def algebraic_falsifier(t, w, poly=None, powers=None) -> CertificateReport:
     """
     if (poly is None) == (powers is None):
         raise ValueError("supply exactly one of poly or powers")
-    tm, wm = _framed(t), _framed(w)
+    tm, wm = opbuild.weighted_frame(t), opbuild.weighted_frame(w)
     scale = max(np.linalg.norm(wm), 1.0)
     if poly is not None:
         acc = np.zeros_like(tm)
@@ -388,7 +386,7 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
     if a.entries.shape != reference.entries.shape:
         raise ValueError("compactness proxy needs operators of equal shape")
     diff = opbuild.OpMatrix(reference.entries - a.entries, a.w_in, a.w_out)
-    return numlin.Spectrum.of(_framed(diff)).values[:count]
+    return numlin.Spectrum.of(opbuild.weighted_frame(diff)).values[:count]
 
 
 # -- multiplicity witnesses for composition adjoints --------------------------
@@ -507,7 +505,7 @@ def family_halfshift_plus_rank1(n: int):
             m[k, 2 * k] = 1.0
     m[1, 2] -= 1.0
     op = opbuild._square(m, opbuild._hardy(n))
-    return Rung(op, opbuild.interior_section(op, n - (n + 1) // 2))
+    return Rung(op, n - (n + 1) // 2)
 
 
 def family_ex26(n_param: int):
@@ -529,13 +527,13 @@ def family_composition(r: float, beta: float, variant: str):
 
 def family_adjoint_witnessed(r: float, lam: complex, index_max: int):
     """Rungs of A - lambda I for the z-compressed weighted adjoint A of C_phi
-    on the derivative-norm space: one A per rung gives the square, its
-    interior section for the corank and the witness family of A at lambda."""
+    on the derivative-norm space: one A per rung gives the square, whose
+    corank drops the window's trailing rows, and the witness family of A at
+    lambda."""
     def build(trunc: int) -> Rung:
         a = _compressed_adjoint(r, trunc)
         square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1), a.w_in, a.w_out)
-        interior = opbuild.interior_section(square, (trunc - 1) // WINDOW_FRAC)
-        return Rung(square, interior, adjoint_multiplicity_witnesses(
+        return Rung(square, (trunc - 1) // WINDOW_FRAC, adjoint_multiplicity_witnesses(
             r, lam, trunc, index_max, compressed=a))
     return build
 
@@ -551,11 +549,10 @@ def hs_pair_block(size: tuple[int, int]) -> PairRung:
     dimension d; the model universal commuting pair."""
     K, d = size
     b = opbuild.block_backward_shift(K, d)
-    # S -> B S loses K d directions for each one that B's interior section
-    # loses, and S -> S B* likewise with B*'s; on the Hardy space B* = B^T
-    # makes that section B*[:, :-d].T equal to B[:-d, :], so one spectrum
-    # gives both
-    corank = K * d * numlin.Spectrum.of(b.entries[:-d, :]).corank()
+    # S -> B S loses K d directions for each one that B loses without its
+    # last d rows, and S -> S B* likewise with B*; on the Hardy space B* = B^T
+    # makes B*[:, :-d].T equal to B[:-d, :], so one spectrum gives both
+    corank = K * d * numlin.Spectrum.of(opbuild.weighted_frame(b)[:-d]).corank()
     return PairRung(b, opbuild.weighted_adjoint(b), (corank, corank), hs=True)
 
 

@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 
 from . import analytic, certify, numlin, opbuild, spaces
@@ -205,7 +204,7 @@ def _sc_ex26_perturbation(*, trunc=128, n_max=10):
     sigmas, defects = [], []
     for n in range(1, n_max + 1):
         vn = certify.family_ex26(n)(trunc)
-        sigmas.append(numlin.Spectrum.of(vn).sigma_min)
+        sigmas.append(numlin.Spectrum.of(opbuild.weighted_frame(vn)).sigma_min)
         defects.append(abs(np.linalg.norm(vn.entries - base.entries, 2) - 1.0 / n))
     rows = [[n, repr(s), repr(1.0 / (2 * n))] for n, s in enumerate(sigmas, 1)]
     fields = {
@@ -412,6 +411,7 @@ PAIR_MATCH_TOL = 1e-8  # cross-residual bound of a match, as in perfbench's chec
            (_real_unit("r"), _real_unit("s"), _in_annulus("r", "lam"),
             _in_annulus("s", "mu"), _at_least("k_max", 0)))
 def _sc_ex46_zeros(*, r=0.5, s=2.0 - 3.0 ** 0.5, lam=1.0 + 0j, mu=1.0 + 0j, k_max=20):
+    import mpmath as mp
     frac = analytic.ratio_condition(r, s)
     zr = analytic.covering_map_zeros(r, lam, k_max)
     zs = analytic.covering_map_zeros(s, mu, k_max // 2)
@@ -476,8 +476,8 @@ def _as_kind(default, value):
     """value in the kind of default: strings are parsed first, then tuples
     need sequences of the default's element kind (a rung of KxD rungs needs
     as many parts as the default's), ints need integers that fit 64 bits and
-    float or complex defaults take any number that fits a double, an integer
-    as that double. Raises ValueError."""
+    float or complex defaults take any number that fits a double: a real one
+    as a Python float, any other as a Python complex. Raises ValueError."""
     if isinstance(default, tuple):
         if isinstance(value, str):
             value = _parse_ladder(value)
@@ -499,8 +499,8 @@ def _as_kind(default, value):
     if not isinstance(value, numbers.Number):
         raise ValueError(f"expected a number, got {value!r}")
     try:
-        # mu=4 writes the same bytes as mu=4.0
-        return float(value) if isinstance(value, numbers.Integral) else value
+        # mu=4 and mu=np.float64(4) write the same bytes as mu=4.0
+        return float(value) if isinstance(value, numbers.Real) else complex(value)
     except OverflowError:
         raise ValueError(f"{value!r} does not fit a double") from None
 

@@ -10,13 +10,6 @@ import numpy as np
 DEFAULT_TOL = 1e-8
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(getattr(a, "entries", a))
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    return m
-
-
 def negligible(values: np.ndarray, tol_rel: float = DEFAULT_TOL,
                top: float | None = None) -> np.ndarray:
     """The rank threshold: True where sigma <= tol_rel * top, with top =
@@ -36,7 +29,11 @@ class Spectrum:
 
     @classmethod
     def of(cls, a) -> Spectrum:
-        m = _as_matrix(a)
+        """a: a 2-d array in orthonormal coordinates; an operator reaches it
+        through opbuild.weighted_frame."""
+        m = np.asarray(a)
+        if m.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
         return cls(np.linalg.svd(m, compute_uv=False), m.shape)
 
     @property

@@ -56,19 +56,6 @@ def block_backward_shift(K: int, d: int) -> OpMatrix:
     return _square(np.eye(K * d, k=d), _hardy(K * d))
 
 
-def interior_section(a: OpMatrix, drop_rows: int) -> OpMatrix:
-    """Delete trailing codomain rows lost to truncation.
-
-    Square finite sections of surjective shifts always show an artificial
-    corank equal to the boundary band; the rectangular section keeps the
-    surjectivity proxy honest.
-    """
-    if not 0 < drop_rows < a.entries.shape[0]:
-        raise ValueError("drop_rows out of range")
-    return OpMatrix(np.ascontiguousarray(a.entries[:-drop_rows, :]), a.w_in,
-                    a.w_out[:-drop_rows])
-
-
 # -- composition operators ---------------------------------------------------
 
 def composition_matrix(r: float, w: np.ndarray) -> OpMatrix:
@@ -115,12 +102,16 @@ def weighted_adjoint(a: OpMatrix) -> OpMatrix:
     return OpMatrix(adj, a.w_out, a.w_in)
 
 
-def weighted_frame(a: OpMatrix) -> np.ndarray:
+def weighted_frame(a) -> np.ndarray:
     """Conjugate into orthonormal coordinates: W_out^{1/2} A W_in^{-1/2}.
 
     Singular values of the framed matrix are the honest singular values of
-    the operator between the weighted spaces.
+    the operator between the weighted spaces; this is the only way an
+    operator reaches numlin. A bare array is already in orthonormal
+    coordinates and is returned as given.
     """
+    if not isinstance(a, OpMatrix):
+        return a
     wi = np.sqrt(a.w_in)
     wo = np.sqrt(a.w_out)
     return a.entries * (wo[:, None] / wi[None, :])

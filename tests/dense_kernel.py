@@ -9,13 +9,13 @@ orthonormal columns, so a test can intersect two kernels through
 
 import numpy as np
 
-from univcert.numlin import DEFAULT_TOL, _as_matrix, negligible
+from univcert.numlin import DEFAULT_TOL, negligible
 
 
 def svd_kernel(a, tol_rel: float = DEFAULT_TOL) -> np.ndarray:
-    """Right singular vectors whose singular value is negligible, as
-    orthonormal columns."""
-    m = _as_matrix(a)
+    """Right singular vectors of the 2-d array a whose singular value is
+    negligible, as orthonormal columns."""
+    m = np.asarray(a)
     _, s, vh = np.linalg.svd(m)
     k = int(np.count_nonzero(negligible(s, tol_rel)))
     # rows of vh beyond min(m, n) are always annihilated (wide matrices)

@@ -26,14 +26,23 @@ def check_C(builder, ladder):
 def family_backward_shift(n: int):
     """Fixture: the plain backward shift, kernel dim 1 at every rung."""
     b = opbuild.backward_shift(n)
-    return certify.Rung(b, opbuild.interior_section(b, 1))
+    return certify.Rung(b, 1)
 
 
 def family_block_backward(n: int, block_frac: int = 4):
     """Fixture: backward shift of growing inner dimension d = n / block_frac."""
     d = max(n // block_frac, 1)
     b = opbuild.block_backward_shift(max(n // d, 2), d)
-    return certify.Rung(b, opbuild.interior_section(b, d))
+    return certify.Rung(b, d)
+
+
+def test_a_rung_drops_fewer_rows_than_it_has():
+    for drop in (lambda n: n, lambda n: -1):
+        with pytest.raises(ValueError, match="drop_rows out of range"):
+            check_C(lambda n: certify.Rung(certify.family_identity(n), drop(n)), LADDER)
+    # one row left: the identity's section still reaches every row it keeps
+    rep = check_C(lambda n: certify.Rung(certify.family_identity(n), n - 1), LADDER)
+    assert [r["corank"] for r in rep.ladder] == [0, 0, 0]
 
 
 def test_block_shift_family_is_certified():
@@ -74,7 +83,7 @@ def test_rank_one_bump_needs_three_coefficients():
 def test_perturbed_pair_family_is_injective():
     for n in range(1, 6):
         op = certify.family_ex26(n)(32)
-        assert numlin.Spectrum.of(op).sigma_min > 1.0 / (2 * n)
+        assert numlin.Spectrum.of(opbuild.weighted_frame(op)).sigma_min > 1.0 / (2 * n)
 
 
 def test_ladder_validation():
@@ -262,18 +271,16 @@ def _phases(n):
 
 def _unitarily_similar(a, phases):
     """D A D* for D = diag(phases). D commutes with the diagonal weights, so
-    this is a unitary similarity in the weighted frame too; a rectangular
-    interior section keeps D's leading entries on its rows."""
-    rows, cols = a.entries.shape
-    entries = phases[:rows, None] * a.entries * phases[None, :cols].conj()
+    this is a unitary similarity in the weighted frame too, and it commutes
+    with dropping a rung's trailing rows."""
+    entries = phases[:, None] * a.entries * phases[None, :].conj()
     return opbuild.OpMatrix(entries, a.w_in, a.w_out)
 
 
 def test_diagonal_unitary_similarity_leaves_rung_counts_unchanged():
     def halfshift(n):
         rung = certify.family_halfshift_plus_rank1(n)
-        return certify.Rung(*(_unitarily_similar(a, _phases(n))
-                              for a in (rung.square, rung.interior)))
+        return certify.Rung(_unitarily_similar(rung.square, _phases(n)), rung.drop_rows)
 
     def counts(builder):
         rungs, _ = certify.kernel_ladder(builder, LADDER)
@@ -605,8 +612,8 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     rung = certify.family_adjoint_witnessed(0.5, lam, index_max=8)(64)
     base = certify._compressed_adjoint(0.5, 64)
     assert np.array_equal(rung.square.entries, base.entries - lam * np.eye(63))
-    # the interior section drops the window's 63 // 4 = 15 trailing rows
-    assert np.array_equal(rung.interior.entries, rung.square.entries[:48])
+    # the corank drops the window's 63 // 4 = 15 trailing rows
+    assert rung.drop_rows == 15
     assert _same_family(rung.witnesses, certify.adjoint_multiplicity_witnesses(
         0.5, lam, 64, index_max=8))
     # the ladder walk counts each rung's family and hands back the top one
@@ -648,7 +655,7 @@ def _identity_with_family(size: int, passing: int):
         residuals = np.where(np.arange(size) < passing, 0.0, 1.0)
         family = certify.WitnessFamily(tuple(range(size)), np.eye(n, size),
                                        residuals, np.ones(size), np.ones(n))
-        return certify.Rung(certify.family_identity(n), None, family)
+        return certify.Rung(certify.family_identity(n), witnesses=family)
     return build
 
 

@@ -1,8 +1,11 @@
 """Scenario runner: registry, parameter handling, outputs, determinism."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from univcert import certify, cli
@@ -284,6 +287,33 @@ def test_an_integer_for_a_float_default_writes_the_bytes_of_its_double(tmp_path)
     assert repr(cli._as_kind(0.25 + 0.15j, "0")) == "0.0"
     # a complex value for a float default stays complex
     assert cli._as_kind(3.0 ** 0.25, "1.1+0.2j") == 1.1 + 0.2j
+
+
+@pytest.mark.parametrize("name, numpy_params, python_params", [
+    ("annulus", {"r": np.float64(0.3)}, {"r": 0.3}),
+    ("annulus", {"r": np.float32(0.25)}, {"r": 0.25}),
+    ("prop35-halfplane", {"mu": np.float64(4.0), "alphas": (np.float64(0.0), np.int64(2))},
+     {"mu": 4.0, "alphas": (0.0, 2.0)}),
+    ("thm22-eigenfield", {"z": np.complex128(0.25 + 0.15j), "K": np.int64(8)},
+     {"z": 0.25 + 0.15j, "K": 8}),
+])
+def test_numpy_scalars_write_the_bytes_of_python_numbers(tmp_path, name, numpy_params,
+                                                         python_params):
+    paths = [cli.run_scenario(name, params, tmp_path / label)
+             for label, params in (("numpy", numpy_params), ("python", python_params))]
+    assert [p.name for p in paths[0]] == [p.name for p in paths[1]]
+    for ours, theirs in zip(*paths):
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_importing_the_runner_leaves_mpmath_unloaded():
+    # mpmath serves only the covering-map zeros, so only ex46 loads it
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import univcert.cli; "
+             "print('mpmath' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_integer_kind_holds_exactly_the_int64_range():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univcert import numlin
+from univcert import numlin, opbuild
 
 from dense_kernel import svd_kernel
 
@@ -67,11 +67,12 @@ def test_subspace_ambient_mismatch_raises():
         numlin.subspace_dims(u, v)
 
 
-def test_accepts_objects_with_entries_attribute():
-    class Box:
-        entries = np.eye(3)
-
-    assert numlin.Spectrum.of(Box()).rank() == 3
+def test_refuses_an_operator_matrix():
+    # an operator reaches numlin only through opbuild.weighted_frame
+    with pytest.raises(ValueError, match="expected a 2-d matrix"):
+        numlin.Spectrum.of(opbuild.backward_shift(4))
+    framed = opbuild.weighted_frame(opbuild.backward_shift(4))
+    assert numlin.Spectrum.of(framed).rank() == 3
 
 
 @settings(max_examples=25, deadline=None)

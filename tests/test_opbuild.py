@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from univcert import numlin, opbuild, spaces
+from univcert import certify, numlin, opbuild, spaces
 
 import hs_dense
 from dense_kernel import svd_kernel
@@ -39,14 +39,37 @@ def test_block_shift_moves_whole_blocks():
             opbuild.block_backward_shift(K, d)
 
 
+def interior_section(a, drop_rows):
+    """Oracle: a without its trailing drop_rows codomain rows, as an operator
+    onto the leading weights; a rung's corank reads its frame."""
+    if not 0 < drop_rows < a.entries.shape[0]:
+        raise ValueError("drop_rows out of range")
+    return opbuild.OpMatrix(np.ascontiguousarray(a.entries[:-drop_rows, :]), a.w_in,
+                            a.w_out[:-drop_rows])
+
+
 def test_interior_section_trims_rows():
     b = opbuild.backward_shift(5)
-    sec = opbuild.interior_section(b, 1)
+    sec = interior_section(b, 1)
     assert sec.entries.shape == (4, 5)
     assert sec.w_in.size == 5 and sec.w_out.size == 4
     assert numlin.Spectrum.of(sec.entries).corank() == 0
     with pytest.raises(ValueError):
-        opbuild.interior_section(b, 5)
+        interior_section(b, 5)
+
+
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_dropping_framed_rows_frames_the_interior_section(k):
+    # the weighted adjoint of C_phi on the derivative space: unframed, its
+    # sections read a corank one too large
+    a = opbuild.weighted_adjoint(opbuild.composition_matrix(0.5, _deriv(64)))
+    section = opbuild.weighted_frame(interior_section(a, k))
+    framed = opbuild.weighted_frame(a)[:-k]
+    assert np.array_equal(framed, section)
+    corank = numlin.Spectrum.of(section).corank()
+    assert numlin.Spectrum.of(framed).corank() == corank
+    assert numlin.Spectrum.of(a.entries[:-k]).corank() == corank + 1
+    assert certify._kernel_rung(certify.Rung(a, k), 64)["corank"] == corank
 
 
 def mobius_coeffs(r, length):
@@ -126,7 +149,7 @@ def test_weighted_adjoint_matches_inner_products():
     square = opbuild.composition_matrix(0.5, _deriv(7))
     # the interior section maps onto the first five weights only
     rng = np.random.default_rng(3)
-    for a in (square, opbuild.interior_section(square, 2)):
+    for a in (square, interior_section(square, 2)):
         astar = opbuild.weighted_adjoint(a)
         for _ in range(20):
             f = rng.standard_normal(a.w_in.size) + 1j * rng.standard_normal(a.w_in.size)

@@ -65,7 +65,8 @@ def test_thm32_builds_one_composition_matrix_and_one_family_per_rung(traced):
     assert m["opbuild.composition_matrix.calls"] == 3
     assert m["opbuild.composition_matrix.distinct_ratio"] == 1.0
     assert m["certify.witness_family.calls"] == 3
-    # 3 rungs x (square + interior); the witness residuals take none
+    # 3 rungs x (framed square + its rows without the window's band); the
+    # witness residuals take none
     assert m["linalg.svd.calls"] == 6
     assert m["linalg.svd.repeat_frac"] == 0
 
@@ -80,7 +81,8 @@ def test_ex31_scans_its_grid_once(traced):
 
 def test_ex25_takes_one_svd_per_framed_square(traced):
     m = traced["ex25-notC"]
-    # one ladder walk read by both checks: 3 rungs x (square + interior)
+    # one ladder walk read by both checks: 3 rungs x (framed square + its
+    # rows without the lost band)
     assert m["linalg.svd.calls"] == 6
     assert m["linalg.svd.repeat_frac"] == 0
 
@@ -94,7 +96,7 @@ def test_ex43_reads_every_count_from_values_only_spectra(traced):
 
 def test_thm44_block_pair_stacks_its_kernel_bases_once(traced):
     m = traced["thm44-block-pair"]
-    # 3 rungs x (one interior section, shared by both coranks since B* = B^T
+    # 3 rungs x (B without its last d rows, shared by both coranks since B* = B^T
     # + one factor SVD, shared by both sides since (B*)^T = B and read by
     # both kernel bases and the product kernel + one stacked basis)
     assert m["linalg.svd.calls"] == 9
