@@ -109,17 +109,15 @@ def _check_ladder(ladder) -> None:
 
 def _kernel_rung(rung: Rung, size) -> dict:
     framed = opbuild.weighted_frame(rung.square)
-    if not 0 <= rung.drop_rows < framed.shape[0]:
+    rows = framed.shape[0]
+    if not 0 <= rung.drop_rows < rows:
         raise ValueError("drop_rows out of range")
     spec = numlin.Spectrum.of(framed)
     if rung.witnesses is not None:
         kdim = rung.witnesses.count()
     else:
         kdim = spec.kernel_dim()
-    if rung.drop_rows:
-        cor = numlin.Spectrum.of(framed[:-rung.drop_rows]).corank()
-    else:
-        cor = spec.corank()
+    cor = numlin.Spectrum.of(framed[:rows - rung.drop_rows]).corank()
     return {"label": _rung_label(size), "size": size, "kernel_dim": kdim,
             "corank": cor, "sigma_min": spec.sigma_min}
 
@@ -431,8 +429,7 @@ def _compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
 
 def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
                                    index_max: int,
-                                   compressed: opbuild.OpMatrix | None = None
-                                   ) -> WitnessFamily:
+                                   compressed: opbuild.OpMatrix) -> WitnessFamily:
     """Near-kernel family for the z-compressed weighted adjoint of C_phi.
 
     The compression is exactly diag(k)-similar to the z-compression of the
@@ -443,18 +440,16 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     size: the verified count grows with the ladder.
 
     compressed: the rung's already-built compressed adjoint, real and of
-    shape (trunc - 1, trunc - 1); built here when None.
+    shape (trunc - 1, trunc - 1).
     """
     if not analytic.in_annulus(r, lam) or abs(lam) == 1.0:
         raise ValueError("lambda must lie in the open annulus, off the unit circle")
     t_r = analytic.translation_length(r)
     m = trunc - 1
-    if compressed is None:
-        compressed = _compressed_adjoint(r, trunc)
-    elif compressed.entries.shape != (m, m):
+    if compressed.entries.shape != (m, m):
         raise ValueError(f"compressed adjoint has shape {compressed.entries.shape}, "
                          f"expected {(m, m)} for trunc={trunc}")
-    elif np.iscomplexobj(compressed.entries):
+    if np.iscomplexobj(compressed.entries):
         raise ValueError("the compressed adjoint of C_phi for real r is real")
     wts = compressed.w_in
     win = m // WINDOW_FRAC
@@ -490,10 +485,6 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
 
 # -- concrete ladder families -------------------------------------------------
 
-def family_identity(n: int):
-    return opbuild._square(np.eye(n), opbuild._hardy(n))
-
-
 def family_halfshift_plus_rank1(n: int):
     """U: e_{2k} -> e_k, odd basis vectors -> 0, plus the rank-1 bump
     K e_2 = -e_1; surjective up to the single lost direction e_1."""
@@ -506,17 +497,6 @@ def family_halfshift_plus_rank1(n: int):
     m[1, 2] -= 1.0
     op = opbuild._square(m, opbuild._hardy(n))
     return Rung(op, n - (n + 1) // 2)
-
-
-def family_ex26(n_param: int):
-    """Perturbed block operator [[U, I], [I/n, 0]] at a fixed perturbation
-    index; injective for every n, with distance exactly 1/n to the
-    non-injective limit."""
-    def build(trunc: int):
-        u = opbuild.backward_shift(trunc)
-        eye = np.eye(trunc)
-        return opbuild.block2x2(u, eye, eye / n_param, np.zeros((trunc, trunc)))
-    return build
 
 
 def family_composition(r: float, beta: float, variant: str):
@@ -559,7 +539,7 @@ def hs_pair_block(size: tuple[int, int]) -> PairRung:
 def pair_diagonal_blocks(n: int) -> PairRung:
     """Diagonal pair (U0 + I, I + V0) on a doubled space: commuting, but the
     kernels live in complementary components."""
-    u0 = opbuild.backward_shift(n)
+    u0 = opbuild.block_backward_shift(n, 1)
     eye = np.eye(n)
     zero = np.zeros((n, n))
     u = opbuild.block2x2(u0, zero, zero, eye)

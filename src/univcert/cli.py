@@ -123,7 +123,6 @@ class Scenario:
     default, whose kind decides how a given value is parsed; checks are the
     domain rules validate() runs on the parsed parameters, in order."""
 
-    name: str
     run: callable
     defaults: dict
     description: str
@@ -138,7 +137,7 @@ def _scenario(name, description, narrative, checks):
     """Registers the decorated body as scenario name; its keyword-only
     parameters and their defaults are the scenario's."""
     def register(run):
-        REGISTRY[name] = Scenario(name, run, dict(run.__kwdefaults__), description,
+        REGISTRY[name] = Scenario(run, dict(run.__kwdefaults__), description,
                                   narrative, checks)
         return run
     return register
@@ -170,7 +169,7 @@ def _sc_thm22_eigenfield(*, K=8, d=4, z=0.25 + 0.15j):
            "diagonal blocks' eigenvalues",
            (_at_least("n", 2),))
 def _sc_prop21_block(*, n=24):
-    u = opbuild.backward_shift(n)
+    u = opbuild.block_backward_shift(n, 1)
     bdiag = 0.25 + 0.5 * np.arange(n) / n
     v = opbuild.block2x2(u, np.eye(n), np.zeros((n, n)), np.diag(bdiag))
     ev = np.sort_complex(np.linalg.eigvals(v.entries))
@@ -199,11 +198,13 @@ def _sc_ex25_notC(*, ladder=(32, 64, 128)):
            "distance exactly 1/n from a universal operator",
            (_at_least("trunc", 2), _at_least("n_max", 1)))
 def _sc_ex26_perturbation(*, trunc=128, n_max=10):
-    base = opbuild.block2x2(opbuild.backward_shift(trunc), np.eye(trunc),
-                            np.zeros((trunc, trunc)), np.zeros((trunc, trunc)))
+    u = opbuild.block_backward_shift(trunc, 1)
+    eye, zero = np.eye(trunc), np.zeros((trunc, trunc))
+    base = opbuild.block2x2(u, eye, zero, zero)
     sigmas, defects = [], []
     for n in range(1, n_max + 1):
-        vn = certify.family_ex26(n)(trunc)
+        # [[U, I], [I/n, 0]]: injective, at distance exactly 1/n from base
+        vn = opbuild.block2x2(u, eye, eye / n, zero)
         sigmas.append(numlin.Spectrum.of(opbuild.weighted_frame(vn)).sigma_min)
         defects.append(abs(np.linalg.norm(vn.entries - base.entries, 2) - 1.0 / n))
     rows = [[n, repr(s), repr(1.0 / (2 * n))] for n, s in enumerate(sigmas, 1)]
@@ -223,7 +224,7 @@ def _sc_ex26_perturbation(*, trunc=128, n_max=10):
            "products",
            (_at_least("n", 2),))
 def _sc_multiplicativity(*, n=16):
-    u0 = opbuild.backward_shift(n)
+    u0 = opbuild.block_backward_shift(n, 1)
     zero = np.zeros((n, n))
     u = opbuild.block2x2(u0, zero, zero, zero)
     v = opbuild.block2x2(zero, zero, zero, u0)
@@ -363,13 +364,13 @@ def _sc_prop35_halfplane(*, mu=4.0, alphas=(0.0, 2.0)):
            "witnesses; the unrelated control stays inconclusive",
            (_at_least("n", 2),))
 def _sc_prop41_falsifiers(*, n=32):
-    b = opbuild.backward_shift(n)
+    b = opbuild.block_backward_shift(n, 1)
     b2 = opbuild.OpMatrix(b.entries @ b.entries, b.w_in, b.w_out)
     b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.w_in, b.w_out)
     rep_poly = certify.algebraic_falsifier(b, b2, poly=[1.0])
     rep_pow = certify.algebraic_falsifier(b2, b3, powers=(2, 3))
-    control = certify.algebraic_falsifier(b, certify.family_identity(n),
-                                          poly=[1.0])
+    eye = opbuild.OpMatrix(np.eye(n), b.w_in, b.w_out)
+    control = certify.algebraic_falsifier(b, eye, poly=[1.0])
     fields = {
         "n": n,
         "poly_pair": rep_poly.as_dict(),

@@ -41,16 +41,10 @@ def _hardy(n: int) -> np.ndarray:
     return spaces.weights(0.0, n)
 
 
-def backward_shift(n: int) -> OpMatrix:
-    """e_{k+1} -> e_k, e_0 -> 0."""
-    if n < 2:
-        raise ValueError("backward shift needs n >= 2")
-    return _square(np.eye(n, k=1), _hardy(n))
-
-
 def block_backward_shift(K: int, d: int) -> OpMatrix:
     """Block shift (x_0, x_1, ..., x_{K-1}) -> (x_1, ..., x_{K-1}, 0) on K
-    blocks of inner dimension d."""
+    blocks of inner dimension d; d = 1 is the backward shift e_{k+1} -> e_k,
+    e_0 -> 0."""
     if K < 2 or d < 1:
         raise ValueError("need K >= 2 blocks of dimension d >= 1")
     return _square(np.eye(K * d, k=d), _hardy(K * d))

@@ -73,11 +73,12 @@ def test_criterion_03_multiplication_pair_dimensions():
 
 def test_criterion_04_injective_perturbations():
     trunc = 128
-    base = opbuild.block2x2(opbuild.backward_shift(trunc), np.eye(trunc),
-                            np.zeros((trunc, trunc)), np.zeros((trunc, trunc)))
+    u = opbuild.block_backward_shift(trunc, 1)
+    eye, zero = np.eye(trunc), np.zeros((trunc, trunc))
+    base = opbuild.block2x2(u, eye, zero, zero)
     ok = True
     for n in range(1, 11):
-        vn = certify.family_ex26(n)(trunc)
+        vn = opbuild.block2x2(u, eye, eye / n, zero)
         sigma = numlin.Spectrum.of(opbuild.weighted_frame(vn)).sigma_min
         ok = ok and sigma > 1.0 / (2 * n)
         dist = np.linalg.norm(vn.entries - base.entries, 2)
@@ -104,15 +105,16 @@ def test_criterion_06_adjoint_certified_with_growing_witnesses():
     r, lam = 0.5, 3.0 ** 0.25
     ladder = (256, 512, 1024)
     # independent oracle: each rung's family built on its own, outside the walk
-    counts = tuple(certify.adjoint_multiplicity_witnesses(r, lam, n, index_max=64)
-                   .count() for n in ladder)
+    counts = tuple(certify.adjoint_multiplicity_witnesses(
+        r, lam, n, 64, certify._compressed_adjoint(r, n)).count() for n in ladder)
     ok = counts == (15, 31, 63)
     rep = certify.kernel_verdict("C", *certify.kernel_ladder(
         certify.family_adjoint_witnessed(r, lam, index_max=64), ladder))
     ok = ok and rep.verdict == certify.CERTIFIED
     ok = ok and all(rg["corank"] == 0 for rg in rep.ladder)
     ok = ok and [rg["kernel_dim"] for rg in rep.ladder] == list(counts)
-    top = certify.adjoint_multiplicity_witnesses(r, lam, ladder[-1], 64)
+    top = certify.adjoint_multiplicity_witnesses(
+        r, lam, ladder[-1], 64, certify._compressed_adjoint(r, ladder[-1]))
     ok = ok and top.gram_min_eigenvalue() > 0.9
     assert _verdict(6, f"compressed adjoint certified, counts {counts}", ok)
 
@@ -187,6 +189,6 @@ def test_criterion_10_determinism_and_invariance(tmp_path):
 def test_criterion_06_runtime_guard():
     # cheap sanity companion: the witness ladder really needs resolution,
     # a too-small truncation certifies nothing
-    count = certify.adjoint_multiplicity_witnesses(0.5, 3.0 ** 0.25, 64,
-                                                   index_max=8).count()
+    count = certify.adjoint_multiplicity_witnesses(
+        0.5, 3.0 ** 0.25, 64, 8, certify._compressed_adjoint(0.5, 64)).count()
     assert count < 15

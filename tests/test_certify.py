@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from univcert import analytic, certify, numlin, opbuild
+from univcert import analytic, certify, numlin, opbuild, spaces
 
 import hs_dense
 import report_parity
@@ -23,9 +23,15 @@ def check_C(builder, ladder):
     return certify.kernel_verdict("C", *certify.kernel_ladder(builder, ladder))
 
 
+def family_identity(n: int):
+    """Fixture: the identity on the Hardy space."""
+    w = spaces.weights(0.0, n)
+    return opbuild.OpMatrix(np.eye(n), w, w)
+
+
 def family_backward_shift(n: int):
     """Fixture: the plain backward shift, kernel dim 1 at every rung."""
-    b = opbuild.backward_shift(n)
+    b = opbuild.block_backward_shift(n, 1)
     return certify.Rung(b, 1)
 
 
@@ -39,9 +45,9 @@ def family_block_backward(n: int, block_frac: int = 4):
 def test_a_rung_drops_fewer_rows_than_it_has():
     for drop in (lambda n: n, lambda n: -1):
         with pytest.raises(ValueError, match="drop_rows out of range"):
-            check_C(lambda n: certify.Rung(certify.family_identity(n), drop(n)), LADDER)
+            check_C(lambda n: certify.Rung(family_identity(n), drop(n)), LADDER)
     # one row left: the identity's section still reaches every row it keeps
-    rep = check_C(lambda n: certify.Rung(certify.family_identity(n), n - 1), LADDER)
+    rep = check_C(lambda n: certify.Rung(family_identity(n), n - 1), LADDER)
     assert [r["corank"] for r in rep.ladder] == [0, 0, 0]
 
 
@@ -53,7 +59,7 @@ def test_block_shift_family_is_certified():
 
 
 def test_identity_family_is_falsified():
-    rep = check_C(lambda n: certify.Rung(certify.family_identity(n)), LADDER)
+    rep = check_C(lambda n: certify.Rung(family_identity(n)), LADDER)
     assert rep.verdict == certify.FALSIFIED
     assert all(r["kernel_dim"] == 0 for r in rep.ladder)
 
@@ -81,14 +87,15 @@ def test_rank_one_bump_needs_three_coefficients():
 
 
 def test_perturbed_pair_family_is_injective():
+    u, eye, zero = opbuild.block_backward_shift(32, 1), np.eye(32), np.zeros((32, 32))
     for n in range(1, 6):
-        op = certify.family_ex26(n)(32)
+        op = opbuild.block2x2(u, eye, eye / n, zero)
         assert numlin.Spectrum.of(opbuild.weighted_frame(op)).sigma_min > 1.0 / (2 * n)
 
 
 def test_ladder_validation():
     composition = certify.family_composition(0.5, beta=1.0, variant="derivative")
-    checks = (lambda ladder: check_C(lambda n: certify.Rung(certify.family_identity(n)),
+    checks = (lambda ladder: check_C(lambda n: certify.Rung(family_identity(n)),
                                      ladder),
               lambda ladder: certify.check_M(certify.pair_diagonal_blocks, ladder),
               lambda ladder: certify.spectral_falsifier(composition, [1.0, 0.5j], ladder))
@@ -105,10 +112,10 @@ PAIR_RUNG_KEYS = {"label", "size", "kernel_dim", "kernel_dim_2", "corank", "cora
 
 
 def test_report_json_shape():
-    identity = check_C(lambda n: certify.Rung(certify.family_identity(n)), LADDER)
+    identity = check_C(lambda n: certify.Rung(family_identity(n)), LADDER)
     assert identity.verdict == certify.FALSIFIED
     assert identity.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
-    b = opbuild.backward_shift(16)
+    b = opbuild.block_backward_shift(16, 1)
     # one report per condition, with the rung keys schema "1" writes
     cases = [
         ("C", identity, KERNEL_RUNG_KEYS),
@@ -163,7 +170,7 @@ def test_each_report_names_the_threshold_its_check_applies():
                     (0j, certify.SCAN_TOLS[1]): [1, 1, 1]}
     assert rep.tolerances == {"svd_tols": list(certify.SCAN_TOLS)}
     # W = T^2 + eps T^3 commutes with T, at defect about eps
-    t = opbuild.backward_shift(12).entries
+    t = opbuild.block_backward_shift(12, 1).entries
     for eps, verdict in ((0.2 * certify.ALGEBRAIC_TOL, certify.FALSIFIED),
                          (5.0 * certify.ALGEBRAIC_TOL, certify.INCONCLUSIVE)):
         rep = certify.algebraic_falsifier(t, t @ t + eps * (t @ t @ t), poly=[1.0])
@@ -478,7 +485,7 @@ def test_sign_conjugation_leaves_scan_dims_unchanged(r):
 
 
 def test_algebraic_falsifier_polynomial_witness():
-    b = opbuild.backward_shift(16)
+    b = opbuild.block_backward_shift(16, 1)
     b2 = b.entries @ b.entries
     rep = certify.algebraic_falsifier(b, b2, poly=[1.0])
     assert rep.verdict == certify.FALSIFIED
@@ -486,7 +493,7 @@ def test_algebraic_falsifier_polynomial_witness():
 
 
 def test_algebraic_falsifier_power_witness_and_control():
-    b = opbuild.backward_shift(12)
+    b = opbuild.block_backward_shift(12, 1)
     b2 = b.entries @ b.entries
     b3 = b2 @ b.entries
     assert certify.algebraic_falsifier(b2, b3, powers=(2, 3)).verdict == certify.FALSIFIED
@@ -501,14 +508,14 @@ def test_algebraic_falsifier_power_witness_and_control():
 # -- compactness proxy and witnesses ------------------------------------------
 
 def test_compactness_proxy_of_identical_operators_is_zero():
-    a = certify.family_identity(8)
+    a = family_identity(8)
     s = certify.compactness_proxy(a, a, count=8)
     assert s.shape == (8,)
     assert np.all(s == 0.0)
 
 
 def test_compactness_proxy_rank_one_difference():
-    a = certify.family_identity(8)
+    a = family_identity(8)
     bump = np.zeros((8, 8))
     bump[0, 0] = 2.0
     b = opbuild.OpMatrix(np.eye(8) + bump, a.w_in, a.w_out)
@@ -518,17 +525,22 @@ def test_compactness_proxy_rank_one_difference():
     assert s[1] / s[0] < 1e-14
 
 
+def witnesses(r, lam, trunc, index_max):
+    """The witness family on its own freshly built compressed adjoint."""
+    return certify.adjoint_multiplicity_witnesses(
+        r, lam, trunc, index_max, certify._compressed_adjoint(r, trunc))
+
+
 def test_witness_family_counts_grow_with_resolution():
     lam = 3.0 ** 0.25
-    counts = [certify.adjoint_multiplicity_witnesses(0.5, lam, n, index_max=24).count()
+    counts = [witnesses(0.5, lam, n, 24).count()
               for n in (128, 256)]
     assert counts[0] >= 1
     assert counts[1] > counts[0]
 
 
 def test_witness_family_gram_is_well_conditioned():
-    fam = certify.adjoint_multiplicity_witnesses(0.5, 3.0 ** 0.25, 256,
-                                                 index_max=24)
+    fam = witnesses(0.5, 3.0 ** 0.25, 256, 24)
     assert fam.count() >= 10
     assert fam.gram_min_eigenvalue() > 0.8
     # the counted witnesses are residual-verified
@@ -538,9 +550,9 @@ def test_witness_family_gram_is_well_conditioned():
 
 def test_witness_family_rejects_bad_lambda():
     with pytest.raises(ValueError):
-        certify.adjoint_multiplicity_witnesses(0.5, 1.0, 64, 8)
+        witnesses(0.5, 1.0, 64, 8)
     with pytest.raises(ValueError):
-        certify.adjoint_multiplicity_witnesses(0.5, 2.0, 64, 8)
+        witnesses(0.5, 2.0, 64, 8)
 
 
 def _same_family(a, b) -> bool:
@@ -554,8 +566,8 @@ def test_witness_family_reuses_a_given_compressed_adjoint():
     a = certify._compressed_adjoint(0.5, 64)
     given = certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
                                                    compressed=a)
-    assert _same_family(given, certify.adjoint_multiplicity_witnesses(
-        0.5, lam, 64, index_max=8))
+    # the family reads the given adjoint, not a rebuilt one
+    assert given.weights is a.w_in
     with pytest.raises(ValueError, match="shape"):
         certify.adjoint_multiplicity_witnesses(0.5, lam, 65, index_max=8,
                                                compressed=a)
@@ -597,7 +609,7 @@ def _full_product_family(r, lam, trunc, index_max):
 @pytest.mark.parametrize("trunc", [64, 256])
 def test_windowed_residuals_match_the_full_product_oracle(trunc):
     lam = 3.0 ** 0.25
-    fam = certify.adjoint_multiplicity_witnesses(0.5, lam, trunc, index_max=trunc // 8)
+    fam = witnesses(0.5, lam, trunc, trunc // 8)
     oracle = _full_product_family(0.5, lam, trunc, trunc // 8)
     assert fam.indices == oracle.indices
     assert np.array_equal(fam.vectors, oracle.vectors)
@@ -614,18 +626,16 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     assert np.array_equal(rung.square.entries, base.entries - lam * np.eye(63))
     # the corank drops the window's 63 // 4 = 15 trailing rows
     assert rung.drop_rows == 15
-    assert _same_family(rung.witnesses, certify.adjoint_multiplicity_witnesses(
-        0.5, lam, 64, index_max=8))
+    assert _same_family(rung.witnesses, witnesses(0.5, lam, 64, 8))
     # the ladder walk counts each rung's family and hands back the top one
     rungs, top = certify.kernel_ladder(
         certify.family_adjoint_witnessed(0.5, lam, index_max=8), (32, 48, 64))
     assert [r["kernel_dim"] for r in rungs] == [
-        certify.adjoint_multiplicity_witnesses(0.5, lam, n, index_max=8).count()
-        for n in (32, 48, 64)]
+        witnesses(0.5, lam, n, 8).count() for n in (32, 48, 64)]
     assert _same_family(top, rung.witnesses)
     rep = certify.kernel_verdict("C", rungs, top)
     assert rep.tolerances["witness_tol"] == certify.WITNESS_TOL
-    assert certify.kernel_ladder(lambda n: certify.Rung(certify.family_identity(n)),
+    assert certify.kernel_ladder(lambda n: certify.Rung(family_identity(n)),
                                  LADDER)[1] is None
 
 
@@ -655,7 +665,7 @@ def _identity_with_family(size: int, passing: int):
         residuals = np.where(np.arange(size) < passing, 0.0, 1.0)
         family = certify.WitnessFamily(tuple(range(size)), np.eye(n, size),
                                        residuals, np.ones(size), np.ones(n))
-        return certify.Rung(certify.family_identity(n), witnesses=family)
+        return certify.Rung(family_identity(n), witnesses=family)
     return build
 
 

@@ -426,6 +426,24 @@ def test_multiplicativity_scenario(tmp_path):
     assert summary["norm_UV"] == 0.0
 
 
+def test_ex26_sigma_min_table_matches_the_perturbed_block_operator(tmp_path):
+    trunc = 16
+    cli.run_scenario("ex26-perturbation", {"trunc": trunc, "n_max": 4}, tmp_path)
+    assert _summary(tmp_path, "ex26-perturbation")["max_norm_identity_defect"] < 1e-12
+    text = (tmp_path / "ex26-perturbation" / "sigma_min.csv").read_text(encoding="utf-8")
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    assert header == ["n", "sigma_min", "half_inverse_bound"]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+    # [[S, I], [I/n, 0]] built here from the plain shift S on the Hardy space
+    shift, eye, zero = np.eye(trunc, k=1), np.eye(trunc), np.zeros((trunc, trunc))
+    for n, (_, sigma, bound) in enumerate(rows, 1):
+        expected = np.linalg.svd(np.block([[shift, eye], [eye / n, zero]]),
+                                 compute_uv=False)[-1]
+        assert abs(float(sigma) - expected) <= 1e-14 * expected
+        assert float(sigma) > 1.0 / (2 * n)
+        assert bound == repr(1.0 / (2 * n))
+
+
 def test_halfplane_scenario(tmp_path):
     cli.run_scenario("prop35-halfplane", {}, tmp_path, fmt="json")
     summary = _summary(tmp_path, "prop35-halfplane")

@@ -70,8 +70,8 @@ def test_subspace_ambient_mismatch_raises():
 def test_refuses_an_operator_matrix():
     # an operator reaches numlin only through opbuild.weighted_frame
     with pytest.raises(ValueError, match="expected a 2-d matrix"):
-        numlin.Spectrum.of(opbuild.backward_shift(4))
-    framed = opbuild.weighted_frame(opbuild.backward_shift(4))
+        numlin.Spectrum.of(opbuild.block_backward_shift(4, 1))
+    framed = opbuild.weighted_frame(opbuild.block_backward_shift(4, 1))
     assert numlin.Spectrum.of(framed).rank() == 3
 
 

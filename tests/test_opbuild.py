@@ -1,5 +1,7 @@
 """Operator truncation builders against closed forms and independent oracles."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ def _deriv(n):
 
 
 def test_backward_forward_shift_matrices():
-    assert np.array_equal(opbuild.backward_shift(3).entries,
+    assert np.array_equal(opbuild.block_backward_shift(3, 1).entries,
                           [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     # the forward shift on the Hardy space is multiplication by z
     assert np.array_equal(opbuild.mult_z(_hardy(3)).entries,
@@ -49,7 +51,7 @@ def interior_section(a, drop_rows):
 
 
 def test_interior_section_trims_rows():
-    b = opbuild.backward_shift(5)
+    b = opbuild.block_backward_shift(5, 1)
     sec = interior_section(b, 1)
     assert sec.entries.shape == (4, 5)
     assert sec.w_in.size == 5 and sec.w_out.size == 4
@@ -103,17 +105,23 @@ def test_composition_columns_match_convolution_oracle():
 
 @pytest.mark.parametrize("r", [0.05, 0.5, 0.9, -0.99])
 def test_composition_matches_a_60_digit_oracle(r):
-    # columns phi_r^k by 60-digit convolution with the series of phi_r
+    # column k holds the Taylor coefficients a_j of f = phi_r^k, which solves
+    # (z + r)(1 + r z) f' = k (1 - r^2) f; read as a recurrence in the row
+    # index, r (j+1) a_{j+1} = (k (1 - r^2) - (1 + r^2) j) a_j - r (j-1) a_{j-1}
+    # with a_0 = r^k. Each row divides by r and so loses log10(1/|r|) digits:
+    # the precision starts that many digits per row above 60
     n = 128
     m = opbuild.composition_matrix(r, _hardy(n)).entries
-    with mpmath.workdps(60):
+    with mpmath.workdps(60 + int(n * math.log10(1.0 / abs(r))) + 1):
         rr = mpmath.mpf(r)
-        mob_rev = [(1 - rr * rr) * (-rr) ** (j - 1) for j in range(n - 1, 0, -1)] + [rr]
-        col = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n - 1)
+        lin, quad = 1 - rr * rr, 1 + rr * rr
         err = 0.0
         for k in range(n):
-            err = max(err, max(abs(float(col[j] - m[j, k])) for j in range(n)))
-            col = [mpmath.fdot(col[:j + 1], mob_rev[n - 1 - j:]) for j in range(n)]
+            prev, cur = mpmath.mpf(0), rr ** k
+            for j in range(n):
+                err = max(err, abs(float(cur - m[j, k])))
+                prev, cur = cur, (((k * lin - quad * j) * cur - rr * (j - 1) * prev)
+                                  / (rr * (j + 1)))
     assert err <= 1e-15
 
 
@@ -203,7 +211,7 @@ def test_heller_principal_assembly():
 
 
 def test_block2x2_layout_and_zero_inference():
-    u = opbuild.backward_shift(3)
+    u = opbuild.block_backward_shift(3, 1)
     zero = np.zeros((3, 3))
     m = opbuild.block2x2(u, np.eye(3), zero, zero)
     assert m.entries.shape == (6, 6)
@@ -246,7 +254,7 @@ def test_hs_operators_realize_two_sided_multiplication():
 
 def test_hs_kernel_basis_matches_dense_svd():
     n = 6
-    b = opbuild.backward_shift(n)
+    b = opbuild.block_backward_shift(n, 1)
     structured, _, _ = opbuild.hs_pair_kernels(b, b)
     dense = svd_kernel(hs_dense.hs_matrix(b, None))
     assert structured.shape[1] == dense.shape[1] == n
