@@ -65,9 +65,10 @@ class CertificateReport:
 @dataclass(frozen=True)
 class Rung:
     """One ladder rung, built once and read by every check: the square
-    section, the trailing codomain rows its corank leaves out (0: none) lest
-    the band that truncation loses read as lost range, and the witness
-    family counted as kernel evidence (None: count the kernel)."""
+    section (an OpMatrix, or an array already in the weighted frame), the
+    trailing codomain rows its corank leaves out (0: none) lest the band
+    that truncation loses read as lost range, and the witness family counted
+    as kernel evidence (None: count the kernel)."""
 
     square: object
     drop_rows: int = 0
@@ -391,13 +392,13 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
 
 @dataclass(frozen=True)
 class WitnessFamily:
-    """Normalized near-kernel vectors of a compressed composition adjoint."""
+    """Normalized near-kernel vectors of a compressed composition adjoint, in
+    the weighted frame."""
 
     indices: tuple[int, ...]
     vectors: np.ndarray
     residuals: np.ndarray
     window_mass: np.ndarray
-    weights: np.ndarray
 
     def _passing(self, residual_tol: float) -> np.ndarray:
         return (self.residuals < residual_tol) & (self.window_mass >= MASS_FLOOR)
@@ -414,22 +415,15 @@ class WitnessFamily:
     def gram_min_eigenvalue(self, residual_tol: float = WITNESS_TOL) -> float:
         """Smallest Gram eigenvalue of the passing set; near 1 means the
         counted directions are genuinely independent."""
-        v = self.vectors[:, self._passing(residual_tol)]
-        if v.shape[1] == 0:
+        u = self.vectors[:, self._passing(residual_tol)]
+        if u.shape[1] == 0:
             return 0.0
-        g = v.conj().T @ (self.weights[:, None] * v)
-        return float(np.linalg.eigvalsh(g)[0])
-
-
-def _compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
-    """z-compressed weighted adjoint of C_phi on the derivative-norm space."""
-    w = spaces.weights(1.0, trunc, "derivative")
-    return opbuild.compress_zH2(opbuild.weighted_adjoint(opbuild.composition_matrix(r, w)))
+        return float(np.linalg.eigvalsh(u.conj().T @ u)[0])
 
 
 def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
                                    index_max: int,
-                                   compressed: opbuild.OpMatrix) -> WitnessFamily:
+                                   framed: np.ndarray) -> WitnessFamily:
     """Near-kernel family for the z-compressed weighted adjoint of C_phi.
 
     The compression is exactly diag(k)-similar to the z-compression of the
@@ -439,48 +433,48 @@ def adjoint_multiplicity_witnesses(r: float, lam: complex, trunc: int,
     truncation resolves witnesses only up to a frequency proportional to its
     size: the verified count grows with the ladder.
 
-    compressed: the rung's already-built compressed adjoint, real and of
-    shape (trunc - 1, trunc - 1).
+    framed: the rung's compressed adjoint in the weighted frame, real and of
+    shape (trunc - 1, trunc - 1). The frame's diag(sqrt(w_k)) = diag(k)
+    cancels that similarity, so a witness is its eigenfunction's normalized
+    coefficients c_1, c_2, ..., and its residual and window mass need no
+    weights.
     """
     if not analytic.in_annulus(r, lam) or abs(lam) == 1.0:
         raise ValueError("lambda must lie in the open annulus, off the unit circle")
     t_r = analytic.translation_length(r)
     m = trunc - 1
-    if compressed.entries.shape != (m, m):
-        raise ValueError(f"compressed adjoint has shape {compressed.entries.shape}, "
+    if framed.shape != (m, m):
+        raise ValueError(f"framed adjoint has shape {framed.shape}, "
                          f"expected {(m, m)} for trunc={trunc}")
-    if np.iscomplexobj(compressed.entries):
+    if np.iscomplexobj(framed):
         raise ValueError("the compressed adjoint of C_phi for real r is real")
-    wts = compressed.w_in
     win = m // WINDOW_FRAC
-    k = np.arange(1, trunc)
     base = -np.log(complex(lam)) / t_r
     indices = tuple(range(-index_max, index_max + 1))
     freqs = 2.0 * np.pi * np.arange(-index_max, index_max + 1) / t_r
     # one row per witness, contiguous, so each sum below runs in the same
     # order as on a lone vector
-    coeffs = analytic.eigenfunction_coeffs_recurrence(base + 1j * freqs, trunc)[:, 1:] / k
+    coeffs = analytic.eigenfunction_coeffs_recurrence(base + 1j * freqs, trunc)[:, 1:]
     vectors = np.zeros((m, len(indices)), dtype=complex)
     residuals = np.ones(len(indices))
     window_mass = np.zeros(len(indices))
     kept = np.zeros(len(indices), dtype=bool)
-    for col, v in enumerate(coeffs):
-        mass = wts * np.abs(v) ** 2
+    for col, u in enumerate(coeffs):
+        mass = np.abs(u) ** 2
         total = mass.sum()
         if total == 0.0 or not np.isfinite(total):
             continue
-        v = v / np.sqrt(total)
         window_mass[col] = float(mass[:win].sum() / total)
-        vectors[:, col] = v
+        vectors[:, col] = u / np.sqrt(total)
         kept[col] = True
     # a residual is read on the window only, so only A's window rows are
     # multiplied, once for all witnesses; A is real, so its rows take the
-    # real and imaginary parts of V apart and are never copied to complex
-    top = compressed.entries[:win]
+    # real and imaginary parts of U apart and are never copied to complex
+    top = framed[:win]
     res = top @ vectors.real + 1j * (top @ vectors.imag)
     res -= lam * vectors[:win]
-    residuals[kept] = np.sqrt(np.sum(wts[:win, None] * np.abs(res[:, kept]) ** 2, axis=0))
-    return WitnessFamily(indices, vectors, residuals, window_mass, wts)
+    residuals[kept] = np.linalg.norm(res[:, kept], axis=0)
+    return WitnessFamily(indices, vectors, residuals, window_mass)
 
 
 # -- concrete ladder families -------------------------------------------------
@@ -507,14 +501,20 @@ def family_composition(r: float, beta: float, variant: str):
 
 def family_adjoint_witnessed(r: float, lam: complex, index_max: int):
     """Rungs of A - lambda I for the z-compressed weighted adjoint A of C_phi
-    on the derivative-norm space: one A per rung gives the square, whose
-    corank drops the window's trailing rows, and the witness family of A at
-    lambda."""
+    on the derivative-norm space, one framed buffer per rung. The framed
+    Gram adjoint is the transpose of the framed C, so A in the weighted frame
+    is weighted_frame(C)[1:, 1:].T. That buffer gives the witness family of
+    A at lambda, then becomes the square, whose corank drops the window's
+    trailing rows."""
     def build(trunc: int) -> Rung:
-        a = _compressed_adjoint(r, trunc)
-        square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1), a.w_in, a.w_out)
-        return Rung(square, (trunc - 1) // WINDOW_FRAC, adjoint_multiplicity_witnesses(
-            r, lam, trunc, index_max, compressed=a))
+        a = opbuild.weighted_frame(opbuild.composition_matrix(
+            r, spaces.weights(1.0, trunc, "derivative")))[1:, 1:].T
+        witnesses = adjoint_multiplicity_witnesses(r, lam, trunc, index_max, a)
+        # the family has read A, so lambda is subtracted in place; only a
+        # complex lambda copies A, to complex
+        square = a.astype(np.result_type(a, lam), copy=False)
+        np.einsum("ii->i", square)[:] -= lam
+        return Rung(square, (trunc - 1) // WINDOW_FRAC, witnesses)
     return build
 
 

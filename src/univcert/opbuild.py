@@ -1,9 +1,9 @@
 """Truncation matrices for the concrete operators under study.
 
 Shifts, composition operators for hyperbolic disc automorphisms,
-multiplication by z and weighted adjoints, 2x2 block assemblies,
-compressions to the z-invariant subspace, and the kernels of left/right
-multiplications on Hilbert-Schmidt truncations, read from their factors.
+multiplication by z and weighted adjoints, 2x2 block assemblies, and the
+kernels of left/right multiplications on Hilbert-Schmidt truncations, read
+from their factors.
 """
 
 from __future__ import annotations
@@ -138,13 +138,6 @@ def block2x2(u, a, c, b) -> OpMatrix:
 
     m = np.block([[ent(u), ent(a)], [ent(c), ent(b)]])
     return _square(m, _hardy(m.shape[0]))
-
-
-def compress_zH2(a: OpMatrix) -> OpMatrix:
-    """Compression to span{e_1, ...}: delete row 0 and column 0."""
-    if min(a.entries.shape) < 2:
-        raise ValueError("compression needs size >= 2")
-    return OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), a.w_in[1:], a.w_out[1:])
 
 
 # -- Hilbert-Schmidt multiplications -----------------------------------------

@@ -13,6 +13,8 @@ import numpy as np
 from univcert import analytic, certify, cli, numlin, opbuild, spaces
 
 import hs_dense
+import report_parity
+import thm32_oracle
 from dense_kernel import svd_kernel
 from eigenfunction_spec import EigenfunctionSpec
 
@@ -104,18 +106,20 @@ def test_criterion_05_forward_operator_falsified():
 def test_criterion_06_adjoint_certified_with_growing_witnesses():
     r, lam = 0.5, 3.0 ** 0.25
     ladder = (256, 512, 1024)
-    # independent oracle: each rung's family built on its own, outside the walk
-    counts = tuple(certify.adjoint_multiplicity_witnesses(
-        r, lam, n, 64, certify._compressed_adjoint(r, n)).count() for n in ladder)
+    # independent oracle: each rung's family built on its own, outside the
+    # walk, in weighted coordinates
+    oracle = [thm32_oracle.full_product_family(r, lam, n, 64) for n in ladder]
+    counts = tuple(fam.count() for fam in oracle)
     ok = counts == (15, 31, 63)
-    rep = certify.kernel_verdict("C", *certify.kernel_ladder(
-        certify.family_adjoint_witnessed(r, lam, index_max=64), ladder))
+    rungs, top = certify.kernel_ladder(
+        certify.family_adjoint_witnessed(r, lam, index_max=64), ladder)
+    rep = certify.kernel_verdict("C", rungs, top)
     ok = ok and rep.verdict == certify.CERTIFIED
     ok = ok and all(rg["corank"] == 0 for rg in rep.ladder)
     ok = ok and [rg["kernel_dim"] for rg in rep.ladder] == list(counts)
-    top = certify.adjoint_multiplicity_witnesses(
-        r, lam, ladder[-1], 64, certify._compressed_adjoint(r, ladder[-1]))
-    ok = ok and top.gram_min_eigenvalue() > 0.9
+    gram = thm32_oracle.weighted_gram_min(oracle[-1])
+    ok = ok and gram > 0.9
+    ok = ok and report_parity.floats_agree(gram, top.gram_min_eigenvalue())
     assert _verdict(6, f"compressed adjoint certified, counts {counts}", ok)
 
 
@@ -189,6 +193,7 @@ def test_criterion_10_determinism_and_invariance(tmp_path):
 def test_criterion_06_runtime_guard():
     # cheap sanity companion: the witness ladder really needs resolution,
     # a too-small truncation certifies nothing
-    count = certify.adjoint_multiplicity_witnesses(
-        0.5, 3.0 ** 0.25, 64, 8, certify._compressed_adjoint(0.5, 64)).count()
+    lam = 3.0 ** 0.25
+    count = thm32_oracle.full_product_family(0.5, lam, 64, 8).count()
     assert count < 15
+    assert certify.family_adjoint_witnessed(0.5, lam, 8)(64).witnesses.count() == count

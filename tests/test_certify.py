@@ -12,6 +12,7 @@ from univcert import analytic, certify, numlin, opbuild, spaces
 
 import hs_dense
 import report_parity
+import thm32_oracle
 from dense_kernel import svd_kernel
 
 
@@ -526,9 +527,17 @@ def test_compactness_proxy_rank_one_difference():
 
 
 def witnesses(r, lam, trunc, index_max):
-    """The witness family on its own freshly built compressed adjoint."""
+    """The witness family on the oracle's compressed adjoint, framed."""
     return certify.adjoint_multiplicity_witnesses(
-        r, lam, trunc, index_max, certify._compressed_adjoint(r, trunc))
+        r, lam, trunc, index_max,
+        opbuild.weighted_frame(thm32_oracle.compressed_adjoint(r, trunc)))
+
+
+def _agree(a, b) -> bool:
+    """Equal shapes, and every entry of b within the parity rule of a's."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and all(
+        report_parity.floats_agree(x, y) for x, y in zip(a.ravel(), b.ravel()))
 
 
 def test_witness_family_counts_grow_with_resolution():
@@ -557,76 +566,49 @@ def test_witness_family_rejects_bad_lambda():
 
 def _same_family(a, b) -> bool:
     return a.indices == b.indices and all(
-        np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("vectors", "residuals", "window_mass", "weights"))
+        _agree(getattr(a, f), getattr(b, f))
+        for f in ("vectors", "residuals", "window_mass"))
 
 
 def test_witness_family_reuses_a_given_compressed_adjoint():
     lam = 3.0 ** 0.25
-    a = certify._compressed_adjoint(0.5, 64)
-    given = certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
-                                                   compressed=a)
-    # the family reads the given adjoint, not a rebuilt one
-    assert given.weights is a.w_in
+    a = opbuild.weighted_frame(thm32_oracle.compressed_adjoint(0.5, 64))
+    given = certify.adjoint_multiplicity_witnesses(0.5, lam, 64, 8, a)
+    # the family reads the given adjoint, not a rebuilt one: on the zero
+    # matrix the same witnesses leave residuals |lambda| sqrt(window mass)
+    zero = certify.adjoint_multiplicity_witnesses(0.5, lam, 64, 8, np.zeros_like(a))
+    assert np.array_equal(zero.vectors, given.vectors)
+    assert _agree(lam * np.sqrt(zero.window_mass), zero.residuals)
+    assert given.count() > zero.count() == 0
     with pytest.raises(ValueError, match="shape"):
-        certify.adjoint_multiplicity_witnesses(0.5, lam, 65, index_max=8,
-                                               compressed=a)
-    complex_a = opbuild.OpMatrix(a.entries + 0j, a.w_in, a.w_out)
+        certify.adjoint_multiplicity_witnesses(0.5, lam, 65, 8, a)
     with pytest.raises(ValueError, match="real"):
-        certify.adjoint_multiplicity_witnesses(0.5, lam, 64, index_max=8,
-                                               compressed=complex_a)
-
-
-def _full_product_family(r, lam, trunc, index_max):
-    """Oracle: the witness family with each residual read off the full
-    product (A @ v - lambda v)[:win] of a complex copy of A, one witness at
-    a time."""
-    a = certify._compressed_adjoint(r, trunc)
-    am, wts = a.entries.astype(complex), a.w_in
-    m = trunc - 1
-    win = m // 4
-    t_r = analytic.translation_length(r)
-    ns = np.arange(-index_max, index_max + 1)
-    ws = -np.log(complex(lam)) / t_r + 2j * np.pi * ns / t_r
-    coeffs = analytic.eigenfunction_coeffs_recurrence(ws, trunc)[:, 1:]
-    coeffs = coeffs / np.arange(1, trunc)
-    vectors = np.zeros((m, ns.size), dtype=complex)
-    residuals, window_mass = np.ones(ns.size), np.zeros(ns.size)
-    for col, v in enumerate(coeffs):
-        mass = wts * np.abs(v) ** 2
-        total = mass.sum()
-        if total == 0.0 or not np.isfinite(total):
-            continue
-        v = v / np.sqrt(total)
-        res = (am @ v - lam * v)[:win]
-        residuals[col] = np.sqrt(np.sum(wts[:win] * np.abs(res) ** 2))
-        window_mass[col] = mass[:win].sum() / total
-        vectors[:, col] = v
-    return certify.WitnessFamily(tuple(ns.tolist()), vectors, residuals,
-                                 window_mass, wts)
+        certify.adjoint_multiplicity_witnesses(0.5, lam, 64, 8, a + 0j)
 
 
 @pytest.mark.parametrize("trunc", [64, 256])
 def test_windowed_residuals_match_the_full_product_oracle(trunc):
+    # the frame's window rows against a full product in weighted coordinates,
+    # compared through u = W^{1/2} v
     lam = 3.0 ** 0.25
     fam = witnesses(0.5, lam, trunc, trunc // 8)
-    oracle = _full_product_family(0.5, lam, trunc, trunc // 8)
-    assert fam.indices == oracle.indices
-    assert np.array_equal(fam.vectors, oracle.vectors)
-    assert np.array_equal(fam.window_mass, oracle.window_mass)
-    assert all(report_parity.floats_agree(a, b)
-               for a, b in zip(oracle.residuals, fam.residuals))
+    oracle = thm32_oracle.full_product_family(0.5, lam, trunc, trunc // 8)
+    assert _same_family(oracle, fam)
     assert fam.count() == oracle.count() > 0
+    assert report_parity.floats_agree(thm32_oracle.weighted_gram_min(oracle),
+                                      fam.gram_min_eigenvalue())
 
 
 def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     lam = 3.0 ** 0.25
     rung = certify.family_adjoint_witnessed(0.5, lam, index_max=8)(64)
-    base = certify._compressed_adjoint(0.5, 64)
-    assert np.array_equal(rung.square.entries, base.entries - lam * np.eye(63))
+    base = thm32_oracle.compressed_adjoint(0.5, 64)
+    # the rung's one buffer is the framed square A - lambda I
+    assert _agree(opbuild.weighted_frame(opbuild.OpMatrix(
+        base.entries - lam * np.eye(63), base.w_in, base.w_out)), rung.square)
     # the corank drops the window's 63 // 4 = 15 trailing rows
     assert rung.drop_rows == 15
-    assert _same_family(rung.witnesses, witnesses(0.5, lam, 64, 8))
+    assert _same_family(witnesses(0.5, lam, 64, 8), rung.witnesses)
     # the ladder walk counts each rung's family and hands back the top one
     rungs, top = certify.kernel_ladder(
         certify.family_adjoint_witnessed(0.5, lam, index_max=8), (32, 48, 64))
@@ -664,7 +646,7 @@ def _identity_with_family(size: int, passing: int):
     def build(n):
         residuals = np.where(np.arange(size) < passing, 0.0, 1.0)
         family = certify.WitnessFamily(tuple(range(size)), np.eye(n, size),
-                                       residuals, np.ones(size), np.ones(n))
+                                       residuals, np.ones(size))
         return certify.Rung(family_identity(n), witnesses=family)
     return build
 

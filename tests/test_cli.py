@@ -4,11 +4,15 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from univcert import certify, cli
+
+import report_parity
+import thm32_oracle
 
 
 def _summary(out: Path, name: str) -> dict:
@@ -488,6 +492,21 @@ def test_ex31_grid_table_is_the_top_rung_of_the_scan_at_each_threshold(tmp_path)
                                   grid, params["ladder"])[1]
     assert [[int(d) for d in row.split(",")[2:]] for row in rows] == [
         [dims[(complex(lam), tol)][-1] for tol in certify.SCAN_TOLS] for lam in grid]
+
+
+def test_thm32_at_a_complex_lambda_holds_parity_with_the_weighted_oracle(tmp_path):
+    # a complex lambda turns the rung's real framed buffer complex before
+    # lambda is subtracted; the oracle builds A - lambda I on the weights
+    params = {"lam": 1.2 + 0.3j, "ladder": (64, 128, 256), "index_max": 16}
+    cli.run_scenario("thm32-adjoint-certify", params, tmp_path / "framed")
+    with mock.patch.object(certify, "family_adjoint_witnessed", thm32_oracle.weighted_rungs):
+        cli.run_scenario("thm32-adjoint-certify", params, tmp_path / "oracle")
+    parity = report_parity.compare_trees(tmp_path / "oracle", tmp_path / "framed")
+    assert parity.violations == []
+    report = _summary(tmp_path / "framed", "thm32-adjoint-certify")["report"]
+    assert report["verdict"] == certify.CERTIFIED
+    assert [r["kernel_dim"] for r in report["ladder"]] == [4, 9, 17]
+    assert [r["corank"] for r in report["ladder"]] == [0, 0, 0]
 
 
 def test_scenario_outputs_are_deterministic(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from univcert import certify, numlin, opbuild, spaces
 
 import hs_dense
+import thm32_oracle
 from dense_kernel import svd_kernel
 
 
@@ -229,12 +230,17 @@ def test_block2x2_layout_and_zero_inference():
 
 def test_compress_zH2_drops_constant_direction():
     a = opbuild.composition_matrix(0.5, _deriv(5))
-    c = opbuild.compress_zH2(a)
+    c = thm32_oracle.compress_zH2(a)
     assert c.entries.shape == (4, 4)
     assert np.array_equal(c.entries, a.entries[1:, 1:])
     # the compression slices the weights: e_1, e_2, ... keep their norms
     assert np.array_equal(c.w_in, [1.0, 4.0, 9.0, 16.0])
     assert np.array_equal(c.w_out, [1.0, 4.0, 9.0, 16.0])
+    # so the framed compressed adjoint is the transposed frame of C, less
+    # its row and column 0, which is how the thm32 rung reads it
+    framed = opbuild.weighted_frame(thm32_oracle.compressed_adjoint(0.5, 5))
+    assert np.abs(framed - opbuild.weighted_frame(a)[1:, 1:].T).max() <= 1e-14 * np.abs(
+        framed).max()
 
 
 def test_hs_operators_realize_two_sided_multiplication():
