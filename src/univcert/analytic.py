@@ -81,6 +81,21 @@ def covering_value(r: float, z):
     return mp.exp(1j * t_r / mp.pi * mp.log((1 - zz) / (1 + zz)))
 
 
+ZERO_WORK_MAX = 10**9  # a zero costs ~digits^2; 1e9 is 2.5-5.4 s of mpmath on a Xeon VM
+
+
+def zero_set_dps(r: float, lam: complex, k_max: int) -> int:
+    """Digits for the zeros |k| <= k_max of psi_r - lam, which crowd +-1 like
+    e^{-Re w_k}; a set past ZERO_WORK_MAX in zeros x digits^2 raises ValueError."""
+    max_re_w = (np.pi / translation_length(r)) * (abs(np.angle(lam)) + 2.0 * np.pi * k_max)
+    digits = max(50.0, 30 + 1.2 * max_re_w / np.log(10.0))
+    if not (2 * k_max + 1) * digits**2 <= ZERO_WORK_MAX:
+        raise ValueError(f"the {2 * k_max + 1} covering-map zeros at parameter {r!r} "
+                         f"need {digits:.3g} digits each: zeros x digits^2 must stay "
+                         f"<= {ZERO_WORK_MAX:.0e}")
+    return int(digits)
+
+
 def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:
     """Zeros of psi_r - lam for indices |k| <= k_max, residual-checked.
 
@@ -88,12 +103,11 @@ def covering_map_zeros(r: float, lam: complex, k_max: int) -> ZeroSet:
     z_k = (1 - e^{w_k})/(1 + e^{w_k}). The zeros approach +-1 exponentially
     fast, far below double spacing, so they are kept as mpmath numbers.
     """
-    import mpmath as mp
     if not in_annulus(r, lam):
         raise ValueError(f"lambda = {lam} is not strictly inside the annulus")
+    dps = zero_set_dps(r, lam, k_max)
+    import mpmath as mp
     t_r = translation_length(r)
-    max_re_w = (np.pi / t_r) * (abs(np.angle(lam)) + 2.0 * np.pi * k_max)
-    dps = max(50, int(30 + 1.2 * max_re_w / np.log(10.0)))
     entries = []
     with mp.workdps(dps):
         lam_mp = mp.mpc(lam)

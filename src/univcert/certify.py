@@ -65,10 +65,10 @@ class CertificateReport:
 @dataclass(frozen=True)
 class Rung:
     """One ladder rung, built once and read by every check: the square
-    section (an OpMatrix, or an array already in the weighted frame), the
-    trailing codomain rows its corank leaves out (0: none) lest the band
-    that truncation loses read as lost range, and the witness family counted
-    as kernel evidence (None: count the kernel)."""
+    section (an OpMatrix, framed when read, or an array in orthonormal
+    coordinates), the trailing codomain rows its corank leaves out (0: none)
+    lest the band that truncation loses read as lost range, and the witness
+    family counted as kernel evidence (None: count the kernel)."""
 
     square: object
     drop_rows: int = 0
@@ -79,8 +79,8 @@ class Rung:
 class PairRung:
     """One commuting-pair rung, the pair analogue of Rung: the two operators
     and their coranks (None: by rank-nullity, their kernel dims). A
-    Hilbert-Schmidt pair (hs) holds S -> U S and S -> S V as their factors
-    u = U and v = V, square on n x n truncations."""
+    Hilbert-Schmidt pair (hs) holds S -> U S and S -> S V as their factor
+    arrays u = U and v = V, square on n x n truncations."""
 
     u: object
     v: object
@@ -384,7 +384,7 @@ def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
     """
     if a.entries.shape != reference.entries.shape:
         raise ValueError("compactness proxy needs operators of equal shape")
-    diff = opbuild.OpMatrix(reference.entries - a.entries, a.w_in, a.w_out)
+    diff = opbuild.OpMatrix(reference.entries - a.entries, a.w)
     return numlin.Spectrum.of(opbuild.weighted_frame(diff)).values[:count]
 
 
@@ -489,8 +489,7 @@ def family_halfshift_plus_rank1(n: int):
         if 2 * k < n:
             m[k, 2 * k] = 1.0
     m[1, 2] -= 1.0
-    op = opbuild._square(m, opbuild._hardy(n))
-    return Rung(op, n - (n + 1) // 2)
+    return Rung(m, n - (n + 1) // 2)
 
 
 def family_composition(r: float, beta: float, variant: str):
@@ -532,8 +531,8 @@ def hs_pair_block(size: tuple[int, int]) -> PairRung:
     # S -> B S loses K d directions for each one that B loses without its
     # last d rows, and S -> S B* likewise with B*; on the Hardy space B* = B^T
     # makes B*[:, :-d].T equal to B[:-d, :], so one spectrum gives both
-    corank = K * d * numlin.Spectrum.of(opbuild.weighted_frame(b)[:-d]).corank()
-    return PairRung(b, opbuild.weighted_adjoint(b), (corank, corank), hs=True)
+    corank = K * d * numlin.Spectrum.of(b[:-d]).corank()
+    return PairRung(b, b.conj().T, (corank, corank), hs=True)
 
 
 def pair_diagonal_blocks(n: int) -> PairRung:

@@ -95,6 +95,14 @@ def _halfplane(p):
         return str(exc)
 
 
+def _zero_sets(p):
+    try:
+        analytic.zero_set_dps(p["r"], p["lam"], p["k_max"])
+        analytic.zero_set_dps(p["s"], p["mu"], p["k_max"] // 2)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _rung_text(rung) -> str:
     return "x".join(map(str, rung)) if isinstance(rung, tuple) else str(rung)
 
@@ -152,7 +160,7 @@ def _sc_thm22_eigenfield(*, K=8, d=4, z=0.25 + 0.15j):
     b = opbuild.block_backward_shift(K, d)
     x0 = 1.0 / (1.0 + np.arange(d))
     v = analytic.holomorphic_eigenfield(x0, z, K)
-    defect = b.entries @ v - z * v
+    defect = b @ v - z * v
     interior = defect[: (K - 1) * d]
     fields = {
         "K": K, "d": d, "z": [z.real, z.imag],
@@ -172,7 +180,7 @@ def _sc_prop21_block(*, n=24):
     u = opbuild.block_backward_shift(n, 1)
     bdiag = 0.25 + 0.5 * np.arange(n) / n
     v = opbuild.block2x2(u, np.eye(n), np.zeros((n, n)), np.diag(bdiag))
-    ev = np.sort_complex(np.linalg.eigvals(v.entries))
+    ev = np.sort_complex(np.linalg.eigvals(v))
     parts = np.sort_complex(np.concatenate([np.zeros(n), bdiag.astype(complex)]))
     gap = float(np.abs(ev - parts).max())
     return {"n": n, "eigenvalue_union_gap": gap}, []
@@ -205,8 +213,8 @@ def _sc_ex26_perturbation(*, trunc=128, n_max=10):
     for n in range(1, n_max + 1):
         # [[U, I], [I/n, 0]]: injective, at distance exactly 1/n from base
         vn = opbuild.block2x2(u, eye, eye / n, zero)
-        sigmas.append(numlin.Spectrum.of(opbuild.weighted_frame(vn)).sigma_min)
-        defects.append(abs(np.linalg.norm(vn.entries - base.entries, 2) - 1.0 / n))
+        sigmas.append(numlin.Spectrum.of(vn).sigma_min)
+        defects.append(abs(np.linalg.norm(vn - base, 2) - 1.0 / n))
     rows = [[n, repr(s), repr(1.0 / (2 * n))] for n, s in enumerate(sigmas, 1)]
     fields = {
         "trunc": trunc,
@@ -228,12 +236,11 @@ def _sc_multiplicativity(*, n=16):
     zero = np.zeros((n, n))
     u = opbuild.block2x2(u0, zero, zero, zero)
     v = opbuild.block2x2(zero, zero, zero, u0)
-    prod = u.entries @ v.entries
     fields = {
         "n": n,
-        "norm_U": float(np.linalg.norm(u.entries, 2)),
-        "norm_V": float(np.linalg.norm(v.entries, 2)),
-        "norm_UV": float(np.linalg.norm(prod, 2)),
+        "norm_U": float(np.linalg.norm(u, 2)),
+        "norm_V": float(np.linalg.norm(v, 2)),
+        "norm_UV": float(np.linalg.norm(u @ v, 2)),
     }
     return fields, []
 
@@ -365,12 +372,10 @@ def _sc_prop35_halfplane(*, mu=4.0, alphas=(0.0, 2.0)):
            (_at_least("n", 2),))
 def _sc_prop41_falsifiers(*, n=32):
     b = opbuild.block_backward_shift(n, 1)
-    b2 = opbuild.OpMatrix(b.entries @ b.entries, b.w_in, b.w_out)
-    b3 = opbuild.OpMatrix(b.entries @ b2.entries, b.w_in, b.w_out)
+    b2 = b @ b
     rep_poly = certify.algebraic_falsifier(b, b2, poly=[1.0])
-    rep_pow = certify.algebraic_falsifier(b2, b3, powers=(2, 3))
-    eye = opbuild.OpMatrix(np.eye(n), b.w_in, b.w_out)
-    control = certify.algebraic_falsifier(b, eye, poly=[1.0])
+    rep_pow = certify.algebraic_falsifier(b2, b @ b2, powers=(2, 3))
+    control = certify.algebraic_falsifier(b, np.eye(n), poly=[1.0])
     fields = {
         "n": n,
         "poly_pair": rep_poly.as_dict(),
@@ -410,7 +415,7 @@ PAIR_MATCH_TOL = 1e-8  # cross-residual bound of a match, as in perfbench's chec
            "covering map is a zero of the coarser one, so the two symbols share "
            "infinitely many zeros",
            (_real_unit("r"), _real_unit("s"), _in_annulus("r", "lam"),
-            _in_annulus("s", "mu"), _at_least("k_max", 0)))
+            _in_annulus("s", "mu"), _at_least("k_max", 0), _zero_sets))
 def _sc_ex46_zeros(*, r=0.5, s=2.0 - 3.0 ** 0.5, lam=1.0 + 0j, mu=1.0 + 0j, k_max=20):
     import mpmath as mp
     frac = analytic.ratio_condition(r, s)

@@ -29,8 +29,8 @@ class Spectrum:
 
     @classmethod
     def of(cls, a) -> Spectrum:
-        """a: a 2-d array in orthonormal coordinates; an operator reaches it
-        through opbuild.weighted_frame."""
+        """a: a 2-d array in orthonormal coordinates; a weighted operator
+        reaches it through opbuild.weighted_frame."""
         m = np.asarray(a)
         if m.ndim != 2:
             raise ValueError("expected a 2-d matrix")

@@ -15,39 +15,35 @@ import numpy as np
 from . import numlin, spaces
 
 
+def _checked(m: np.ndarray, n: int) -> np.ndarray:
+    """m, made read-only once it is n x n with finite entries."""
+    if m.shape != (n, n):
+        raise ValueError(f"entries of shape {m.shape} are not {n} x {n}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class OpMatrix:
-    """Dense truncation matrix from the space weighted by w_in to the space
-    weighted by w_out; the weights are all a computation reads of a space."""
+    """Dense square truncation matrix on the space weighted by w, all that a
+    computation reads of a space; a Hardy-space operator is a plain array."""
 
     entries: np.ndarray
-    w_in: np.ndarray
-    w_out: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        if self.entries.shape != (self.w_out.size, self.w_in.size):
-            raise ValueError(f"entries of shape {self.entries.shape} do not map "
-                             f"{self.w_in.size} weights onto {self.w_out.size}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("matrix entries must be finite")
-        self.entries.setflags(write=False)
+        _checked(self.entries, self.w.size)
 
 
-def _square(entries: np.ndarray, w: np.ndarray) -> OpMatrix:
-    return OpMatrix(entries, w, w)
-
-
-def _hardy(n: int) -> np.ndarray:
-    return spaces.weights(0.0, n)
-
-
-def block_backward_shift(K: int, d: int) -> OpMatrix:
+def block_backward_shift(K: int, d: int) -> np.ndarray:
     """Block shift (x_0, x_1, ..., x_{K-1}) -> (x_1, ..., x_{K-1}, 0) on K
-    blocks of inner dimension d; d = 1 is the backward shift e_{k+1} -> e_k,
-    e_0 -> 0."""
+    blocks of inner dimension d, as a read-only array on the Hardy space;
+    d = 1 is the backward shift e_{k+1} -> e_k, e_0 -> 0."""
     if K < 2 or d < 1:
         raise ValueError("need K >= 2 blocks of dimension d >= 1")
-    return _square(np.eye(K * d, k=d), _hardy(K * d))
+    return _checked(np.eye(K * d, k=d), K * d)
 
 
 # -- composition operators ---------------------------------------------------
@@ -81,34 +77,28 @@ def composition_matrix(r: float, w: np.ndarray) -> OpMatrix:
         np.subtract(flat[start - 1:stop - 1:step], flat[start - n:stop - n:step], out=out)
         out *= r
         out += flat[start - n - 1:stop - n - 1:step]
-    return _square(m, w)
+    return OpMatrix(m, w)
 
 
 def mult_z(w: np.ndarray) -> OpMatrix:
     """Coefficient forward shift f -> z f; e_{N-1} falls off the truncation."""
-    return _square(np.eye(w.size, k=-1), w)
+    return OpMatrix(np.eye(w.size, k=-1), w)
 
 
 def weighted_adjoint(a: OpMatrix) -> OpMatrix:
-    """Gram adjoint W_in^{-1} A^H W_out, from the space weighted by w_out
-    back to the one weighted by w_in."""
-    adj = a.entries.conj().T * (a.w_out[None, :] / a.w_in[:, None])
-    return OpMatrix(adj, a.w_out, a.w_in)
+    """Gram adjoint W^{-1} A^H W on the space weighted by w."""
+    return OpMatrix(a.entries.conj().T * (a.w[None, :] / a.w[:, None]), a.w)
 
 
 def weighted_frame(a) -> np.ndarray:
-    """Conjugate into orthonormal coordinates: W_out^{1/2} A W_in^{-1/2}.
-
-    Singular values of the framed matrix are the honest singular values of
-    the operator between the weighted spaces; this is the only way an
-    operator reaches numlin. A bare array is already in orthonormal
-    coordinates and is returned as given.
-    """
+    """Conjugate into orthonormal coordinates, W^{1/2} A W^{-1/2}, whose
+    singular values are the operator's honest ones: the only way a weighted
+    operator reaches numlin. A bare array, such as a Hardy-space operator,
+    is already in orthonormal coordinates and is returned as given."""
     if not isinstance(a, OpMatrix):
         return a
-    wi = np.sqrt(a.w_in)
-    wo = np.sqrt(a.w_out)
-    return a.entries * (wo[:, None] / wi[None, :])
+    s = np.sqrt(a.w)
+    return a.entries * (s[:, None] / s[None, :])
 
 
 def heller_principal(r: float, trunc: int) -> tuple[OpMatrix, OpMatrix]:
@@ -125,19 +115,16 @@ def heller_principal(r: float, trunc: int) -> tuple[OpMatrix, OpMatrix]:
     mz = mult_z(w)
     middle = c2 * (weighted_adjoint(mz).entries + mz.entries) @ comp.entries
     base = c1 * comp.entries
-    return _square(base - middle, w), _square(base + middle, w)
+    return OpMatrix(base - middle, w), OpMatrix(base + middle, w)
 
 
 # -- block assemblies --------------------------------------------------------
 
-def block2x2(u, a, c, b) -> OpMatrix:
-    """Assemble [[U, A], [C, B]] on the Hardy space; each block is an
-    OpMatrix or an array. Blocks that do not tile a square raise ValueError."""
-    def ent(blk):
-        return np.asarray(getattr(blk, "entries", blk))
-
-    m = np.block([[ent(u), ent(a)], [ent(c), ent(b)]])
-    return _square(m, _hardy(m.shape[0]))
+def block2x2(u, a, c, b) -> np.ndarray:
+    """[[U, A], [C, B]] from four arrays, as a read-only Hardy-space array;
+    blocks that do not tile a square, or non-finite entries, raise ValueError."""
+    m = np.block([[u, a], [c, b]])
+    return _checked(m, m.shape[0])
 
 
 # -- Hilbert-Schmidt multiplications -----------------------------------------
@@ -149,7 +136,7 @@ def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(a.shape[0] * b.shape[0], -1)
 
 
-def hs_pair_kernels(u: OpMatrix, v: OpMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+def hs_pair_kernels(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Kernels of S -> U S and S -> S V, as orthonormal columns, and the
     kernel dim of S -> U S V, from the factors U and V alone.
 
@@ -161,15 +148,15 @@ def hs_pair_kernels(u: OpMatrix, v: OpMatrix) -> tuple[np.ndarray, np.ndarray, i
     and kron(V^T, U) has as many negligible singular values as the outer
     product of the two spectra.
     """
-    if u.entries.shape[0] != v.entries.shape[0]:
+    if u.shape[0] != v.shape[0]:
         raise ValueError("base dimensions differ")
-    eye = np.eye(u.entries.shape[0])
-    _, s_u, vh_u = np.linalg.svd(u.entries)
-    if np.array_equal(v.entries.T, u.entries):
+    eye = np.eye(u.shape[0])
+    _, s_u, vh_u = np.linalg.svd(u)
+    if np.array_equal(v.T, u):
         # the block pair's V^T = (B*)^T is B = U: one SVD serves both sides
         s_v, vh_v = s_u, vh_u
     else:
-        _, s_v, vh_v = np.linalg.svd(v.entries.T)
+        _, s_v, vh_v = np.linalg.svd(v.T)
     ker_u = vh_u.conj().T[:, numlin.negligible(s_u)]
     ker_v = vh_v.conj().T[:, numlin.negligible(s_v)]
     product = np.count_nonzero(numlin.negligible(np.multiply.outer(s_v, s_u)))

@@ -9,16 +9,16 @@ singular vectors.
 
 import numpy as np
 
-from univcert import numlin, opbuild
+from univcert import numlin
 
 
-def hs_matrix(u: opbuild.OpMatrix | None, v: opbuild.OpMatrix | None) -> np.ndarray:
+def hs_matrix(u: np.ndarray | None, v: np.ndarray | None) -> np.ndarray:
     """kron(V^T, U); a missing factor is the identity on its side."""
-    eye = np.eye((u or v).entries.shape[0])
-    return np.kron(eye if v is None else v.entries.T, eye if u is None else u.entries)
+    eye = np.eye((u if u is not None else v).shape[0])
+    return np.kron(eye if v is None else v.T, eye if u is None else u)
 
 
-def product_kernel(u: opbuild.OpMatrix, v: opbuild.OpMatrix,
+def product_kernel(u: np.ndarray, v: np.ndarray,
                    tol_rel: float = numlin.DEFAULT_TOL) -> np.ndarray:
     """Kernel basis of S -> U S V, as orthonormal columns.
 
@@ -26,9 +26,9 @@ def product_kernel(u: opbuild.OpMatrix, v: opbuild.OpMatrix,
     its kernel is spanned by kron(p_i, q_j) wherever the product of the two
     singular values is negligible.
     """
-    n = u.entries.shape[0]
-    _, s_v, vh_v = np.linalg.svd(v.entries.T)
-    _, s_u, vh_u = np.linalg.svd(u.entries)
+    n = u.shape[0]
+    _, s_v, vh_v = np.linalg.svd(v.T)
+    _, s_u, vh_u = np.linalg.svd(u)
     small = numlin.negligible(np.multiply.outer(s_v, s_u), tol_rel)
     cols = [np.kron(vh_v[i].conj(), vh_u[j].conj()) for i, j in zip(*np.nonzero(small))]
     basis = np.array(cols).T if cols else np.zeros((n * n, 0))

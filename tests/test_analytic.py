@@ -157,6 +157,18 @@ def test_covering_map_zeros_residuals_and_ordering():
         analytic.covering_map_zeros(0.5, 5.0, 3)
 
 
+def test_zero_sets_past_the_work_bound_raise_before_any_zero():
+    # the defaults' precision, and the largest k_max the bound admits at r = 0.5
+    assert analytic.zero_set_dps(0.5, 1.0, 20) == 217
+    assert analytic.zero_set_dps(0.5, 1.0, 176) == 1678
+    for r, k_max in ((0.5, 177), (1e-9, 20)):
+        with pytest.raises(ValueError, match="digits each"):
+            analytic.zero_set_dps(r, 1.0, k_max)
+        # unbounded, these would take from seconds to hours of mpmath
+        with pytest.raises(ValueError, match="digits each"):
+            analytic.covering_map_zeros(r, 1.0, k_max)
+
+
 def test_zero_set_csv_layout(tmp_path):
     cli.run_scenario("ex46-common-zeros", {"k_max": 2}, tmp_path, fmt="csv")
     path = tmp_path / "ex46-common-zeros" / "zeros_r.csv"

@@ -26,8 +26,7 @@ def check_C(builder, ladder):
 
 def family_identity(n: int):
     """Fixture: the identity on the Hardy space."""
-    w = spaces.weights(0.0, n)
-    return opbuild.OpMatrix(np.eye(n), w, w)
+    return np.eye(n)
 
 
 def family_backward_shift(n: int):
@@ -129,7 +128,7 @@ def test_report_json_shape():
         ("spectral", certify.spectral_falsifier(
             certify.family_composition(0.5, 1.0, "derivative"), [1.0, 0.5j], LADDER),
          {"label", "size", "kernel_dim", "grid_points"}),
-        ("algebraic", certify.algebraic_falsifier(b, b.entries @ b.entries, poly=[1.0]),
+        ("algebraic", certify.algebraic_falsifier(b, b @ b, poly=[1.0]),
          {"label", "size", "defect", "commutator", "witness"}),
     ]
     for condition, rep, keys in cases:
@@ -171,7 +170,7 @@ def test_each_report_names_the_threshold_its_check_applies():
                     (0j, certify.SCAN_TOLS[1]): [1, 1, 1]}
     assert rep.tolerances == {"svd_tols": list(certify.SCAN_TOLS)}
     # W = T^2 + eps T^3 commutes with T, at defect about eps
-    t = opbuild.block_backward_shift(12, 1).entries
+    t = opbuild.block_backward_shift(12, 1)
     for eps, verdict in ((0.2 * certify.ALGEBRAIC_TOL, certify.FALSIFIED),
                          (5.0 * certify.ALGEBRAIC_TOL, certify.INCONCLUSIVE)):
         rep = certify.algebraic_falsifier(t, t @ t + eps * (t @ t @ t), poly=[1.0])
@@ -278,11 +277,13 @@ def _phases(n):
 
 
 def _unitarily_similar(a, phases):
-    """D A D* for D = diag(phases). D commutes with the diagonal weights, so
-    this is a unitary similarity in the weighted frame too, and it commutes
-    with dropping a rung's trailing rows."""
-    entries = phases[:, None] * a.entries * phases[None, :].conj()
-    return opbuild.OpMatrix(entries, a.w_in, a.w_out)
+    """D A D* for D = diag(phases), on an array or a weighted operator. D
+    commutes with the diagonal weights, so this is a unitary similarity in
+    the weighted frame too, and it commutes with dropping a rung's trailing
+    rows."""
+    if isinstance(a, opbuild.OpMatrix):
+        return opbuild.OpMatrix(_unitarily_similar(a.entries, phases), a.w)
+    return phases[:, None] * a * phases[None, :].conj()
 
 
 def test_diagonal_unitary_similarity_leaves_rung_counts_unchanged():
@@ -487,7 +488,7 @@ def test_sign_conjugation_leaves_scan_dims_unchanged(r):
 
 def test_algebraic_falsifier_polynomial_witness():
     b = opbuild.block_backward_shift(16, 1)
-    b2 = b.entries @ b.entries
+    b2 = b @ b
     rep = certify.algebraic_falsifier(b, b2, poly=[1.0])
     assert rep.verdict == certify.FALSIFIED
     assert rep.ladder[0]["defect"] == 0.0
@@ -495,8 +496,8 @@ def test_algebraic_falsifier_polynomial_witness():
 
 def test_algebraic_falsifier_power_witness_and_control():
     b = opbuild.block_backward_shift(12, 1)
-    b2 = b.entries @ b.entries
-    b3 = b2 @ b.entries
+    b2 = b @ b
+    b3 = b2 @ b
     assert certify.algebraic_falsifier(b2, b3, powers=(2, 3)).verdict == certify.FALSIFIED
     control = certify.algebraic_falsifier(b, np.eye(12), poly=[1.0])
     assert control.verdict == certify.INCONCLUSIVE
@@ -508,18 +509,23 @@ def test_algebraic_falsifier_power_witness_and_control():
 
 # -- compactness proxy and witnesses ------------------------------------------
 
+def weighted_identity(n: int) -> opbuild.OpMatrix:
+    """Fixture: the identity on the derivative space."""
+    return opbuild.OpMatrix(np.eye(n), spaces.weights(1.0, n, "derivative"))
+
+
 def test_compactness_proxy_of_identical_operators_is_zero():
-    a = family_identity(8)
+    a = weighted_identity(8)
     s = certify.compactness_proxy(a, a, count=8)
     assert s.shape == (8,)
     assert np.all(s == 0.0)
 
 
 def test_compactness_proxy_rank_one_difference():
-    a = family_identity(8)
+    a = weighted_identity(8)
     bump = np.zeros((8, 8))
     bump[0, 0] = 2.0
-    b = opbuild.OpMatrix(np.eye(8) + bump, a.w_in, a.w_out)
+    b = opbuild.OpMatrix(np.eye(8) + bump, a.w)
     s = certify.compactness_proxy(a, b, count=4)
     assert s.shape == (4,)
     assert s[0] == pytest.approx(2.0)
@@ -605,7 +611,7 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     base = thm32_oracle.compressed_adjoint(0.5, 64)
     # the rung's one buffer is the framed square A - lambda I
     assert _agree(opbuild.weighted_frame(opbuild.OpMatrix(
-        base.entries - lam * np.eye(63), base.w_in, base.w_out)), rung.square)
+        base.entries - lam * np.eye(63), base.w)), rung.square)
     # the corank drops the window's 63 // 4 = 15 trailing rows
     assert rung.drop_rows == 15
     assert _same_family(witnesses(0.5, lam, 64, 8), rung.witnesses)

@@ -12,6 +12,7 @@ import pytest
 from univcert import certify, cli
 
 import report_parity
+import report_tree
 import thm32_oracle
 
 
@@ -241,8 +242,18 @@ def test_main_bad_config_exits_2_with_one_line(config, tmp_path, capsys):
      "the bergman radius mu^-2.0 does not fit a double at mu=1e-300"),
     ("prop35-halfplane", {"mu": "0.5", "alphas": "3000"},
      "the bergman radius mu^-1501.0 does not fit a double at mu=0.5"),
+    # zero sets past the work bound: each would run for minutes or hours
+    ("ex46-common-zeros", {"r": "1e-9"},
+     "the 41 covering-map zeros at parameter 1e-09 need 1.03e+11 digits each: "
+     "zeros x digits^2 must stay <= 1e+09"),
+    ("ex46-common-zeros", {"s": "1e-9"},
+     "the 21 covering-map zeros at parameter 1e-09 need 5.14e+10 digits each: "
+     "zeros x digits^2 must stay <= 1e+09"),
+    ("ex46-common-zeros", {"k_max": "1000"},
+     "the 2001 covering-map zeros at parameter 0.5 need 9.39e+03 digits each: "
+     "zeros x digits^2 must stay <= 1e+09"),
 ], ids=["mu-1.0", "mu-nan", "alphas--2", "alphas-nan", "z-1.0", "lam--1",
-        "mu-1e-300", "mu-0.5-alphas-3000"])
+        "mu-1e-300", "mu-0.5-alphas-3000", "r-1e-9", "s-1e-9", "k_max-1000"])
 def test_domain_rule_of_the_run_fails_validate_too(name, params, message,
                                                    tmp_path, capsys):
     assert cli.validate(name, params) == [message]
@@ -330,6 +341,13 @@ def test_integer_kind_holds_exactly_the_int64_range():
 
 SWEEP_VALUES = ("-1", "0", "1", "2", "nan", "inf", "-inf", "1e-300", "1e300", "2j",
                 "x", "", PAST_INT64, PAST_DOUBLE)
+
+
+def test_every_case_of_the_report_tree_validates():
+    cases = report_tree.cases()
+    assert {name for _, name, _ in cases} == set(cli.REGISTRY)
+    assert len({(directory, name) for directory, name, _ in cases}) == len(cli.REGISTRY) + 4
+    assert [cli.validate(name, params) for _, name, params in cases] == [[]] * len(cases)
 
 
 def test_validate_returns_a_list_and_never_raises():

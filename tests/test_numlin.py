@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univcert import numlin, opbuild
+from univcert import numlin, opbuild, spaces
 
 from dense_kernel import svd_kernel
 
@@ -68,11 +68,11 @@ def test_subspace_ambient_mismatch_raises():
 
 
 def test_refuses_an_operator_matrix():
-    # an operator reaches numlin only through opbuild.weighted_frame
+    # a weighted operator reaches numlin only through opbuild.weighted_frame
+    mz = opbuild.mult_z(spaces.weights(1.0, 4, "derivative"))
     with pytest.raises(ValueError, match="expected a 2-d matrix"):
-        numlin.Spectrum.of(opbuild.block_backward_shift(4, 1))
-    framed = opbuild.weighted_frame(opbuild.block_backward_shift(4, 1))
-    assert numlin.Spectrum.of(framed).rank() == 3
+        numlin.Spectrum.of(mz)
+    assert numlin.Spectrum.of(opbuild.weighted_frame(mz)).rank() == 3
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from univcert import certify, numlin, opbuild, spaces
 
@@ -24,7 +25,7 @@ def _deriv(n):
 
 
 def test_backward_forward_shift_matrices():
-    assert np.array_equal(opbuild.block_backward_shift(3, 1).entries,
+    assert np.array_equal(opbuild.block_backward_shift(3, 1),
                           [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     # the forward shift on the Hardy space is multiplication by z
     assert np.array_equal(opbuild.mult_z(_hardy(3)).entries,
@@ -34,29 +35,32 @@ def test_backward_forward_shift_matrices():
 def test_block_shift_moves_whole_blocks():
     b = opbuild.block_backward_shift(3, 2)
     x = np.arange(6.0)
-    assert np.array_equal(b.entries @ x, [2, 3, 4, 5, 0, 0])
-    # on the Hardy space the weighted adjoint is the block forward shift
-    assert np.array_equal(opbuild.weighted_adjoint(b).entries @ x, [0, 0, 0, 1, 2, 3])
+    assert np.array_equal(b @ x, [2, 3, 4, 5, 0, 0])
+    # on the Hardy space the weighted adjoint is the conjugate transpose, the
+    # block forward shift
+    hardy_adjoint = opbuild.weighted_adjoint(opbuild.OpMatrix(b, _hardy(6))).entries
+    assert np.array_equal(hardy_adjoint, b.conj().T)
+    assert np.array_equal(hardy_adjoint @ x, [0, 0, 0, 1, 2, 3])
     for K, d in ((1, 2), (3, 0)):
         with pytest.raises(ValueError):
             opbuild.block_backward_shift(K, d)
 
 
 def interior_section(a, drop_rows):
-    """Oracle: a without its trailing drop_rows codomain rows, as an operator
-    onto the leading weights; a rung's corank reads its frame."""
+    """Oracle: the weighted operator a without its trailing drop_rows
+    codomain rows, framed by hand as a map from the space weighted by w onto
+    the one weighted by its leading weights; a rung's corank reads it."""
     if not 0 < drop_rows < a.entries.shape[0]:
         raise ValueError("drop_rows out of range")
-    return opbuild.OpMatrix(np.ascontiguousarray(a.entries[:-drop_rows, :]), a.w_in,
-                            a.w_out[:-drop_rows])
+    w = a.w
+    return a.entries[:-drop_rows] * (np.sqrt(w[:-drop_rows])[:, None] / np.sqrt(w)[None, :])
 
 
 def test_interior_section_trims_rows():
-    b = opbuild.block_backward_shift(5, 1)
+    b = opbuild.OpMatrix(opbuild.block_backward_shift(5, 1), _hardy(5))
     sec = interior_section(b, 1)
-    assert sec.entries.shape == (4, 5)
-    assert sec.w_in.size == 5 and sec.w_out.size == 4
-    assert numlin.Spectrum.of(sec.entries).corank() == 0
+    assert sec.shape == (4, 5)
+    assert numlin.Spectrum.of(sec).corank() == 0
     with pytest.raises(ValueError):
         interior_section(b, 5)
 
@@ -66,7 +70,7 @@ def test_dropping_framed_rows_frames_the_interior_section(k):
     # the weighted adjoint of C_phi on the derivative space: unframed, its
     # sections read a corank one too large
     a = opbuild.weighted_adjoint(opbuild.composition_matrix(0.5, _deriv(64)))
-    section = opbuild.weighted_frame(interior_section(a, k))
+    section = interior_section(a, k)
     framed = opbuild.weighted_frame(a)[:-k]
     assert np.array_equal(framed, section)
     corank = numlin.Spectrum.of(section).corank()
@@ -155,17 +159,15 @@ def test_sign_conjugation_flips_the_parameter(r, side, n):
 
 
 def test_weighted_adjoint_matches_inner_products():
-    square = opbuild.composition_matrix(0.5, _deriv(7))
-    # the interior section maps onto the first five weights only
+    a = opbuild.composition_matrix(0.5, _deriv(7))
     rng = np.random.default_rng(3)
-    for a in (square, interior_section(square, 2)):
-        astar = opbuild.weighted_adjoint(a)
-        for _ in range(20):
-            f = rng.standard_normal(a.w_in.size) + 1j * rng.standard_normal(a.w_in.size)
-            g = rng.standard_normal(a.w_out.size) + 1j * rng.standard_normal(a.w_out.size)
-            lhs = np.sum(a.w_out * (a.entries @ f) * np.conj(g))
-            rhs = np.sum(a.w_in * f * np.conj(astar.entries @ g))
-            assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+    astar = opbuild.weighted_adjoint(a)
+    for _ in range(20):
+        f = rng.standard_normal(a.w.size) + 1j * rng.standard_normal(a.w.size)
+        g = rng.standard_normal(a.w.size) + 1j * rng.standard_normal(a.w.size)
+        lhs = np.sum(a.w * (a.entries @ f) * np.conj(g))
+        rhs = np.sum(a.w * f * np.conj(astar.entries @ g))
+        assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_weighted_adjoint_is_an_involution():
@@ -208,22 +210,23 @@ def test_heller_principal_assembly():
         manual = (c1 * comp.entries
                   + sign * c2 * (mzs.entries + mz.entries) @ comp.entries)
         assert np.abs(hp.entries - manual).max() < 1e-14
-        assert np.array_equal(hp.w_in, w) and np.array_equal(hp.w_out, w)
+        assert np.array_equal(hp.w, w)
 
 
 def test_block2x2_layout_and_zero_inference():
     u = opbuild.block_backward_shift(3, 1)
     zero = np.zeros((3, 3))
     m = opbuild.block2x2(u, np.eye(3), zero, zero)
-    assert m.entries.shape == (6, 6)
-    assert np.array_equal(m.entries[:3, :3], u.entries)
-    assert np.array_equal(m.entries[:3, 3:], np.eye(3))
-    assert np.array_equal(m.entries[3:, :], np.zeros((3, 6)))
-    # blocks whose rows or columns disagree do not tile, and blocks that
-    # tile a rectangle are not an operator on one space
+    assert m.shape == (6, 6)
+    assert np.array_equal(m[:3, :3], u)
+    assert np.array_equal(m[:3, 3:], np.eye(3))
+    assert np.array_equal(m[3:, :], np.zeros((3, 6)))
+    # blocks whose rows or columns disagree do not tile, blocks that tile a
+    # rectangle are not an operator on one space, and entries must be finite
     for blocks in ((u, np.eye(3), np.zeros((2, 3)), zero),
                    (u, np.eye(3), zero, np.zeros((3, 2))),
-                   (u, np.zeros((3, 4)), zero, np.zeros((3, 4)))):
+                   (u, np.zeros((3, 4)), zero, np.zeros((3, 4))),
+                   (u, np.eye(3), zero, np.full((3, 3), np.inf))):
         with pytest.raises(ValueError):
             opbuild.block2x2(*blocks)
 
@@ -234,8 +237,7 @@ def test_compress_zH2_drops_constant_direction():
     assert c.entries.shape == (4, 4)
     assert np.array_equal(c.entries, a.entries[1:, 1:])
     # the compression slices the weights: e_1, e_2, ... keep their norms
-    assert np.array_equal(c.w_in, [1.0, 4.0, 9.0, 16.0])
-    assert np.array_equal(c.w_out, [1.0, 4.0, 9.0, 16.0])
+    assert np.array_equal(c.w, [1.0, 4.0, 9.0, 16.0])
     # so the framed compressed adjoint is the transposed frame of C, less
     # its row and column 0, which is how the thm32 rung reads it
     framed = opbuild.weighted_frame(thm32_oracle.compressed_adjoint(0.5, 5))
@@ -246,10 +248,10 @@ def test_compress_zH2_drops_constant_direction():
 def test_hs_operators_realize_two_sided_multiplication():
     rng = np.random.default_rng(11)
     n = 4
-    u = opbuild.OpMatrix(rng.standard_normal((n, n)), _hardy(n), _hardy(n))
-    v = opbuild.OpMatrix(rng.standard_normal((n, n)), _hardy(n), _hardy(n))
+    u = rng.standard_normal((n, n))
+    v = rng.standard_normal((n, n))
     s = rng.standard_normal((n, n))
-    direct = u.entries @ s @ v.entries
+    direct = u @ s @ v
     # the left and right matrices compose to kron(V^T, U) on the
     # column-major vectorization
     prod = hs_dense.hs_matrix(u, None) @ hs_dense.hs_matrix(None, v)
@@ -274,8 +276,7 @@ def _low_rank(rng, n, rank):
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     values = rng.choice([1e-5, 1.0], rank) * rng.uniform(0.5, 2.0, rank)
-    m = (q1[:, :rank] * values) @ q2[:, :rank].T
-    return opbuild.OpMatrix(m, _hardy(n), _hardy(n))
+    return (q1[:, :rank] * values) @ q2[:, :rank].T
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,17 +294,43 @@ def test_hs_pair_kernels_match_dense_kron(n, rank_u, rank_v, seed):
         assert basis.shape == (n * n, n * (n - rank))
         assert dense.shape[1] == basis.shape[1]
         assert numlin.subspace_dims(basis, dense) == (basis.shape[1], basis.shape[1])
-    expected = numlin.Spectrum.of(np.kron(v.entries.T, u.entries)).kernel_dim()
+    expected = numlin.Spectrum.of(np.kron(v.T, u)).kernel_dim()
     assert product_dim == expected
+
+
 def test_opmatrix_rejects_nonfinite_entries():
     with pytest.raises(ValueError):
-        opbuild.OpMatrix(np.array([[np.nan]]), _hardy(1), _hardy(1))
+        opbuild.OpMatrix(np.array([[np.nan]]), _deriv(1))
 
 
-def test_opmatrix_entries_must_map_w_in_onto_w_out():
-    entries = np.zeros((2, 3))
-    assert opbuild.OpMatrix(entries, _hardy(3), _hardy(2)).entries.shape == (2, 3)
-    for w_in, w_out in ((_hardy(2), _hardy(3)), (_hardy(3), _hardy(3)),
-                        (_hardy(2), _hardy(2))):
-        with pytest.raises(ValueError, match="do not map"):
-            opbuild.OpMatrix(entries, w_in, w_out)
+def test_opmatrix_entries_must_be_square_on_its_weights():
+    assert opbuild.OpMatrix(np.zeros((3, 3)), _deriv(3)).entries.shape == (3, 3)
+    for entries, w in ((np.zeros((2, 3)), _deriv(3)), (np.zeros((2, 3)), _deriv(2)),
+                       (np.zeros((3, 3)), _deriv(2))):
+        with pytest.raises(ValueError, match="are not"):
+            opbuild.OpMatrix(entries, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 6).map(lambda n: (n, n)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False,
+                                     allow_subnormal=True)))
+@example(np.array([[-0.0, 5e-324], [-5e-324, 0.0]]))
+def test_unit_weights_frame_to_the_same_bits(x):
+    # the fact that lets a real Hardy-space operator skip the frame: on unit
+    # weights the frame multiplies by 1.0, which keeps every bit, signs of
+    # zero and subnormals included
+    framed = opbuild.weighted_frame(opbuild.OpMatrix(x.copy(), np.ones(x.shape[0])))
+    assert framed.tobytes() == x.tobytes()
+
+
+def test_hardy_builders_return_arrays_and_weighted_builders_operators():
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    for m in (opbuild.block_backward_shift(3, 2), opbuild.block2x2(eye, zero, zero, eye)):
+        assert type(m) is np.ndarray and not m.flags.writeable
+    w = _deriv(5)
+    weighted = [opbuild.composition_matrix(0.5, w), opbuild.mult_z(w),
+                opbuild.weighted_adjoint(opbuild.mult_z(w)),
+                *opbuild.heller_principal(0.5, 5)]
+    for a in weighted:
+        assert isinstance(a, opbuild.OpMatrix) and not a.entries.flags.writeable

@@ -19,7 +19,7 @@ def compress_zH2(a: opbuild.OpMatrix) -> opbuild.OpMatrix:
     """Compression to span{e_1, ...}: delete row 0 and column 0."""
     if min(a.entries.shape) < 2:
         raise ValueError("compression needs size >= 2")
-    return opbuild.OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), a.w_in[1:], a.w_out[1:])
+    return opbuild.OpMatrix(np.ascontiguousarray(a.entries[1:, 1:]), a.w[1:])
 
 
 def compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
@@ -33,7 +33,7 @@ def full_product_family(r, lam, trunc, index_max) -> certify.WitnessFamily:
     full product (A @ v - lambda v)[:win] of a complex copy of A, one
     witness at a time."""
     a = compressed_adjoint(r, trunc)
-    am, wts = a.entries.astype(complex), a.w_in
+    am, wts = a.entries.astype(complex), a.w
     m = trunc - 1
     win = m // 4
     t_r = analytic.translation_length(r)
@@ -70,7 +70,7 @@ def weighted_rungs(r, lam, index_max):
     the weights, framed by the ladder walk, and the full-product family."""
     def build(trunc: int) -> certify.Rung:
         a = compressed_adjoint(r, trunc)
-        square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1), a.w_in, a.w_out)
+        square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1), a.w)
         return certify.Rung(square, (trunc - 1) // 4,
                             full_product_family(r, lam, trunc, index_max))
     return build
