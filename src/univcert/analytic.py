@@ -5,9 +5,12 @@ half-plane spectral radius formulas."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def translation_length(r: float) -> float:
@@ -127,6 +130,7 @@ def ratio_condition(r: float, s: float) -> Fraction | None:
     """Detect a rational ratio t_r/t_s with denominator at most 50; the
     matched eigenfunction indices (n, m) = (j p, j q) then share
     eigenfunctions across the two families."""
+    from fractions import Fraction
     x = translation_length(r) / translation_length(s)
     frac = Fraction(x).limit_denominator(50)
     if abs(x - float(frac)) < 1e-9:

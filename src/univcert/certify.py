@@ -50,7 +50,7 @@ class CertificateReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": "2",
             "condition": self.condition,
             "verdict": self.verdict,
             "ladder": [dict(r) for r in self.ladder],
@@ -113,14 +113,17 @@ def _kernel_rung(rung: Rung, size) -> dict:
     rows = framed.shape[0]
     if not 0 <= rung.drop_rows < rows:
         raise ValueError("drop_rows out of range")
-    spec = numlin.Spectrum.of(framed)
+    kept = numlin.Spectrum.of(framed[:rows - rung.drop_rows])
+    # sigma_min comes from the spectrum that decided the rung's evidence: a
+    # witnessed rung's kernel is its witness count, so the square's spectrum
+    # is taken only when the kernel is counted
     if rung.witnesses is not None:
-        kdim = rung.witnesses.count()
+        kdim, spec = rung.witnesses.count(), kept
     else:
+        spec = numlin.Spectrum.of(framed)
         kdim = spec.kernel_dim()
-    cor = numlin.Spectrum.of(framed[:rows - rung.drop_rows]).corank()
     return {"label": _rung_label(size), "size": size, "kernel_dim": kdim,
-            "corank": cor, "sigma_min": spec.sigma_min}
+            "corank": kept.corank(), "sigma_min": spec.sigma_min}
 
 
 def kernel_ladder(builder, ladder) -> tuple:

@@ -4,7 +4,6 @@ deterministic JSON and CSV reports."""
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import numbers
@@ -409,6 +408,15 @@ _pair_scenario("thm44-block-pair", certify.hs_pair_block, ((4, 4), (6, 6), (8, 8
 PAIR_MATCH_TOL = 1e-8  # cross-residual bound of a match, as in perfbench's check_ex46
 
 
+def _nstr(x, n: int) -> str:
+    """mp.nstr(x, n) of a copy rounded to n + 10 digits: a tiny number held
+    at thousands of digits would otherwise make mpmath build an integer past
+    CPython's int-to-str limit."""
+    import mpmath as mp
+    with mp.workdps(n + 10):
+        return mp.nstr(+x, n)
+
+
 @_scenario("ex46-common-zeros",
            "covering-map zero sets sharing every other zero at ratio 2:1",
            "with translation lengths in ratio 2:1 every other zero of the finer "
@@ -433,15 +441,15 @@ def _sc_ex46_zeros(*, r=0.5, s=2.0 - 3.0 ** 0.5, lam=1.0 + 0j, mu=1.0 + 0j, k_ma
             cross = mp.fabs(analytic.covering_value(s, by_k_r[2 * e.k].z) - mu)
             max_cross = max(max_cross, cross)
             matched += cross < PAIR_MATCH_TOL
-            pair_rows.append([e.k, 2 * e.k, mp.nstr(cross, 6)])
+            pair_rows.append([e.k, 2 * e.k, _nstr(cross, 6)])
     fields = {
         "ratio": None if frac is None else f"{frac.numerator}/{frac.denominator}",
         "matched_pairs": matched,
-        "max_cross_residual": mp.nstr(max_cross, 8),
+        "max_cross_residual": _nstr(max_cross, 8),
         "zero_residual_max": max(e.residual for e in zr.entries + zs.entries),
     }
     def zero_rows(zset):
-        return [[e.k, mp.nstr(e.z.real, 17), mp.nstr(e.z.imag, 17), repr(e.residual)]
+        return [[e.k, _nstr(e.z.real, 17), _nstr(e.z.imag, 17), repr(e.residual)]
                 for e in zset.entries]
 
     zero_header = ["k", "re_z", "im_z", "residual"]
@@ -698,6 +706,7 @@ def main(argv=None) -> int:
     tasks = [(name, merged, Path(out_dir), fmt) for name, merged, _ in resolved]
     try:
         if jobs > 1 and len(tasks) > 1:
+            import concurrent.futures
             # a forking pool starts all of its workers at once
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=min(jobs, len(tasks))) as pool:

@@ -179,6 +179,17 @@ def test_zero_set_csv_layout(tmp_path):
     assert rows[1][0] == "0"
 
 
+def test_tiny_numbers_held_at_thousands_of_digits_format_to_their_leading_digits():
+    # below about 1e-1054 at more than 4,300 digits, mp.nstr would build an
+    # integer past CPython's int-to-str limit; ex46 reads such residuals
+    with mp.workdps(4400):
+        x = -mp.mpf(1) / 3 * mp.mpf(10) ** -1100
+        assert cli._nstr(x, 6) == "-3.33333e-1101"
+    # the number keeps its digits outside the precision it was made at
+    assert cli._nstr(x, 17) == "-3.3333333333333333e-1101"
+    assert cli._nstr(mp.mpf(0), 17) == "0.0"
+
+
 def test_ratio_condition_detects_two_to_one():
     # t_s = t_r / 2 at s = 2 - sqrt(3): the half-angle parameter
     frac = analytic.ratio_condition(0.5, 2.0 - math.sqrt(3.0))

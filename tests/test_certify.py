@@ -116,7 +116,7 @@ def test_report_json_shape():
     assert identity.verdict == certify.FALSIFIED
     assert identity.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
     b = opbuild.block_backward_shift(16, 1)
-    # one report per condition, with the rung keys schema "1" writes
+    # one report per condition, with the rung keys schema "2" writes
     cases = [
         ("C", identity, KERNEL_RUNG_KEYS),
         ("Cplus", certify.kernel_verdict(
@@ -133,7 +133,7 @@ def test_report_json_shape():
     ]
     for condition, rep, keys in cases:
         payload = json.loads(rep.to_json())
-        assert payload["schema_version"] == "1"
+        assert payload["schema_version"] == "2"
         assert payload["condition"] == condition
         assert payload == rep.as_dict()
         assert len(payload["ladder"]) == (1 if condition == "algebraic" else 3)
@@ -625,6 +625,26 @@ def test_witnessed_rungs_carry_the_shifted_adjoint_and_its_family():
     assert rep.tolerances["witness_tol"] == certify.WITNESS_TOL
     assert certify.kernel_ladder(lambda n: certify.Rung(family_identity(n)),
                                  LADDER)[1] is None
+
+
+def test_counted_rungs_report_the_sigma_min_of_the_square():
+    # a counted rung's kernel dim reads the square's spectrum, and so does its
+    # sigma_min: on diag(n, ..., 1) the square's smallest value is 1 and its
+    # leading n - n // 4 rows' is n // 4 + 1
+    rungs, _ = certify.kernel_ladder(
+        lambda n: certify.Rung(np.diag(np.arange(n, 0.0, -1.0)), n // 4), LADDER)
+    assert [(r["sigma_min"], r["kernel_dim"], r["corank"]) for r in rungs] == [
+        (1.0, 0, 0)] * 3
+    # ex25's half shift with its rank-1 bump, built by hand: row 1 vanishes,
+    # so the square's smallest value is 0
+    rungs, _ = certify.kernel_ladder(certify.family_halfshift_plus_rank1, (32, 64, 128))
+    for rung in rungs:
+        n = rung["size"]
+        square = np.zeros((n, n))
+        ks = np.arange((n + 1) // 2)
+        square[ks, 2 * ks] = 1.0
+        square[1, 2] = 0.0
+        assert rung["sigma_min"] == np.linalg.svd(square, compute_uv=False)[-1] == 0.0
 
 
 def test_a_capped_witness_family_is_never_evidence_of_falsification():

@@ -1,5 +1,6 @@
 """Scenario runner: registry, parameter handling, outputs, determinism."""
 
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -322,13 +323,16 @@ def test_numpy_scalars_write_the_bytes_of_python_numbers(tmp_path, name, numpy_p
 
 
 def test_importing_the_runner_leaves_mpmath_unloaded():
-    # mpmath serves only the covering-map zeros, so only ex46 loads it
+    # mpmath serves only the covering-map zeros, so only ex46 loads it;
+    # likewise concurrent.futures serves only --jobs, and fractions only
+    # analytic.ratio_condition
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import univcert.cli; "
-             "print('mpmath' in sys.modules)")
+             "print([m in sys.modules for m in ('mpmath', 'concurrent.futures', "
+             "'fractions')])")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", probe, str(src)],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 def test_integer_kind_holds_exactly_the_int64_range():
@@ -527,6 +531,28 @@ def test_thm32_at_a_complex_lambda_holds_parity_with_the_weighted_oracle(tmp_pat
     assert [r["corank"] for r in report["ladder"]] == [0, 0, 0]
 
 
+def test_witnessed_rungs_report_the_sigma_min_of_the_rows_their_corank_reads(tmp_path):
+    # a witnessed rung's kernel evidence is its witness count, so the one
+    # spectrum it takes, of the leading rows - drop_rows rows of A - lambda I,
+    # gives both its corank and its sigma_min
+    lam = 3.0 ** 0.25
+    cli.run_scenario("thm32-adjoint-certify", {"ladder": (64, 128, 256), "index_max": 16},
+                     tmp_path)
+    report = _summary(tmp_path, "thm32-adjoint-certify")["report"]
+    assert report["schema_version"] == "2"
+    assert [r["kernel_dim"] for r in report["ladder"]] == [3, 9, 15]
+    for rung in report["ladder"]:
+        rows = thm32_oracle.framed_kept_rows(0.5, lam, rung["size"])
+        values = np.linalg.svd(rows, compute_uv=False)
+        assert report_parity.floats_agree(values[-1], rung["sigma_min"])
+        assert rung["corank"] == rows.shape[0] - np.count_nonzero(values > 1e-8 * values[0])
+        assert rung["corank"] == 0
+        # the square's smallest value is another number
+        square = thm32_oracle.framed_square(0.5, lam, rung["size"])
+        assert not report_parity.floats_agree(
+            np.linalg.svd(square, compute_uv=False)[-1], rung["sigma_min"])
+
+
 def test_scenario_outputs_are_deterministic(tmp_path):
     names = ["annulus", "ex25-notC", "prop41-falsifiers"]
     for name in names:
@@ -581,7 +607,7 @@ def test_jobs_beyond_the_scenario_count_start_one_worker_each(tmp_path, monkeypa
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     rc = cli.main(["--scenario", "annulus", "--scenario", "prop35-halfplane",
                    "--out", str(tmp_path), "--format", "json", "--jobs", "100000"])
     assert rc == 0

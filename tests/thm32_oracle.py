@@ -28,6 +28,20 @@ def compressed_adjoint(r: float, trunc: int) -> opbuild.OpMatrix:
     return compress_zH2(opbuild.weighted_adjoint(opbuild.composition_matrix(r, w)))
 
 
+def framed_square(r: float, lam: complex, trunc: int) -> np.ndarray:
+    """A - lambda I in orthonormal coordinates, W^{1/2} (A - lambda I) W^{-1/2}."""
+    a = compressed_adjoint(r, trunc)
+    s = np.sqrt(a.w)
+    return np.diag(s) @ (a.entries - lam * np.eye(trunc - 1)) @ np.diag(1.0 / s)
+
+
+def framed_kept_rows(r: float, lam: complex, trunc: int) -> np.ndarray:
+    """The leading rows - drop_rows rows of the framed square: the matrix a
+    witnessed rung's corank and sigma_min read."""
+    m = trunc - 1
+    return framed_square(r, lam, trunc)[:m - m // 4]
+
+
 def full_product_family(r, lam, trunc, index_max) -> certify.WitnessFamily:
     """The witness family in weighted coordinates, each residual read off the
     full product (A @ v - lambda v)[:win] of a complex copy of A, one
