@@ -65,25 +65,26 @@ class CertificateReport:
 @dataclass(frozen=True)
 class Rung:
     """One ladder rung, built once and read by every check: the square
-    section (an OpMatrix, framed when read, or an array in orthonormal
-    coordinates), the trailing codomain rows its corank leaves out (0: none)
-    lest the band that truncation loses read as lost range, and the witness
-    family counted as kernel evidence (None: count the kernel)."""
+    section, an array in orthonormal coordinates, the trailing codomain rows
+    its corank leaves out (0: none) lest the band that truncation loses read
+    as lost range, and the witness family counted as kernel evidence (None:
+    count the kernel)."""
 
-    square: object
+    square: np.ndarray
     drop_rows: int = 0
     witnesses: WitnessFamily | None = None
 
 
 @dataclass(frozen=True)
 class PairRung:
-    """One commuting-pair rung, the pair analogue of Rung: the two operators
-    and their coranks (None: by rank-nullity, their kernel dims). A
-    Hilbert-Schmidt pair (hs) holds S -> U S and S -> S V as their factor
-    arrays u = U and v = V, square on n x n truncations."""
+    """One commuting-pair rung, the pair analogue of Rung: the two operators,
+    each an array in orthonormal coordinates, and their coranks (None: by
+    rank-nullity, their kernel dims). A Hilbert-Schmidt pair (hs) holds
+    S -> U S and S -> S V as their factor arrays u = U and v = V, square on
+    n x n truncations."""
 
-    u: object
-    v: object
+    u: np.ndarray
+    v: np.ndarray
     coranks: tuple[int, int] | None = None
     hs: bool = False
 
@@ -109,18 +110,19 @@ def _check_ladder(ladder) -> None:
 
 
 def _kernel_rung(rung: Rung, size) -> dict:
-    framed = opbuild.weighted_frame(rung.square)
-    rows = framed.shape[0]
+    square = rung.square
+    rows = square.shape[0]
     if not 0 <= rung.drop_rows < rows:
         raise ValueError("drop_rows out of range")
-    kept = numlin.Spectrum.of(framed[:rows - rung.drop_rows])
+    kept = numlin.Spectrum.of(square[:rows - rung.drop_rows])
     # sigma_min comes from the spectrum that decided the rung's evidence: a
     # witnessed rung's kernel is its witness count, so the square's spectrum
-    # is taken only when the kernel is counted
+    # is taken only when the kernel is counted, and only when rows were
+    # dropped, since otherwise the kept rows are the square
     if rung.witnesses is not None:
         kdim, spec = rung.witnesses.count(), kept
     else:
-        spec = numlin.Spectrum.of(framed)
+        spec = numlin.Spectrum.of(square) if rung.drop_rows else kept
         kdim = spec.kernel_dim()
     return {"label": _rung_label(size), "size": size, "kernel_dim": kdim,
             "corank": kept.corank(), "sigma_min": spec.sigma_min}
@@ -206,7 +208,7 @@ def check_M(pair_builder, ladder) -> CertificateReport:
             k1, k2 = b1.shape[1], b2.shape[1]
             inter = numlin.subspace_dims(b1, b2)[1]
         else:
-            m1, m2 = opbuild.weighted_frame(pair.u), opbuild.weighted_frame(pair.v)
+            m1, m2 = pair.u, pair.v
             if _relative_commutator(m1, m2) > numlin.DEFAULT_TOL:
                 raise ValueError("the supplied pair does not commute")
             s1, s2 = numlin.Spectrum.of(m1), numlin.Spectrum.of(m2)
@@ -276,7 +278,8 @@ def annulus_grid(r: float, n_radial: int, n_angular: int) -> np.ndarray:
 
 def spectral_falsifier(builder, lam_grid, ladder) -> CertificateReport:
     """Track kernel dimensions of (A - lambda I) over a ladder and a grid;
-    builder(size) returns the square section A.
+    builder(size) returns the square section A, an array in orthonormal
+    coordinates.
 
     A universal candidate must show eigenvalues of growing multiplicity
     somewhere; when every grid point keeps a bounded, non-growing kernel the
@@ -297,7 +300,7 @@ def _spectral_scan(builder, lam_grid, ladder):
     dims = {}
     rungs = []
     for size in ladder:
-        fs = opbuild.weighted_frame(builder(size))
+        fs = builder(size)
         # one A - lambda I buffer per rung, only its diagonal rewritten per
         # point: no N x N temporaries are allocated inside the grid loop
         shifted = fs.astype(np.result_type(fs, lam_grid))
@@ -335,7 +338,8 @@ def _spectral_scan(builder, lam_grid, ladder):
 
 
 def algebraic_falsifier(t, w, poly=None, powers=None) -> CertificateReport:
-    """Falsify a commuting pair through an explicit algebraic dependence.
+    """Falsify a commuting pair through an explicit algebraic dependence; t
+    and w are arrays in orthonormal coordinates.
 
     poly: coefficients (c_1, c_2, ...) of p(z) = sum c_k z^k with p(0) = 0;
     fires when W = p(T) T. powers: (m, n); fires when W^m = T^n. Without a
@@ -343,25 +347,24 @@ def algebraic_falsifier(t, w, poly=None, powers=None) -> CertificateReport:
     """
     if (poly is None) == (powers is None):
         raise ValueError("supply exactly one of poly or powers")
-    tm, wm = opbuild.weighted_frame(t), opbuild.weighted_frame(w)
-    scale = max(np.linalg.norm(wm), 1.0)
+    scale = max(np.linalg.norm(w), 1.0)
     if poly is not None:
-        acc = np.zeros_like(tm)
-        power = np.eye(tm.shape[0])
+        acc = np.zeros_like(t)
+        power = np.eye(t.shape[0])
         for c in poly:
-            power = power @ tm
+            power = power @ t
             acc = acc + c * power
-        defect = np.linalg.norm(wm - acc @ tm) / scale
+        defect = np.linalg.norm(w - acc @ t) / scale
         witness = f"p(T) T with p of degree {len(poly)}"
     else:
         m, n = powers
         if m < 1 or n < 1:
             raise ValueError("powers must be positive")
-        defect = np.linalg.norm(np.linalg.matrix_power(wm, m)
-                                - np.linalg.matrix_power(tm, n)) / scale
+        defect = np.linalg.norm(np.linalg.matrix_power(w, m)
+                                - np.linalg.matrix_power(t, n)) / scale
         witness = f"W^{m} = T^{n}"
-    comm = _relative_commutator(tm, wm)
-    rung = {"label": "pair", "size": tm.shape[0], "defect": float(defect),
+    comm = _relative_commutator(t, w)
+    rung = {"label": "pair", "size": t.shape[0], "defect": float(defect),
             "commutator": float(comm), "witness": witness}
     if defect <= ALGEBRAIC_TOL and comm <= ALGEBRAIC_TOL:
         verdict = FALSIFIED
@@ -373,22 +376,6 @@ def algebraic_falsifier(t, w, poly=None, powers=None) -> CertificateReport:
                      "no conclusion")
     return CertificateReport("algebraic", verdict, (rung,),
                              {"witness_tol": ALGEBRAIC_TOL}, narrative)
-
-
-# -- compact-remainder proxy --------------------------------------------------
-
-def compactness_proxy(a: opbuild.OpMatrix, reference: opbuild.OpMatrix,
-                      count: int) -> np.ndarray:
-    """The count largest singular values of (reference - A) in the weighted
-    frame.
-
-    A compact remainder shows fast decay; the profile is reported, not
-    judged, because no truncation threshold is canonical.
-    """
-    if a.entries.shape != reference.entries.shape:
-        raise ValueError("compactness proxy needs operators of equal shape")
-    diff = opbuild.OpMatrix(reference.entries - a.entries, a.w)
-    return numlin.Spectrum.of(opbuild.weighted_frame(diff)).values[:count]
 
 
 # -- multiplicity witnesses for composition adjoints --------------------------
@@ -415,10 +402,10 @@ class WitnessFamily:
         """
         return int(np.sum(self._passing(residual_tol)))
 
-    def gram_min_eigenvalue(self, residual_tol: float = WITNESS_TOL) -> float:
-        """Smallest Gram eigenvalue of the passing set; near 1 means the
-        counted directions are genuinely independent."""
-        u = self.vectors[:, self._passing(residual_tol)]
+    def gram_min_eigenvalue(self) -> float:
+        """Smallest Gram eigenvalue of the set passing at WITNESS_TOL; near 1
+        means the counted directions are genuinely independent."""
+        u = self.vectors[:, self._passing(WITNESS_TOL)]
         if u.shape[1] == 0:
             return 0.0
         return float(np.linalg.eigvalsh(u.conj().T @ u)[0])
@@ -496,21 +483,26 @@ def family_halfshift_plus_rank1(n: int):
 
 
 def family_composition(r: float, beta: float, variant: str):
-    def build(trunc: int):
-        return opbuild.composition_matrix(r, spaces.weights(beta, trunc, variant))
+    """Sections of C_phi on the space of weights (beta, variant), each in
+    orthonormal coordinates: the one place a composition family is framed."""
+    def build(trunc: int) -> np.ndarray:
+        return opbuild.weighted_frame(
+            opbuild.composition_matrix(r, spaces.weights(beta, trunc, variant)))
     return build
 
 
 def family_adjoint_witnessed(r: float, lam: complex, index_max: int):
     """Rungs of A - lambda I for the z-compressed weighted adjoint A of C_phi
     on the derivative-norm space, one framed buffer per rung. The framed
-    Gram adjoint is the transpose of the framed C, so A in the weighted frame
-    is weighted_frame(C)[1:, 1:].T. That buffer gives the witness family of
-    A at lambda, then becomes the square, whose corank drops the window's
+    Gram adjoint is the transpose of the framed C, so A in orthonormal
+    coordinates is family_composition's section with row and column 0
+    deleted, transposed. That buffer gives the witness family of A at
+    lambda, then becomes the square, whose corank drops the window's
     trailing rows."""
+    framed = family_composition(r, 1.0, "derivative")
+
     def build(trunc: int) -> Rung:
-        a = opbuild.weighted_frame(opbuild.composition_matrix(
-            r, spaces.weights(1.0, trunc, "derivative")))[1:, 1:].T
+        a = framed(trunc)[1:, 1:].T
         witnesses = adjoint_multiplicity_witnesses(r, lam, trunc, index_max, a)
         # the family has read A, so lambda is subtracted in place; only a
         # complex lambda copies A, to complex

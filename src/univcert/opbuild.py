@@ -90,32 +90,33 @@ def weighted_adjoint(a: OpMatrix) -> OpMatrix:
     return OpMatrix(a.entries.conj().T * (a.w[None, :] / a.w[:, None]), a.w)
 
 
-def weighted_frame(a) -> np.ndarray:
+def weighted_frame(a: OpMatrix) -> np.ndarray:
     """Conjugate into orthonormal coordinates, W^{1/2} A W^{-1/2}, whose
     singular values are the operator's honest ones: the only way a weighted
-    operator reaches numlin. A bare array, such as a Hardy-space operator,
-    is already in orthonormal coordinates and is returned as given."""
-    if not isinstance(a, OpMatrix):
-        return a
+    operator reaches numlin."""
     s = np.sqrt(a.w)
     return a.entries * (s[:, None] / s[None, :])
 
 
-def heller_principal(r: float, trunc: int) -> tuple[OpMatrix, OpMatrix]:
-    """Principal part of the adjoint of the inverse composition operator on
-    the derivative-norm space, as displayed and with its middle sign flipped:
-    (1+r^2)/(1-r^2) C -+ r/(1-r^2) (M_z^* + M_z) C, both read from one C and
-    one product. The compact remainder is not constructible and is assessed
-    by singular-value decay.
+def heller_remainders(r: float, trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoint of the inverse composition operator on the derivative-norm
+    space, the weighted adjoint of C_{-r}, less its principal part
+    (1+r^2)/(1-r^2) C -+ r/(1-r^2) (M_z^* + M_z) C as displayed and with its
+    middle sign flipped, both parts read from one C and one product, and both
+    remainders framed. A compact remainder shows by fast singular-value
+    decay. Each difference is taken before it is framed, since framing first
+    would move a remainder at rounding level.
     """
     w = spaces.weights(1.0, trunc, "derivative")
+    reference = weighted_adjoint(composition_matrix(-r, w)).entries
     c1 = (1.0 + r * r) / (1.0 - r * r)
     c2 = r / (1.0 - r * r)
     comp = composition_matrix(r, w)
     mz = mult_z(w)
     middle = c2 * (weighted_adjoint(mz).entries + mz.entries) @ comp.entries
     base = c1 * comp.entries
-    return OpMatrix(base - middle, w), OpMatrix(base + middle, w)
+    return tuple(weighted_frame(OpMatrix(reference - principal, w))
+                 for principal in (base - middle, base + middle))
 
 
 # -- block assemblies --------------------------------------------------------

@@ -95,7 +95,7 @@ def test_criterion_05_forward_operator_falsified():
     ok = rep.verdict == certify.FALSIFIED
     ok = ok and all(r["kernel_dim"] <= 1 for r in rep.ladder)
     # the only kernel on the grid sits at lambda = 1 and is the constants
-    fs = opbuild.weighted_frame(fam(256))
+    fs = fam(256)
     basis = svd_kernel(fs - np.eye(256), tol_rel=1e-6)
     ok = ok and basis.shape[1] == 1
     overlap = abs(basis[0, 0])

@@ -90,7 +90,7 @@ def test_perturbed_pair_family_is_injective():
     u, eye, zero = opbuild.block_backward_shift(32, 1), np.eye(32), np.zeros((32, 32))
     for n in range(1, 6):
         op = opbuild.block2x2(u, eye, eye / n, zero)
-        assert numlin.Spectrum.of(opbuild.weighted_frame(op)).sigma_min > 1.0 / (2 * n)
+        assert numlin.Spectrum.of(op).sigma_min > 1.0 / (2 * n)
 
 
 def test_ladder_validation():
@@ -507,30 +507,7 @@ def test_algebraic_falsifier_power_witness_and_control():
         certify.algebraic_falsifier(b, b2, poly=[1.0], powers=(1, 1))
 
 
-# -- compactness proxy and witnesses ------------------------------------------
-
-def weighted_identity(n: int) -> opbuild.OpMatrix:
-    """Fixture: the identity on the derivative space."""
-    return opbuild.OpMatrix(np.eye(n), spaces.weights(1.0, n, "derivative"))
-
-
-def test_compactness_proxy_of_identical_operators_is_zero():
-    a = weighted_identity(8)
-    s = certify.compactness_proxy(a, a, count=8)
-    assert s.shape == (8,)
-    assert np.all(s == 0.0)
-
-
-def test_compactness_proxy_rank_one_difference():
-    a = weighted_identity(8)
-    bump = np.zeros((8, 8))
-    bump[0, 0] = 2.0
-    b = opbuild.OpMatrix(np.eye(8) + bump, a.w)
-    s = certify.compactness_proxy(a, b, count=4)
-    assert s.shape == (4,)
-    assert s[0] == pytest.approx(2.0)
-    assert s[1] / s[0] < 1e-14
-
+# -- witnesses ----------------------------------------------------------------
 
 def witnesses(r, lam, trunc, index_max):
     """The witness family on the oracle's compressed adjoint, framed."""
@@ -645,6 +622,27 @@ def test_counted_rungs_report_the_sigma_min_of_the_square():
         square[ks, 2 * ks] = 1.0
         square[1, 2] = 0.0
         assert rung["sigma_min"] == np.linalg.svd(square, compute_uv=False)[-1] == 0.0
+
+
+def test_a_counted_rung_without_dropped_rows_takes_one_svd():
+    # its kept rows are the whole square, so their spectrum gives the kernel
+    # dim and sigma_min too
+    svd = np.linalg.svd
+    with mock.patch.object(np.linalg, "svd", side_effect=svd) as counted:
+        rungs, top = certify.kernel_ladder(lambda n: certify.Rung(np.eye(n)), (8, 16, 32))
+    assert counted.call_count == 3
+    assert top is None
+    assert rungs == tuple({"label": f"N={n}", "size": n, "kernel_dim": 0, "corank": 0,
+                           "sigma_min": 1.0} for n in (8, 16, 32))
+
+
+def test_the_composition_family_hands_out_framed_sections():
+    for r, n in ((0.5, 16), (-0.3, 33)):
+        section = certify.family_composition(r, 1.0, "derivative")(n)
+        framed = opbuild.weighted_frame(opbuild.composition_matrix(
+            r, spaces.weights(1.0, n, "derivative")))
+        assert type(section) is np.ndarray
+        assert section.tobytes() == framed.tobytes()
 
 
 def test_a_capped_witness_family_is_never_evidence_of_falsification():

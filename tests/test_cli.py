@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -371,6 +372,33 @@ def test_main_unwritable_out_exits_2_with_one_line(jobs, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("univcert-lab: error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+# runs main in a child capped at 2 GiB of address space, so an oversized
+# allocation fails the same way whatever the host's overcommit setting
+CAPPED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "sys.path.insert(0, sys.argv[1]); from univcert import cli; "
+               "sys.exit(cli.main(sys.argv[2:]))")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_oversized_truncation_exits_2_with_one_line(jobs, tmp_path):
+    # ex26's identity block at trunc=20000 needs 2.98 GiB; under --jobs the
+    # worker's MemoryError is re-raised in the parent
+    src = Path(__file__).resolve().parents[1] / "src"
+    scenarios = ["--scenario", "ex26-perturbation"]
+    if jobs == "2":
+        scenarios += ["--scenario", "mzstar-adjoint-compare"]
+    argv = scenarios + ["--param", "trunc=20000", "--jobs", jobs, "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(src), *argv],
+                         capture_output=True, text=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("univcert-lab: error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_validate_reports_non_increasing_ladder(capsys):

@@ -71,12 +71,13 @@ def test_dropping_framed_rows_frames_the_interior_section(k):
     # sections read a corank one too large
     a = opbuild.weighted_adjoint(opbuild.composition_matrix(0.5, _deriv(64)))
     section = interior_section(a, k)
-    framed = opbuild.weighted_frame(a)[:-k]
+    square = opbuild.weighted_frame(a)
+    framed = square[:-k]
     assert np.array_equal(framed, section)
     corank = numlin.Spectrum.of(section).corank()
     assert numlin.Spectrum.of(framed).corank() == corank
     assert numlin.Spectrum.of(a.entries[:-k]).corank() == corank + 1
-    assert certify._kernel_rung(certify.Rung(a, k), 64)["corank"] == corank
+    assert certify._kernel_rung(certify.Rung(square, k), 64)["corank"] == corank
 
 
 def mobius_coeffs(r, length):
@@ -200,17 +201,36 @@ def test_mzstar_superdiagonal_weight_ratios():
 def test_heller_principal_assembly():
     r = 0.5
     w = _deriv(8)
-    displayed, flipped = opbuild.heller_principal(r, 8)
+    displayed, flipped = opbuild.heller_remainders(r, 8)
+    reference = opbuild.weighted_adjoint(opbuild.composition_matrix(-r, w)).entries
     comp = opbuild.composition_matrix(r, w)
     mz = opbuild.mult_z(w)
     mzs = opbuild.weighted_adjoint(mz)
     c1 = (1 + r * r) / (1 - r * r)
     c2 = r / (1 - r * r)
-    for hp, sign in ((displayed, -1), (flipped, 1)):
+    for remainder, sign in ((displayed, -1), (flipped, 1)):
         manual = (c1 * comp.entries
                   + sign * c2 * (mzs.entries + mz.entries) @ comp.entries)
-        assert np.abs(hp.entries - manual).max() < 1e-14
-        assert np.array_equal(hp.w, w)
+        expect = opbuild.weighted_frame(opbuild.OpMatrix(reference - manual, w))
+        assert np.abs(remainder - expect).max() < 1e-14
+
+
+def test_heller_remainders_are_framed_after_subtracting():
+    # the flipped remainder is at rounding level, so only subtract-then-frame
+    # keeps its bits; each principal part is assembled as the library does
+    r, trunc = 0.5, 64
+    w = _deriv(trunc)
+    reference = opbuild.weighted_adjoint(opbuild.composition_matrix(-r, w)).entries
+    comp = opbuild.composition_matrix(r, w)
+    mz = opbuild.mult_z(w)
+    middle = (r / (1 - r * r)) * (opbuild.weighted_adjoint(mz).entries
+                                  + mz.entries) @ comp.entries
+    base = (1 + r * r) / (1 - r * r) * comp.entries
+    remainders = opbuild.heller_remainders(r, trunc)
+    for remainder, principal in zip(remainders, (base - middle, base + middle)):
+        expect = opbuild.weighted_frame(opbuild.OpMatrix(reference - principal, w))
+        assert type(remainder) is np.ndarray
+        assert remainder.tobytes() == expect.tobytes()
 
 
 def test_block2x2_layout_and_zero_inference():
@@ -330,7 +350,9 @@ def test_hardy_builders_return_arrays_and_weighted_builders_operators():
         assert type(m) is np.ndarray and not m.flags.writeable
     w = _deriv(5)
     weighted = [opbuild.composition_matrix(0.5, w), opbuild.mult_z(w),
-                opbuild.weighted_adjoint(opbuild.mult_z(w)),
-                *opbuild.heller_principal(0.5, 5)]
+                opbuild.weighted_adjoint(opbuild.mult_z(w))]
     for a in weighted:
         assert isinstance(a, opbuild.OpMatrix) and not a.entries.flags.writeable
+    # the framed remainders are arrays in orthonormal coordinates
+    for m in opbuild.heller_remainders(0.5, 5):
+        assert type(m) is np.ndarray and m.shape == (5, 5)

@@ -81,10 +81,11 @@ def weighted_gram_min(fam: certify.WitnessFamily) -> float:
 
 def weighted_rungs(r, lam, index_max):
     """thm32's rungs the long way: the square A - lambda I as an OpMatrix on
-    the weights, framed by the ladder walk, and the full-product family."""
+    the weights, framed here, and the full-product family."""
     def build(trunc: int) -> certify.Rung:
         a = compressed_adjoint(r, trunc)
-        square = opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1), a.w)
+        square = opbuild.weighted_frame(
+            opbuild.OpMatrix(a.entries - lam * np.eye(trunc - 1), a.w))
         return certify.Rung(square, (trunc - 1) // 4,
                             full_product_family(r, lam, trunc, index_max))
     return build
