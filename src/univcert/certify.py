@@ -78,10 +78,9 @@ class Rung:
 @dataclass(frozen=True)
 class PairRung:
     """One commuting-pair rung, the pair analogue of Rung: the two operators,
-    each an array in orthonormal coordinates, and their coranks (None: by
+    arrays in orthonormal coordinates, and their coranks (None: by
     rank-nullity, their kernel dims). A Hilbert-Schmidt pair (hs) holds
-    S -> U S and S -> S V as their factor arrays u = U and v = V, square on
-    n x n truncations."""
+    S -> U S and S -> S V as factors u = U and v = V, on n x n truncations."""
 
     u: np.ndarray
     v: np.ndarray
@@ -110,19 +109,17 @@ def _check_ladder(ladder) -> None:
 
 
 def _kernel_rung(rung: Rung, size) -> dict:
-    square = rung.square
-    rows = square.shape[0]
+    rows = rung.square.shape[0]
     if not 0 <= rung.drop_rows < rows:
         raise ValueError("drop_rows out of range")
-    kept = numlin.Spectrum.of(square[:rows - rung.drop_rows])
+    kept = numlin.Spectrum.of(rung.square[:rows - rung.drop_rows])
     # sigma_min comes from the spectrum that decided the rung's evidence: a
     # witnessed rung's kernel is its witness count, so the square's spectrum
-    # is taken only when the kernel is counted, and only when rows were
-    # dropped, since otherwise the kept rows are the square
+    # is taken only for a counted kernel, and then only if rows were dropped
     if rung.witnesses is not None:
         kdim, spec = rung.witnesses.count(), kept
     else:
-        spec = numlin.Spectrum.of(square) if rung.drop_rows else kept
+        spec = numlin.Spectrum.of(rung.square) if rung.drop_rows else kept
         kdim = spec.kernel_dim()
     return {"label": _rung_label(size), "size": size, "kernel_dim": kdim,
             "corank": kept.corank(), "sigma_min": spec.sigma_min}

@@ -98,25 +98,28 @@ def weighted_frame(a: OpMatrix) -> np.ndarray:
     return a.entries * (s[:, None] / s[None, :])
 
 
-def heller_remainders(r: float, trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """The adjoint of the inverse composition operator on the derivative-norm
-    space, the weighted adjoint of C_{-r}, less its principal part
-    (1+r^2)/(1-r^2) C -+ r/(1-r^2) (M_z^* + M_z) C as displayed and with its
-    middle sign flipped, both parts read from one C and one product, and both
-    remainders framed. A compact remainder shows by fast singular-value
-    decay. Each difference is taken before it is framed, since framing first
-    would move a remainder at rounding level.
-    """
-    w = spaces.weights(1.0, trunc, "derivative")
-    reference = weighted_adjoint(composition_matrix(-r, w)).entries
+def _heller_principal(r: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal part (1+r^2)/(1-r^2) C -+ r/(1-r^2) (M_z^* + M_z) C on the
+    weights w, as displayed and with its middle sign flipped, both read from
+    one C and one product, which are freed before the remainders are built."""
     c1 = (1.0 + r * r) / (1.0 - r * r)
     c2 = r / (1.0 - r * r)
     comp = composition_matrix(r, w)
     mz = mult_z(w)
     middle = c2 * (weighted_adjoint(mz).entries + mz.entries) @ comp.entries
     base = c1 * comp.entries
-    return tuple(weighted_frame(OpMatrix(reference - principal, w))
-                 for principal in (base - middle, base + middle))
+    return base - middle, base + middle
+
+
+def heller_remainders(r: float, trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted adjoint of C_{-r}, the adjoint of the inverse composition
+    operator on the derivative-norm space, less each principal part, framed
+    after subtracting: framing first would move a remainder at rounding
+    level. A compact remainder shows by fast singular-value decay."""
+    w = spaces.weights(1.0, trunc, "derivative")
+    principal = _heller_principal(r, w)
+    reference = weighted_adjoint(composition_matrix(-r, w)).entries
+    return tuple(weighted_frame(OpMatrix(reference - p, w)) for p in principal)
 
 
 # -- block assemblies --------------------------------------------------------
