@@ -714,7 +714,7 @@ def main(argv=None) -> int:
         else:
             results = [_run_one(task) for task in tasks]
     except (ValueError, OSError, MemoryError) as exc:
-        # a size too large to allocate is bad input too, raised here by a worker
+        # a size too large to allocate is bad input too, here or in a worker
         return _fail(exc)
     for name, paths in results:
         for path in paths:
