@@ -75,19 +75,6 @@ class Rung:
     witnesses: WitnessFamily | None = None
 
 
-@dataclass(frozen=True)
-class PairRung:
-    """One commuting-pair rung, the pair analogue of Rung: the two operators,
-    arrays in orthonormal coordinates, and their coranks (None: by
-    rank-nullity, their kernel dims). A Hilbert-Schmidt pair (hs) holds
-    S -> U S and S -> S V as factors u = U and v = V, on n x n truncations."""
-
-    u: np.ndarray
-    v: np.ndarray
-    coranks: tuple[int, int] | None = None
-    hs: bool = False
-
-
 def _rung_label(size) -> str:
     return f"N={size}"
 
@@ -190,44 +177,44 @@ def _relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
     return np.linalg.norm(a @ b - b @ a) / max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
 
 
+def commuting_pair_counts(u: np.ndarray, v: np.ndarray) -> dict:
+    """A dense commuting pair's rung counts, under the keys its report writes:
+    u and v are square arrays in orthonormal coordinates, each read through
+    values-only spectra."""
+    if _relative_commutator(u, v) > numlin.DEFAULT_TOL:
+        raise ValueError("the supplied pair does not commute")
+    s1, s2 = numlin.Spectrum.of(u), numlin.Spectrum.of(v)
+    k1, k2 = s1.kernel_dim(), s2.kernel_dim()
+    # Ker U & Ker V = ker [U; V], each nonzero block scaled to norm 1
+    # lest the larger one's threshold swallow the other's values
+    scaled = [m / (s.values[0] or 1.0) for m, s in ((u, s1), (v, s2))]
+    inter = numlin.Spectrum.of(np.vstack(scaled)).kernel_dim()
+    # UV's threshold is relative to ||U|| ||V||, as for an HS pair: a
+    # product that vanishes up to rounding has a full kernel
+    prod = numlin.Spectrum.of(u @ v).values
+    prod_kernel = int(np.count_nonzero(
+        numlin.negligible(prod, top=s1.values[0] * s2.values[0])))
+    # a commuting pair is square, so by rank-nullity each corank is a kernel dim
+    return {"kernel_dim": k1, "kernel_dim_2": k2, "intersection_dim": inter,
+            "product_kernel_dim": prod_kernel, "corank_1": k1, "corank_2": k2}
+
+
 def check_M(pair_builder, ladder) -> CertificateReport:
     """Muller's condition for a commuting pair: the kernels overlap in an
     unbounded-looking intersection, Ker(U1 U2) = Ker(U1) + Ker(U2) at every
-    rung, and both operators look surjective. pair_builder returns a
-    PairRung."""
+    rung, and both operators look surjective. pair_builder(size) returns the
+    rung's counts: kernel_dim, kernel_dim_2, intersection_dim,
+    product_kernel_dim, corank_1 and corank_2."""
     _check_ladder(ladder)
     rungs = []
     for size in ladder:
-        pair = pair_builder(size)
-        if pair.hs:
-            # U S against S V: the pair commutes identically and is square.
-            b1, b2, prod_kernel = opbuild.hs_pair_kernels(pair.u, pair.v)
-            k1, k2 = b1.shape[1], b2.shape[1]
-            inter = numlin.subspace_dims(b1, b2)[1]
-        else:
-            m1, m2 = pair.u, pair.v
-            if _relative_commutator(m1, m2) > numlin.DEFAULT_TOL:
-                raise ValueError("the supplied pair does not commute")
-            s1, s2 = numlin.Spectrum.of(m1), numlin.Spectrum.of(m2)
-            k1, k2 = s1.kernel_dim(), s2.kernel_dim()
-            # Ker U & Ker V = ker [U; V], each nonzero block scaled to norm 1
-            # lest the larger one's threshold swallow the other's values
-            scaled = [m / (s.values[0] or 1.0) for m, s in ((m1, s1), (m2, s2))]
-            inter = numlin.Spectrum.of(np.vstack(scaled)).kernel_dim()
-            # UV's threshold is relative to ||U|| ||V||, as for an HS pair: a
-            # product that vanishes up to rounding has a full kernel
-            prod = numlin.Spectrum.of(m1 @ m2).values
-            prod_kernel = int(np.count_nonzero(
-                numlin.negligible(prod, top=s1.values[0] * s2.values[0])))
-        sum_dim = k1 + k2 - inter
-        # a commuting pair is square, so by rank-nullity each corank is a kernel dim
-        cor1, cor2 = pair.coranks or (k1, k2)
+        counts = pair_builder(size)
         label = f"K={size[0]},d={size[1]}" if isinstance(size, tuple) else _rung_label(size)
         n = int(np.prod(size)) if isinstance(size, tuple) else int(size)
-        rungs.append({"label": label, "size": n, "kernel_dim": k1, "kernel_dim_2": k2,
-                      "corank": max(cor1, cor2), "corank_1": cor1, "corank_2": cor2,
-                      "intersection_dim": inter, "sum_dim": sum_dim,
-                      "product_kernel_dim": prod_kernel})
+        rungs.append({"label": label, "size": n, **counts,
+                      "corank": max(counts["corank_1"], counts["corank_2"]),
+                      "sum_dim": counts["kernel_dim"] + counts["kernel_dim_2"]
+                      - counts["intersection_dim"]})
     inters = [r["intersection_dim"] for r in rungs]
     sums_match = all(r["product_kernel_dim"] == r["sum_dim"] for r in rungs)
     coranks_zero = all(r["corank"] == 0 for r in rungs)
@@ -509,25 +496,30 @@ def family_adjoint_witnessed(r: float, lam: complex, index_max: int):
     return build
 
 
-def hs_pair_scalar(n: int) -> PairRung:
+def hs_pair_scalar(n: int) -> dict:
     """Left multiplication by the backward shift against right multiplication
     by its adjoint, on n x n truncations: the block pair with d = 1."""
     return hs_pair_block((n, 1))
 
 
-def hs_pair_block(size: tuple[int, int]) -> PairRung:
+def hs_pair_block(size: tuple[int, int]) -> dict:
     """Block backward shift pair on HS truncations of K blocks, inner
-    dimension d; the model universal commuting pair."""
+    dimension d; the model universal commuting pair. S -> B S against
+    S -> S B* commutes identically and is square; its counts are read from
+    the factors B and B*."""
     K, d = size
     b = opbuild.block_backward_shift(K, d)
     # S -> B S loses K d directions for each one that B loses without its
     # last d rows, and S -> S B* likewise with B*; on the Hardy space B* = B^T
     # makes B*[:, :-d].T equal to B[:-d, :], so one spectrum gives both
     corank = K * d * numlin.Spectrum.of(b[:-d]).corank()
-    return PairRung(b, b.conj().T, (corank, corank), hs=True)
+    ker_1, ker_2, prod_kernel = opbuild.hs_pair_kernels(b, b.conj().T)
+    return {"kernel_dim": ker_1.shape[1], "kernel_dim_2": ker_2.shape[1],
+            "intersection_dim": numlin.subspace_dims(ker_1, ker_2)[1],
+            "product_kernel_dim": prod_kernel, "corank_1": corank, "corank_2": corank}
 
 
-def pair_diagonal_blocks(n: int) -> PairRung:
+def pair_diagonal_blocks(n: int) -> dict:
     """Diagonal pair (U0 + I, I + V0) on a doubled space: commuting, but the
     kernels live in complementary components."""
     u0 = opbuild.block_backward_shift(n, 1)
@@ -535,4 +527,4 @@ def pair_diagonal_blocks(n: int) -> PairRung:
     zero = np.zeros((n, n))
     u = opbuild.block2x2(u0, zero, zero, eye)
     v = opbuild.block2x2(eye, zero, zero, u0)
-    return PairRung(u, v)
+    return commuting_pair_counts(u, v)

@@ -213,7 +213,7 @@ def _sc_ex26_perturbation(*, trunc=128, n_max=10):
         # [[U, I], [I/n, 0]]: injective, at distance exactly 1/n from base
         vn = opbuild.block2x2(u, eye, eye / n, zero)
         sigmas.append(numlin.Spectrum.of(vn).sigma_min)
-        defects.append(abs(np.linalg.norm(vn - base, 2) - 1.0 / n))
+        defects.append(abs(numlin.Spectrum.of(vn - base).values[0] - 1.0 / n))
     rows = [[n, repr(s), repr(1.0 / (2 * n))] for n, s in enumerate(sigmas, 1)]
     fields = {
         "trunc": trunc,
@@ -237,9 +237,9 @@ def _sc_multiplicativity(*, n=16):
     v = opbuild.block2x2(zero, zero, zero, u0)
     fields = {
         "n": n,
-        "norm_U": float(np.linalg.norm(u, 2)),
-        "norm_V": float(np.linalg.norm(v, 2)),
-        "norm_UV": float(np.linalg.norm(u @ v, 2)),
+        "norm_U": float(numlin.Spectrum.of(u).values[0]),
+        "norm_V": float(numlin.Spectrum.of(v).values[0]),
+        "norm_UV": float(numlin.Spectrum.of(u @ v).values[0]),
     }
     return fields, []
 

@@ -56,8 +56,5 @@ def subspace_dims(u: np.ndarray, v: np.ndarray) -> tuple[int, int]:
     from one SVD of the stacked bases."""
     if u.shape[0] != v.shape[0]:
         raise ValueError(f"ambient dimensions differ: {u.shape[0]} vs {v.shape[0]}")
-    dims = u.shape[1] + v.shape[1]
-    if u.shape[1] == 0 or v.shape[1] == 0:
-        return dims, 0
     total = Spectrum.of(np.hstack([u, v])).rank()
-    return total, dims - total
+    return total, u.shape[1] + v.shape[1] - total

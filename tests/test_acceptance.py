@@ -59,14 +59,14 @@ def test_criterion_03_multiplication_pair_dimensions():
     block = certify.check_M(certify.hs_pair_block, ((4, 4), (6, 6), (8, 8)))
     ok = ok and block.verdict == certify.CERTIFIED
     for r, (k, d) in zip(block.ladder, ((4, 4), (6, 6), (8, 8))):
-        ok = ok and (r["kernel_dim"], r["intersection_dim"], r["sum_dim"],
+        ok = ok and (r["label"], r["kernel_dim"], r["intersection_dim"], r["sum_dim"],
                      r["product_kernel_dim"], r["corank"]) == (
-            k * d * d, d * d, (2 * k - 1) * d * d, (2 * k - 1) * d * d, 0)
+            f"K={k},d={d}", k * d * d, d * d, (2 * k - 1) * d * d, (2 * k - 1) * d * d, 0)
     # exact subspace identity Ker(L R) = Ker L + Ker R at the middle rung
     # (the product kernel basis comes from the Kronecker oracle in tests/)
-    pair = certify.hs_pair_block((6, 6))
-    b1, b2, prod_dim = opbuild.hs_pair_kernels(pair.u, pair.v)
-    prod = hs_dense.product_kernel(pair.u, pair.v)
+    b = opbuild.block_backward_shift(6, 6)
+    b1, b2, prod_dim = opbuild.hs_pair_kernels(b, b.conj().T)
+    prod = hs_dense.product_kernel(b, b.conj().T)
     stacked = np.hstack([b1, b2, prod])
     ok = ok and prod.shape[1] == prod_dim == numlin.subspace_dims(b1, b2)[0]
     ok = ok and numlin.Spectrum.of(stacked).rank() == prod.shape[1]

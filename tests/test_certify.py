@@ -161,8 +161,8 @@ def test_each_report_names_the_threshold_its_check_applies():
     rep = check_C(lambda n: certify.Rung(_straddling(n)), LADDER)
     assert [r["kernel_dim"] for r in rep.ladder] == [1, 1, 1]
     assert rep.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
-    rep = certify.check_M(lambda n: certify.PairRung(_straddling(n), _straddling(n)),
-                          LADDER)
+    rep = certify.check_M(
+        lambda n: certify.commuting_pair_counts(_straddling(n), _straddling(n)), LADDER)
     assert [r["intersection_dim"] for r in rep.ladder] == [1, 1, 1]
     assert rep.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
     rep, dims = certify._spectral_scan(_straddling, [0.0], LADDER)
@@ -191,31 +191,60 @@ def test_scalar_multiplication_pair_is_falsified():
         assert r["corank"] == 0
 
 
-def test_block_multiplication_pair_is_certified():
-    rep = certify.check_M(certify.hs_pair_block, ((4, 4), (6, 6), (8, 8)))
-    assert rep.verdict == certify.CERTIFIED
-    for r, (k, d) in zip(rep.ladder, ((4, 4), (6, 6), (8, 8))):
-        assert r["label"] == f"K={k},d={d}"
-        assert r["kernel_dim"] == k * d * d
-        assert r["intersection_dim"] == d * d
-        assert r["sum_dim"] == (2 * k - 1) * d * d
-        assert r["product_kernel_dim"] == r["sum_dim"]
-        assert r["corank"] == 0
-
-
 def test_diagonal_pair_keeps_disjoint_kernels():
     rep = certify.check_M(certify.pair_diagonal_blocks, (8, 16, 32))
     assert rep.verdict == certify.FALSIFIED
     assert all(r["intersection_dim"] == 0 for r in rep.ladder)
 
 
+def _planted_pair_counts(inters, product_offsets=(0, 0, 0), coranks_2=(0, 0, 0)):
+    """Fixture: a pair builder over the ladder (1, 2, 3) whose rung n has
+    kernel dims 5 and 7, intersection inters[n - 1], a product kernel off
+    the kernel sum by product_offsets[n - 1], and coranks 0 and
+    coranks_2[n - 1]; no operator is built."""
+    def build(n):
+        i = n - 1
+        return {"kernel_dim": 5, "kernel_dim_2": 7, "intersection_dim": inters[i],
+                "product_kernel_dim": 12 - inters[i] + product_offsets[i],
+                "corank_1": 0, "corank_2": coranks_2[i]}
+    return build
+
+
+def test_check_M_verdict_reads_the_rung_counts_alone():
+    cases = [
+        (_planted_pair_counts((1, 2, 3)), certify.CERTIFIED),
+        (_planted_pair_counts((1, 2, 3), product_offsets=(0, 1, 0)), certify.INCONCLUSIVE),
+        (_planted_pair_counts((1, 2, 3), coranks_2=(0, 0, 1)), certify.INCONCLUSIVE),
+        (_planted_pair_counts((2, 2, 2)), certify.FALSIFIED),
+        (_planted_pair_counts((1, 2, 2)), certify.INCONCLUSIVE),
+    ]
+    for builder, verdict in cases:
+        rep = certify.check_M(builder, (1, 2, 3))
+        assert rep.verdict == verdict
+        for n, r in zip((1, 2, 3), rep.ladder):
+            counts = builder(n)
+            # check_M adds only the label, the size, the kernel sum and the
+            # larger corank to the builder's counts
+            assert r == {**counts, "label": f"N={n}", "size": n,
+                         "sum_dim": 12 - counts["intersection_dim"],
+                         "corank": counts["corank_2"]}
+    # growing intersections with a failed product match or a lost direction
+    # are mixed evidence, and the narrative says which
+    assert "product-kernel match False, coranks zero True" in certify.check_M(
+        cases[1][0], (1, 2, 3)).narrative
+    assert "product-kernel match True, coranks zero False" in certify.check_M(
+        cases[2][0], (1, 2, 3)).narrative
+
+
 def test_check_M_is_symmetric_under_swap():
     def swapped(size):
-        pair = certify.hs_pair_block(size)
-        c1, c2 = pair.coranks
-        # present the same kernels through dense matrices, in the other order
-        return certify.PairRung(hs_dense.hs_matrix(None, pair.v),
-                                hs_dense.hs_matrix(pair.u, None), (c2, c1))
+        b = opbuild.block_backward_shift(*size)
+        counts = certify.hs_pair_block(size)
+        # present the same kernels through dense matrices, in the other order,
+        # with the HS pair's coranks swapped
+        return {**certify.commuting_pair_counts(hs_dense.hs_matrix(None, b.conj().T),
+                                                hs_dense.hs_matrix(b, None)),
+                "corank_1": counts["corank_2"], "corank_2": counts["corank_1"]}
 
     a = certify.check_M(certify.hs_pair_block, ((2, 2), (3, 3), (4, 4)))
     b = certify.check_M(swapped, ((2, 2), (3, 3), (4, 4)))
@@ -229,7 +258,8 @@ def test_check_M_is_symmetric_under_swap():
 def test_check_M_rejects_noncommuting_pairs():
     def bad(n):
         rng = np.random.default_rng(n)
-        return certify.PairRung(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+        return certify.commuting_pair_counts(rng.standard_normal((n, n)),
+                                             rng.standard_normal((n, n)))
 
     with pytest.raises(ValueError):
         certify.check_M(bad, (4, 5, 6))
@@ -262,7 +292,7 @@ def test_dense_check_M_counts_agree_with_kernel_bases(diagonals, seed):
     n = len(diagonals[0])
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     u, v = (q @ np.diag(d) @ q.T for d in diagonals)
-    rep = certify.check_M(lambda size: certify.PairRung(u, v), (1, 2, 3))
+    rep = certify.check_M(lambda size: certify.commuting_pair_counts(u, v), (1, 2, 3))
     b1, b2 = svd_kernel(u), svd_kernel(v)
     total, inter = numlin.subspace_dims(b1, b2)
     for r in rep.ladder:
@@ -306,9 +336,10 @@ def test_diagonal_unitary_similarity_leaves_rung_counts_unchanged():
     assert similar[1] == certify._spectral_scan(ex31, grid, ladder)[1]
 
     def diagonal_blocks(n):
-        pair = certify.pair_diagonal_blocks(n)
-        return certify.PairRung(*(_unitarily_similar(a, _phases(2 * n))
-                                  for a in (pair.u, pair.v)))
+        u0, eye, zero = opbuild.block_backward_shift(n, 1), np.eye(n), np.zeros((n, n))
+        pair = (opbuild.block2x2(u0, zero, zero, eye), opbuild.block2x2(eye, zero, zero, u0))
+        return certify.commuting_pair_counts(*(_unitarily_similar(a, _phases(2 * n))
+                                               for a in pair))
 
     def pair_counts(builder):
         return [(r["kernel_dim"], r["kernel_dim_2"], r["intersection_dim"],

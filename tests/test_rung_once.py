@@ -32,7 +32,9 @@ runs = [("thm32-adjoint-certify", {"ladder": "64,128,256", "index_max": 8}),
         ("ex43-diagonal", {}),
         ("thm44-block-pair", {"ladder": "2x2,3x3,4x4"}),
         ("cor34-heller", {}),
-        ("ex46-common-zeros", {})]
+        ("ex46-common-zeros", {}),
+        ("ex26-perturbation", {}),
+        ("multiplicativity-failure", {})]
 metrics = {}
 with tempfile.TemporaryDirectory() as out:
     for run_id, (name, params) in enumerate(runs):
@@ -122,6 +124,20 @@ def test_ex46_evaluates_the_covering_map_83_times(traced):
     # one residual per zero, 41 for r and 21 for s, and one cross residual
     # per matched pair (21): the count the benchmark's registry-light reads
     assert m["analytic.covering_value.calls"] == 83
+
+
+def test_ex26_reads_its_sigmas_and_2_norms_from_traced_spectra(traced):
+    m = traced["ex26-perturbation"]
+    # n_max = 10 perturbations x (the perturbed operator's sigma_min + the
+    # 2-norm of its distance to the base): every 2-norm is a numlin.Spectrum
+    # the tracer sees, not an SVD hidden inside np.linalg.norm
+    assert m["linalg.svd.calls"] == 20
+
+
+def test_multiplicativity_failure_reads_its_2_norms_from_traced_spectra(traced):
+    m = traced["multiplicativity-failure"]
+    # the 2-norms of U, V and UV
+    assert m["linalg.svd.calls"] == 3
 
 
 def test_spectral_falsifier_takes_a_builder_of_bare_squares(traced):
