@@ -218,9 +218,9 @@ def test_check_M_verdict_reads_the_rung_counts_alone():
         (_planted_pair_counts((2, 2, 2)), certify.FALSIFIED),
         (_planted_pair_counts((1, 2, 2)), certify.INCONCLUSIVE),
     ]
-    for builder, verdict in cases:
-        rep = certify.check_M(builder, (1, 2, 3))
-        assert rep.verdict == verdict
+    reports = [certify.check_M(builder, (1, 2, 3)) for builder, _ in cases]
+    assert [rep.verdict for rep in reports] == [verdict for _, verdict in cases]
+    for (builder, _), rep in zip(cases, reports):
         for n, r in zip((1, 2, 3), rep.ladder):
             counts = builder(n)
             # check_M adds only the label, the size, the kernel sum and the
@@ -230,10 +230,8 @@ def test_check_M_verdict_reads_the_rung_counts_alone():
                          "corank": counts["corank_2"]}
     # growing intersections with a failed product match or a lost direction
     # are mixed evidence, and the narrative says which
-    assert "product-kernel match False, coranks zero True" in certify.check_M(
-        cases[1][0], (1, 2, 3)).narrative
-    assert "product-kernel match True, coranks zero False" in certify.check_M(
-        cases[2][0], (1, 2, 3)).narrative
+    assert "product-kernel match False, coranks zero True" in reports[1].narrative
+    assert "product-kernel match True, coranks zero False" in reports[2].narrative
 
 
 def test_check_M_is_symmetric_under_swap():
