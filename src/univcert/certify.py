@@ -50,7 +50,7 @@ class CertificateReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema_version": "2",
+            "schema_version": "3",
             "condition": self.condition,
             "verdict": self.verdict,
             "ladder": [dict(r) for r in self.ladder],
@@ -95,35 +95,59 @@ def _check_ladder(ladder) -> None:
                          "each part of a KxD rung at least the last one's")
 
 
-def _kernel_rung(rung: Rung, size) -> dict:
+def _kept_rows(rung: Rung) -> np.ndarray:
+    """The leading rows - drop_rows rows of the square: the rows a corank reads."""
     rows = rung.square.shape[0]
     if not 0 <= rung.drop_rows < rows:
         raise ValueError("drop_rows out of range")
-    kept = numlin.Spectrum.of(rung.square[:rows - rung.drop_rows])
-    # sigma_min comes from the spectrum that decided the rung's evidence: a
-    # witnessed rung's kernel is its witness count, so the square's spectrum
-    # is taken only for a counted kernel, and then only if rows were dropped
+    return rung.square[:rows - rung.drop_rows]
+
+
+def _kernel_rung(rung: Rung, size) -> dict:
+    """A rung's numbers from values-only spectra: sigma_min comes from the
+    spectrum that decided the rung's evidence. A witnessed rung's kernel is
+    its witness count, so the square's spectrum is taken only for a counted
+    kernel, and then only if rows were dropped."""
+    kept = numlin.Spectrum.of(_kept_rows(rung))
     if rung.witnesses is not None:
-        kdim, spec = rung.witnesses.count(), kept
+        kdim, spec, path = rung.witnesses.count(), kept, {"corank_by": "svd"}
     else:
         spec = numlin.Spectrum.of(rung.square) if rung.drop_rows else kept
-        kdim = spec.kernel_dim()
+        kdim, path = spec.kernel_dim(), {}
     return {"label": _rung_label(size), "size": size, "kernel_dim": kdim,
-            "corank": kept.corank(), "sigma_min": spec.sigma_min}
+            "corank": kept.corank(), **path, "sigma_min": spec.sigma_min}
 
 
 def kernel_ladder(builder, ladder) -> tuple:
     """The rung walk shared by conditions C and C+: builder(size) returns a
     Rung. Returns each rung's numbers and the top rung's witness family
-    (None when the kernel was counted)."""
+    (None when the kernel was counted).
+
+    A witnessed rung's corank 0 is first proven from the Gram matrix of its
+    kept rows (numlin.corank_zero_bound); a rung that no shift proves is
+    built again and takes the values-only SVD."""
     _check_ladder(ladder)
     rungs = []
     for size in ladder:
         # only the numbers and the witness family outlive the rung, so its
         # matrices are freed before the next rung is built
         rung = builder(size)
-        rungs.append(_kernel_rung(rung, size))
         top_witnesses = rung.witnesses
+        if top_witnesses is not None:
+            # the rung is dropped before the factorisations, so its framed
+            # buffer is freed while they run
+            kept = _kept_rows(rung)
+            gram, cols = kept @ kept.conj().T, kept.shape[1]
+            del rung, kept
+            lower = numlin.corank_zero_bound(gram, cols)
+            del gram
+            if lower is not None:
+                rungs.append({"label": _rung_label(size), "size": size,
+                              "kernel_dim": top_witnesses.count(), "corank": 0,
+                              "corank_by": "cholesky", "sigma_min_lower": lower})
+                continue
+            rung = builder(size)
+        rungs.append(_kernel_rung(rung, size))
         del rung
     return tuple(rungs), top_witnesses
 
@@ -157,16 +181,19 @@ def kernel_verdict(condition: str, rungs, top_witnesses) -> CertificateReport:
                      "raise index_max")
     elif len(set(kdims)) == 1:
         verdict = FALSIFIED
+        top = rungs[-1]
+        sigma = (f"sigma_min {top['sigma_min']:.3e}" if "sigma_min" in top
+                 else f"sigma_min >= {top['sigma_min_lower']:.3e}")
         narrative = (f"kernel evidence stays at {kdims[0]} across the ladder "
-                     f"(sigma_min {rungs[-1]['sigma_min']:.3e} at the top rung); "
-                     "no sign of unbounded multiplicity")
+                     f"({sigma} at the top rung); no sign of unbounded multiplicity")
     else:
         verdict = INCONCLUSIVE
         narrative = (f"kernel evidence {kdims} neither grows strictly nor "
                      f"stays constant; {SCALE_CAVEAT}")
     tols = {"rank_tol": numlin.DEFAULT_TOL}
     if top_witnesses is not None:
-        tols["witness_tol"] = WITNESS_TOL
+        tols.update(witness_tol=WITNESS_TOL, gram_shifts=list(numlin.GRAM_SHIFTS),
+                    gram_safety=numlin.GRAM_SAFETY)
     return CertificateReport(condition, verdict, rungs, tols, narrative)
 
 

@@ -1,5 +1,5 @@
-"""Dense numerical linear algebra kernel: one spectrum per matrix and
-subspace arithmetic."""
+"""Dense numerical linear algebra kernel: one spectrum per matrix, a proven
+full-row-rank certificate and subspace arithmetic."""
 
 from __future__ import annotations
 
@@ -8,6 +8,53 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-8
+GRAM_SHIFTS = (1e-2, 1e-4, 1e-6)  # trial shifts c of the Gram certificate, largest first
+GRAM_SAFETY = 2.0                 # S: multiplies the certificate's rounding terms
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def corank_zero_bound(gram: np.ndarray, cols: int) -> float | None:
+    """A proven lower bound on sigma_min(B) that proves the m x cols array B
+    has corank 0 under DEFAULT_TOL, or None when no shift proves it.
+
+    gram is fl(B B^H), as numpy's matmul returns it. For each c of
+    GRAM_SHIFTS in turn, c is subtracted on gram's diagonal in place and
+    gram - cI is factored by Cholesky; the diagonal is restored bit for bit
+    after each trial. The first trial that completes decides: its factor R
+    gives
+
+        sigma_min(B)^2 >= c - S (gamma_{m+1} ||R||_F^2 + gamma_cols ||B||_F^2)
+
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3
+    and Thm 10.3; Rump, BIT 46, 2006), with S = GRAM_SAFETY, and in complex
+    arithmetic each gamma_k read as gamma_{k+2} (Higham sec. 3.6). ||B||_F^2
+    is gram's trace, scaled up by 1 + 2 gamma_cols. Since sigma_max <=
+    ||B||_F, the bound proves corank 0 when it exceeds DEFAULT_TOL ||B||_F.
+    """
+    m = gram.shape[0]
+    pad = 2 if np.iscomplexobj(gram) else 0
+    g_rows, g_cols = _gamma(m + 1 + pad), _gamma(cols + pad)
+    diag = np.einsum("ii->i", gram)
+    saved = diag.copy()
+    fro_sq = float(saved.real.sum()) * (1.0 + 2.0 * g_cols)
+    for c in GRAM_SHIFTS:
+        diag -= c
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            continue
+        finally:
+            diag[:] = saved
+        lower_sq = c - GRAM_SAFETY * (g_rows * np.vdot(factor, factor).real + g_cols * fro_sq)
+        if lower_sq > DEFAULT_TOL ** 2 * fro_sq:
+            return float(np.sqrt(lower_sq))
+        return None
+    return None
 
 
 def negligible(values: np.ndarray, tol_rel: float = DEFAULT_TOL,

@@ -107,6 +107,8 @@ def test_ladder_validation():
 
 
 KERNEL_RUNG_KEYS = {"label", "size", "kernel_dim", "corank", "sigma_min"}
+WITNESSED_RUNG_KEYS = {"label", "size", "kernel_dim", "corank", "corank_by",
+                       "sigma_min_lower"}
 PAIR_RUNG_KEYS = {"label", "size", "kernel_dim", "kernel_dim_2", "corank", "corank_1",
                   "corank_2", "intersection_dim", "sum_dim", "product_kernel_dim"}
 
@@ -116,9 +118,10 @@ def test_report_json_shape():
     assert identity.verdict == certify.FALSIFIED
     assert identity.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
     b = opbuild.block_backward_shift(16, 1)
-    # one report per condition, with the rung keys schema "2" writes
+    # one report per condition, with the rung keys schema "3" writes
     cases = [
         ("C", identity, KERNEL_RUNG_KEYS),
+        ("C", check_C(_identity_with_family(3, 2), LADDER), WITNESSED_RUNG_KEYS),
         ("Cplus", certify.kernel_verdict(
             "Cplus", *certify.kernel_ladder(certify.family_halfshift_plus_rank1, LADDER)),
          KERNEL_RUNG_KEYS),
@@ -133,7 +136,7 @@ def test_report_json_shape():
     ]
     for condition, rep, keys in cases:
         payload = json.loads(rep.to_json())
-        assert payload["schema_version"] == "2"
+        assert payload["schema_version"] == "3"
         assert payload["condition"] == condition
         assert payload == rep.as_dict()
         assert len(payload["ladder"]) == (1 if condition == "algebraic" else 3)
@@ -165,6 +168,10 @@ def test_each_report_names_the_threshold_its_check_applies():
         lambda n: certify.commuting_pair_counts(_straddling(n), _straddling(n)), LADDER)
     assert [r["intersection_dim"] for r in rep.ladder] == [1, 1, 1]
     assert rep.tolerances == {"rank_tol": numlin.DEFAULT_TOL}
+    rep = check_C(_identity_with_family(3, 2), LADDER)
+    assert rep.tolerances == {
+        "rank_tol": numlin.DEFAULT_TOL, "witness_tol": certify.WITNESS_TOL,
+        "gram_shifts": list(numlin.GRAM_SHIFTS), "gram_safety": numlin.GRAM_SAFETY}
     rep, dims = certify._spectral_scan(_straddling, [0.0], LADDER)
     assert dims == {(0j, certify.SCAN_TOLS[0]): [2, 2, 2],
                     (0j, certify.SCAN_TOLS[1]): [1, 1, 1]}
@@ -710,3 +717,43 @@ def test_constant_witness_counts_falsify_only_below_the_cap(size, passing, verdi
     rep = check_C(_identity_with_family(size, passing), LADDER)
     assert [r["kernel_dim"] for r in rep.ladder] == [passing] * 3
     assert rep.verdict == verdict
+
+
+def test_a_witnessed_rung_that_no_shift_proves_is_built_again_for_the_svd():
+    # one rung of thm32's family with its first row zeroed: corank 1, which
+    # no Gram certificate proves, so that rung alone is built a second time
+    # and reads its corank from the SVD of its kept rows
+    family = certify.family_adjoint_witnessed(0.5, 3.0 ** 0.25, index_max=8)
+    builds = []
+
+    def planted(n):
+        builds.append(n)
+        rung = family(n)
+        if n == 128:
+            rung.square[0] = 0.0
+        return rung
+
+    rungs, top = certify.kernel_ladder(planted, (64, 128, 256))
+    assert builds == [64, 128, 128, 256]
+    assert [r["corank_by"] for r in rungs] == ["cholesky", "svd", "cholesky"]
+    assert [r["corank"] for r in rungs] == [0, 1, 0]
+    assert rungs[1]["sigma_min"] == 0.0 and "sigma_min_lower" not in rungs[1]
+    assert all("sigma_min" not in r for r in rungs[::2])
+    assert [r["kernel_dim"] for r in rungs] == [witnesses(0.5, 3.0 ** 0.25, n, 8).count()
+                                                for n in (64, 128, 256)]
+    assert _same_family(top, witnesses(0.5, 3.0 ** 0.25, 256, 8))
+    assert certify.kernel_verdict("C", rungs, top).verdict == certify.INCONCLUSIVE
+
+
+def test_a_falsified_narrative_prints_the_sigma_its_top_rung_reports():
+    # constant kernel evidence and no witness family: the top rung's sigma
+    # is printed, whichever path decided its corank
+    svd = {"label": "N=16", "size": 16, "kernel_dim": 2, "corank": 0, "corank_by": "svd",
+           "sigma_min": 0.125}
+    cholesky = {"label": "N=16", "size": 16, "kernel_dim": 2, "corank": 0,
+                "corank_by": "cholesky", "sigma_min_lower": 0.01}
+    for top, sigma in ((svd, "sigma_min 1.250e-01"), (cholesky, "sigma_min >= 1.000e-02")):
+        rep = certify.kernel_verdict("C", (cholesky, svd, top), None)
+        assert rep.verdict == certify.FALSIFIED
+        assert rep.narrative == (f"kernel evidence stays at 2 across the ladder ({sigma} "
+                                 "at the top rung); no sign of unbounded multiplicity")

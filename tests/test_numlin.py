@@ -120,3 +120,86 @@ def test_spectrum_counts_agree_with_kernels_and_stacked_ranks(rows, cols, rank, 
     stacked = np.linalg.matrix_rank(np.hstack([u, v]))
     assert stacked == rows + cols - rank
     assert numlin.subspace_dims(u, v) == (stacked, rows + cols - stacked)
+
+
+# -- the Gram-Cholesky certificate --------------------------------------------
+
+def _householder(rng, n, complex_entries):
+    """I - 2 v v^H / (v^H v): unitary and Hermitian."""
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_entries else 0)
+    return np.eye(n) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def _with_singular_values(rng, s, cols, complex_entries):
+    """Q [diag(s) 0] P^H, m = len(s) rows, Q and P Householder reflectors."""
+    m = len(s)
+    core = np.zeros((m, cols))
+    core[np.arange(m), np.arange(m)] = s
+    return (_householder(rng, m, complex_entries) @ core
+            @ _householder(rng, cols, complex_entries))
+
+
+def _bound(b):
+    return numlin.corank_zero_bound(b @ b.conj().T, b.shape[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 6), st.booleans(),
+       st.sampled_from(numlin.GRAM_SHIFTS), st.integers(-3, 3),
+       st.sampled_from([1e-12, 0.25]), st.floats(0.0, 6.0), st.integers(0, 999))
+def test_the_gram_bound_never_exceeds_the_true_sigma_min(m, extra, complex_entries, c,
+                                                         nudge, step, log_cond, seed):
+    # sigma_min sits a few ulps of sqrt(c) either side of a trial shift,
+    # where a Cholesky that completes must not round the bound above it, or
+    # well clear of it
+    rng = np.random.default_rng(seed)
+    cols = m + extra
+    s_min = np.sqrt(c) * (1.0 + nudge * step)
+    s = np.sort(s_min * np.r_[10.0 ** rng.uniform(0.0, log_cond, m - 1), 1.0])[::-1]
+    b = _with_singular_values(rng, s, cols, complex_entries)
+    lower = _bound(b)
+    # the reflectors move the singular values of the formed B by rounding only
+    slack = 8 * cols * numlin.UNIT_ROUNDOFF * s[0]
+    if lower is not None:
+        assert lower <= s_min + slack
+        assert lower > numlin.DEFAULT_TOL * np.linalg.norm(b)
+    if step == 0.25 and nudge > 0:
+        # 1.25 sqrt(c) or more: the trial at c, or an earlier one, proves it
+        assert lower is not None and lower > 0.5 * np.sqrt(c)
+
+
+def test_a_singular_gram_has_no_bound():
+    b = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+    assert _bound(b) is None
+    assert _bound(np.zeros((3, 4))) is None
+    assert _bound(np.eye(4)) == pytest.approx(np.sqrt(numlin.GRAM_SHIFTS[0]), rel=1e-12)
+
+
+def test_a_scaled_matrix_is_not_proven():
+    # sigma_min 2e-3 is above sqrt(c) for the smallest shift, but below the
+    # threshold 1e-8 ||B||_F = 1e-2: the rounding of a Gram matrix of norm
+    # 1e12 swamps every shift
+    b = np.diag([1e6, 1.0, 2e-3])
+    assert _bound(b) is None
+    # a row whose rounding term crosses the largest shift: whatever bound a
+    # trial gives, it is a proof only above the threshold
+    for scale in np.geomspace(1e12, 1e14, 101):
+        row = np.array([[np.sqrt(scale), 0.0]])
+        lower = _bound(row)
+        assert lower is None or lower > numlin.DEFAULT_TOL * np.sqrt(scale)
+
+
+def test_the_gram_diagonal_is_restored_after_every_trial():
+    rng = np.random.default_rng(7)
+    # sigma_min 0.05: the first shift fails and the second proves; sigma_min
+    # 0: every shift fails
+    for s in ([3.0, 1.0, 0.05], [3.0, 1.0, 0.0]):
+        for complex_entries in (False, True):
+            b = _with_singular_values(rng, s, 5, complex_entries)
+            gram = b @ b.conj().T
+            before = gram.tobytes()
+            lower = numlin.corank_zero_bound(gram, 5)
+            assert gram.tobytes() == before
+            assert (lower is None) == (s[-1] == 0.0)
+            if lower is not None:
+                assert np.sqrt(numlin.GRAM_SHIFTS[2]) < lower <= np.sqrt(numlin.GRAM_SHIFTS[1])
