@@ -351,7 +351,7 @@ SWEEP_VALUES = ("-1", "0", "1", "2", "nan", "inf", "-inf", "1e-300", "1e300", "2
 def test_every_case_of_the_report_tree_validates():
     cases = report_tree.cases()
     assert {name for _, name, _ in cases} == set(cli.REGISTRY)
-    assert len({(directory, name) for directory, name, _ in cases}) == len(cli.REGISTRY) + 4
+    assert len({(directory, name) for directory, name, _ in cases}) == len(cli.REGISTRY) + 5
     assert [cli.validate(name, params) for _, name, params in cases] == [[]] * len(cases)
 
 
@@ -560,7 +560,8 @@ def test_thm32_at_a_complex_lambda_holds_parity_with_the_weighted_oracle(tmp_pat
 
 
 @pytest.mark.parametrize("params", [{}, {"lam": 1.2 + 0.3j, "ladder": (64, 128, 256),
-                                             "index_max": 16}])
+                                             "index_max": 16}],
+                         ids=["defaults", "complex-lam"])
 def test_witnessed_rungs_prove_a_sigma_min_bound_on_the_rows_their_corank_reads(tmp_path,
                                                                                 params):
     # a witnessed rung's kernel evidence is its witness count, and the Gram
