@@ -137,7 +137,7 @@ def kernel_ladder(builder, ladder) -> tuple:
             # the rung is dropped before the factorisations, so its framed
             # buffer is freed while they run
             kept = _kept_rows(rung)
-            gram, cols = kept @ kept.conj().T, kept.shape[1]
+            gram, cols = numlin.gram_rows(kept), kept.shape[1]
             del rung, kept
             lower = numlin.corank_zero_bound(gram, cols)
             del gram

@@ -18,11 +18,23 @@ def _gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
+def gram_rows(b: np.ndarray) -> np.ndarray:
+    """fl(B B^H), the Gram matrix of B's rows. A complex B is conjugated 128
+    rows at a time, so its conjugate is never copied whole; a real B is its
+    own conjugate and takes one product."""
+    if not np.iscomplexobj(b):
+        return b @ b.T
+    gram = np.empty((b.shape[0],) * 2, dtype=b.dtype)
+    for j in range(0, b.shape[0], 128):
+        gram[:, j:j + 128] = b @ b[j:j + 128].conj().T
+    return gram
+
+
 def corank_zero_bound(gram: np.ndarray, cols: int) -> float | None:
     """A proven lower bound on sigma_min(B) that proves the m x cols array B
     has corank 0 under DEFAULT_TOL, or None when no shift proves it.
 
-    gram is fl(B B^H), as numpy's matmul returns it. For each c of
+    gram is fl(B B^H), as gram_rows returns it. For each c of
     GRAM_SHIFTS in turn, c is subtracted on gram's diagonal in place and
     gram - cI is factored by Cholesky; the diagonal is restored bit for bit
     after each trial. The first trial that completes decides: its factor R

@@ -140,7 +140,20 @@ def _with_singular_values(rng, s, cols, complex_entries):
 
 
 def _bound(b):
-    return numlin.corank_zero_bound(b @ b.conj().T, b.shape[1])
+    return numlin.corank_zero_bound(numlin.gram_rows(b), b.shape[1])
+
+
+def test_the_gram_of_complex_rows_is_formed_a_block_at_a_time():
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((300, 320))
+    assert numlin.gram_rows(real).tobytes() == (real @ real.T).tobytes()
+    # 300 rows span three blocks; every entry is an inner product of length
+    # 320, within gamma_322 |B| |B|^T of the exact one, as is numpy's
+    b = real + 1j * rng.standard_normal((300, 320))
+    gram = numlin.gram_rows(b)
+    assert gram.shape == (300, 300)
+    bound = 2 * numlin._gamma(322) * (np.abs(b) @ np.abs(b).T)
+    assert np.all(np.abs(gram - b @ b.conj().T) <= bound)
 
 
 @settings(max_examples=80, deadline=None)
