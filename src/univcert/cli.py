@@ -490,7 +490,8 @@ def _as_kind(default, value):
     need sequences of the default's element kind (a rung of KxD rungs needs
     as many parts as the default's), ints need integers that fit 64 bits and
     float or complex defaults take any number that fits a double: a real one
-    as a Python float, any other as a Python complex. Raises ValueError."""
+    as a Python float, any other as a Python complex. A bool is not taken as
+    a number. Raises ValueError."""
     if isinstance(default, tuple):
         if isinstance(value, str):
             value = _parse_ladder(value)
@@ -504,12 +505,12 @@ def _as_kind(default, value):
     if isinstance(value, str):
         value = _parse_value(value)
     if isinstance(default, int):
-        if not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"expected an integer, got {value!r}")
         if not -2**63 <= value < 2**63:
             raise ValueError(f"expected an integer in [-2**63, 2**63), got {value!r}")
         return int(value)
-    if not isinstance(value, numbers.Number):
+    if not isinstance(value, numbers.Number) or isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     try:
         # mu=4 and mu=np.float64(4) write the same bytes as mu=4.0
@@ -579,14 +580,20 @@ def validate(name: str, params: dict) -> list[str]:
 FORMATS = ("json", "csv", "both")
 
 
-def _format_problem(fmt):
+def _check_format(fmt):
     if fmt not in FORMATS:
-        return f"format: expected one of {', '.join(FORMATS)}, got {fmt!r}"
+        raise ValueError(f"format: expected one of {', '.join(FORMATS)}, got {fmt!r}")
 
 
-def _write_report(name: str, merged: dict, out_dir: Path, fmt: str) -> list[Path]:
-    """Runs scenario name on its resolved parameters and writes its report;
-    a run that raises leaves no report directory."""
+def run_scenario(name: str, params: dict, out_dir: Path,
+                 fmt: str = "both") -> list[Path]:
+    """Runs scenario name on params and writes its report under out_dir.
+    Bad input raises ValueError before the run, and a run that raises
+    leaves no report directory."""
+    _check_format(fmt)
+    merged, problems = _resolve(name, params)
+    if problems:
+        raise ValueError("; ".join(problems))
     sc = REGISTRY[name]
     fields, tables = sc.run(**merged)
     target = out_dir / name
@@ -601,24 +608,8 @@ def _write_report(name: str, merged: dict, out_dir: Path, fmt: str) -> list[Path
     return written
 
 
-def run_scenario(name: str, params: dict, out_dir: Path,
-                 fmt: str = "both") -> list[Path]:
-    if problem := _format_problem(fmt):
-        raise ValueError(problem)
-    merged, problems = _resolve(name, params)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return _write_report(name, merged, out_dir, fmt)
-
-
 def _run_one(task):
-    return task[0], _write_report(*task)
-
-
-def _fail(message) -> int:
-    """Bad input ends in one stderr line and exit status 2."""
-    print(f"univcert-lab: error: {message}", file=sys.stderr)
-    return 2
+    return task[0], run_scenario(*task)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -652,59 +643,50 @@ def main(argv=None) -> int:
                         help="check the parameters without running")
     try:
         ns = parser.parse_args(argv)
-    except ValueError as exc:
-        return _fail(exc)
-
-    if ns.list_flag:
-        print(list_scenarios())
-        return 0
-
-    try:
+        if ns.list_flag:
+            print(list_scenarios())
+            return 0
         cfg = _read_config(ns.config) if ns.config else {"param": []}
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
 
-    def setting(key, builtin):
-        """An explicit flag, then the config file, then the built-in default."""
-        flag = getattr(ns, key)
-        return flag if flag is not None else cfg.get(key, builtin)
+        def setting(key, builtin):
+            """An explicit flag, then the config file, then the built-in default."""
+            flag = getattr(ns, key)
+            return flag if flag is not None else cfg.get(key, builtin)
 
-    out_dir, fmt = setting("out", "reports"), setting("format", "both")
-    if problem := _format_problem(fmt):
-        return _fail(problem)
-    ladder = setting("ladder", None)
-    try:
-        jobs = _as_kind(1, setting("jobs", 1))
-    except ValueError as exc:
-        return _fail(f"jobs: {exc}")
-    if problem := _at_least("jobs", 1)({"jobs": jobs}):
-        return _fail(problem)
-    scenarios = ns.scenario or ([cfg["scenario"]] if "scenario" in cfg else [])
-    if not scenarios:
-        return _fail("no scenario given (use --scenario or --list)")
+        out_dir, fmt = setting("out", "reports"), setting("format", "both")
+        _check_format(fmt)
+        ladder = setting("ladder", None)
+        try:
+            jobs = _as_kind(1, setting("jobs", 1))
+        except ValueError as exc:
+            raise ValueError(f"jobs: {exc}") from None
+        if problem := _at_least("jobs", 1)({"jobs": jobs}):
+            raise ValueError(problem)
+        scenarios = ns.scenario or ([cfg["scenario"]] if "scenario" in cfg else [])
+        if not scenarios:
+            raise ValueError("no scenario given (use --scenario or --list)")
 
-    params = {}
-    for item in cfg["param"] + ns.param:
-        if "=" not in item:
-            return _fail(f"malformed --param {item!r}, expected K=V")
-        key, value = item.split("=", 1)
-        params[key.strip()] = value.strip()
-    if ladder is not None:
-        params["ladder"] = ladder
+        params = {}
+        for item in cfg["param"] + ns.param:
+            if "=" not in item:
+                raise ValueError(f"malformed --param {item!r}, expected K=V")
+            key, value = item.split("=", 1)
+            params[key.strip()] = value.strip()
+        if ladder is not None:
+            params["ladder"] = ladder
 
-    # every scenario is resolved once, before any runs, so bad input writes nothing
-    resolved = [(name, *_resolve(name, params)) for name in scenarios]
-    if ns.validate:
-        for name, _, problems in resolved:
-            for problem in problems or ["ok"]:
-                print(f"{name}: {problem}")
-        return 2 if any(problems for *_, problems in resolved) else 0
-    for *_, problems in resolved:
-        if problems:
-            return _fail("; ".join(problems))
+        # every scenario is checked once, before any runs, so bad input writes nothing
+        checked = [(name, validate(name, params)) for name in scenarios]
+        if ns.validate:
+            for name, problems in checked:
+                for problem in problems or ["ok"]:
+                    print(f"{name}: {problem}")
+            return 2 if any(problems for _, problems in checked) else 0
+        for _, problems in checked:
+            if problems:
+                raise ValueError("; ".join(problems))
 
-    tasks = [(name, merged, Path(out_dir), fmt) for name, merged, _ in resolved]
-    try:
+        tasks = [(name, params, Path(out_dir), fmt) for name in scenarios]
         if jobs > 1 and len(tasks) > 1:
             import concurrent.futures
             # a forking pool starts all of its workers at once
@@ -714,13 +696,15 @@ def main(argv=None) -> int:
         else:
             results = [_run_one(task) for task in tasks]
     except (ValueError, OSError, MemoryError) as exc:
-        # a size too large to allocate is bad input too, here or in a worker
-        return _fail(exc)
+        # bad input ends in one stderr line and exit status 2: an unreadable
+        # config, an unwritable --out and a size too large to allocate, here
+        # or in a worker, too
+        print(f"univcert-lab: error: {exc}", file=sys.stderr)
+        return 2
     for name, paths in results:
         for path in paths:
             print(f"{name}: {path}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -83,6 +83,17 @@ ROWS = (
     ("certify", "if lower is not None:", "if True:",
      ["tests/test_certify.py::"
       "test_a_witnessed_rung_that_no_shift_proves_is_built_again_for_the_svd"]),
+    # an unwritable --out or a missing config escapes main as a traceback
+    ("cli", "except (ValueError, OSError, MemoryError) as exc:",
+     "except (ValueError, MemoryError) as exc:",
+     ["tests/test_cli.py::test_main_unwritable_out_exits_2_with_one_line",
+      "tests/test_cli.py::test_main_bad_input_exits_2_with_one_line[argv17]"]),
+    # main checks each scenario only when it runs, so a good scenario ahead
+    # of a bad one writes its report before main exits 2
+    ("cli", '        for _, problems in checked:\n'
+            '            if problems:\n'
+            '                raise ValueError("; ".join(problems))\n', "",
+     ["tests/test_cli.py::test_main_bad_input_exits_2_with_one_line[argv6]"]),
 )
 
 # "FAILED tests/x.py::name[case] - message" and "ERROR tests/x.py - message"

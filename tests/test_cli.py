@@ -131,6 +131,8 @@ def test_main_param_values_parse_by_default_kind(tmp_path, capsys):
     ["--scenario", "annulus", "--format", "xml"],
     ["--scenario", "annulus", "--bogus"],
     [],
+    ["--scenario", "annulus", "--format", "xml", "--validate"],
+    ["--config", "no-such-dir/run.cfg"],
 ])
 def test_main_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -321,6 +323,21 @@ def test_numpy_scalars_write_the_bytes_of_python_numbers(tmp_path, name, numpy_p
     assert [p.name for p in paths[0]] == [p.name for p in paths[1]]
     for ours, theirs in zip(*paths):
         assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("name, key, value, message", [
+    ("ex26-perturbation", "n_max", True, "n_max: expected an integer, got True"),
+    ("ex46-common-zeros", "k_max", False, "k_max: expected an integer, got False"),
+    ("thm32-adjoint-certify", "index_max", True, "index_max: expected an integer, got True"),
+    ("annulus", "r", True, "r: expected a number, got True"),
+], ids=["n_max-True", "k_max-False", "index_max-True", "r-True"])
+def test_a_bool_is_not_taken_as_a_number(name, key, value, message, tmp_path):
+    # bool is numbers.Integral, yet True is neither a count nor a radius
+    assert cli.validate(name, {key: value}) == [message]
+    with pytest.raises(ValueError) as info:
+        cli.run_scenario(name, {key: value}, tmp_path)
+    assert str(info.value) == message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_importing_the_runner_leaves_mpmath_unloaded():
