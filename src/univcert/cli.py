@@ -706,5 +706,6 @@ def main(argv=None) -> int:
             print(f"{name}: {path}")
     return 0
 
+
 if __name__ == "__main__":
     sys.exit(main())
