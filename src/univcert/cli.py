@@ -696,9 +696,9 @@ def main(argv=None) -> int:
         else:
             results = [_run_one(task) for task in tasks]
     except (ValueError, OSError, MemoryError) as exc:
-        # bad input ends in one stderr line and exit status 2: an unreadable
-        # config, an unwritable --out and a size too large to allocate, here
-        # or in a worker, too
+        # every kind of bad input ends here in one stderr line and exit
+        # status 2, an unreadable config, an unwritable --out and a size too
+        # large to allocate (here or in a worker) included
         print(f"univcert-lab: error: {exc}", file=sys.stderr)
         return 2
     for name, paths in results:
