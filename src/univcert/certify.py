@@ -299,6 +299,20 @@ def spectral_falsifier(builder, lam_grid, ladder) -> CertificateReport:
     return _spectral_scan(builder, lam_grid, ladder)[0]
 
 
+def _cell_dims(shifted: np.ndarray) -> tuple:
+    """Kernel dims of one A - lambda I at each of SCAN_TOLS. A Gram
+    certificate at the larger threshold proves dim 0 at both, since
+    sigma_max <= ||A - lambda I||_F; only a cell it does not prove takes the
+    values-only SVD. The Gram matrix and its Cholesky factor are N x N
+    temporaries of each cell."""
+    gram = numlin.gram_rows(shifted)
+    if numlin.corank_zero_bound(gram, shifted.shape[1], max(SCAN_TOLS)) is not None:
+        return (0,) * len(SCAN_TOLS)
+    del gram
+    spec = numlin.Spectrum.of(shifted)
+    return tuple(spec.kernel_dim(tol) for tol in SCAN_TOLS)
+
+
 def _spectral_scan(builder, lam_grid, ladder):
     """spectral_falsifier's report and the per-cell dims it is drawn from:
     {(lambda, tol): [kernel dim at each rung]} for tol in SCAN_TOLS."""
@@ -313,21 +327,21 @@ def _spectral_scan(builder, lam_grid, ladder):
     for size in ladder:
         fs = builder(size)
         # one A - lambda I buffer per rung, only its diagonal rewritten per
-        # point: no N x N temporaries are allocated inside the grid loop
+        # point; the section is freed once its diagonal is copied
         shifted = fs.astype(np.result_type(fs, lam_grid))
-        diag, base = np.einsum("ii->i", shifted), fs.diagonal()
+        diag, base = np.einsum("ii->i", shifted), fs.diagonal().copy()
         # a real section has sigma(A - conj(lambda) I) = sigma(A - lambda I),
-        # so a conjugate pair takes one SVD
+        # so a conjugate pair is decided once
         real = np.isrealobj(fs)
-        spectra = {}
+        del fs
+        decided = {}
         worst = 0
         for lam in cells:
             key = complex(lam.real, abs(lam.imag)) if real else complex(lam)
-            if key not in spectra:
+            if key not in decided:
                 np.subtract(base, lam, out=diag)
-                spectra[key] = numlin.Spectrum.of(shifted)
-            for tol in SCAN_TOLS:
-                d = spectra[key].kernel_dim(tol)
+                decided[key] = _cell_dims(shifted)
+            for tol, d in zip(SCAN_TOLS, decided[key]):
                 dims.setdefault((complex(lam), tol), []).append(d)
                 worst = max(worst, d)
         rungs.append({"label": _rung_label(size), "size": size, "kernel_dim": worst,

@@ -30,9 +30,10 @@ def gram_rows(b: np.ndarray) -> np.ndarray:
     return gram
 
 
-def corank_zero_bound(gram: np.ndarray, cols: int) -> float | None:
+def corank_zero_bound(gram: np.ndarray, cols: int,
+                      tol_rel: float = DEFAULT_TOL) -> float | None:
     """A proven lower bound on sigma_min(B) that proves the m x cols array B
-    has corank 0 under DEFAULT_TOL, or None when no shift proves it.
+    has corank 0 under tol_rel, or None when no shift proves it.
 
     gram is fl(B B^H), as gram_rows returns it. For each c of
     GRAM_SHIFTS in turn, c is subtracted on gram's diagonal in place and
@@ -46,7 +47,7 @@ def corank_zero_bound(gram: np.ndarray, cols: int) -> float | None:
     and Thm 10.3; Rump, BIT 46, 2006), with S = GRAM_SAFETY, and in complex
     arithmetic each gamma_k read as gamma_{k+2} (Higham sec. 3.6). ||B||_F^2
     is gram's trace, scaled up by 1 + 2 gamma_cols. Since sigma_max <=
-    ||B||_F, the bound proves corank 0 when it exceeds DEFAULT_TOL ||B||_F.
+    ||B||_F, the bound proves corank 0 when it exceeds tol_rel ||B||_F.
     """
     m = gram.shape[0]
     pad = 2 if np.iscomplexobj(gram) else 0
@@ -63,7 +64,7 @@ def corank_zero_bound(gram: np.ndarray, cols: int) -> float | None:
         finally:
             diag[:] = saved
         lower_sq = c - GRAM_SAFETY * (g_rows * np.vdot(factor, factor).real + g_cols * fro_sq)
-        if lower_sq > DEFAULT_TOL ** 2 * fro_sq:
+        if lower_sq > tol_rel ** 2 * fro_sq:
             return float(np.sqrt(lower_sq))
         return None
     return None

@@ -77,7 +77,7 @@ ROWS = (
      ["tests/test_cli.py::test_main_oversized_truncation_exits_2_with_one_line"]),
     # the Gram certificate proves corank 0 whenever its bound is positive,
     # without comparing it with the threshold tol ||B||_F
-    ("numlin", "if lower_sq > DEFAULT_TOL ** 2 * fro_sq:", "if lower_sq > 0.0:",
+    ("numlin", "if lower_sq > tol_rel ** 2 * fro_sq:", "if lower_sq > 0.0:",
      ["tests/test_numlin.py::test_a_scaled_matrix_is_not_proven"]),
     # a witnessed rung reports corank 0 when no shift proves it
     ("certify", "if lower is not None:", "if True:",
@@ -94,6 +94,16 @@ ROWS = (
             '            if problems:\n'
             '                raise ValueError("; ".join(problems))\n', "",
      ["tests/test_cli.py::test_main_bad_input_exits_2_with_one_line[argv6]"]),
+    # the scan proves a cell at the smaller of its thresholds, so a cell with
+    # a kernel at the larger one reads dim 0 there
+    ("certify", "max(SCAN_TOLS)", "min(SCAN_TOLS)",
+     ["tests/test_certify.py::test_a_cell_between_the_scan_thresholds_takes_the_svd"]),
+    # the Gram certificate ignores its caller's threshold and proves at the
+    # rank threshold 1e-8
+    ("numlin", "if lower_sq > tol_rel ** 2 * fro_sq:",
+     "if lower_sq > DEFAULT_TOL ** 2 * fro_sq:",
+     ["tests/test_numlin.py::test_the_caller_sets_the_threshold",
+      "tests/test_certify.py::test_a_cell_between_the_scan_thresholds_takes_the_svd"]),
 )
 
 # "FAILED tests/x.py::name[case] - message" and "ERROR tests/x.py - message"

@@ -446,17 +446,25 @@ def _dense_dims(builder, lams, ladder, tols):
 
 
 def _counted_scan(builder, grid, ladder):
-    """_spectral_scan's dims and the number of spectra it took."""
-    taken = []
-    of = numlin.Spectrum.of
+    """_spectral_scan's dims, the number of cells the Gram certificate
+    proved and the number of spectra it took."""
+    proved, taken = [], []
+    of, bound = numlin.Spectrum.of, numlin.corank_zero_bound
 
-    def counting(a):
+    def counting_of(a):
         taken.append(a.shape)
         return of(a)
 
-    with mock.patch.object(numlin.Spectrum, "of", counting):
+    def counting_bound(*args):
+        lower = bound(*args)
+        if lower is not None:
+            proved.append(lower)
+        return lower
+
+    with mock.patch.object(numlin.Spectrum, "of", counting_of), \
+            mock.patch.object(numlin, "corank_zero_bound", counting_bound):
         dims = certify._spectral_scan(builder, grid, ladder)[1]
-    return dims, len(taken)
+    return dims, len(proved), len(taken)
 
 
 _POINT = st.builds(complex, st.floats(-2.0, 2.0),
@@ -479,7 +487,7 @@ def test_real_section_scan_folds_conjugates_and_repeats(eigen, others, conj, rep
     grid += [lam for lam, c in zip(base, repeat) if c]
     grid = [grid[i] for i in np.random.default_rng(seed).permutation(len(grid))]
     fam = _sections_with_eigenvalues(eigen, seed)
-    dims, taken = _counted_scan(fam, grid, ladder)
+    dims, proved, taken = _counted_scan(fam, grid, ladder)
     cells = list(dict.fromkeys(grid))
     dense = _dense_dims(fam, cells, ladder, tols)
     assert dims == dense
@@ -487,8 +495,10 @@ def test_real_section_scan_folds_conjugates_and_repeats(eigen, others, conj, rep
     mirrored = _dense_dims(fam, [lam.conjugate() for lam in cells], ladder, tols)
     assert all(mirrored[(lam.conjugate(), tol)] == dense[(lam, tol)]
                for lam in cells for tol in tols)
+    # each folded cell is decided once: proven by the Gram certificate, or
+    # by one SVD
     folded = {complex(lam.real, abs(lam.imag)) for lam in cells}
-    assert taken == len(ladder) * len(folded)
+    assert proved + taken == len(ladder) * len(folded)
     # the planted eigenvalues are seen, with multiplicity at least n // 8
     for lam in eigen:
         assert all(d >= n // 8 for d, n in zip(dense[(lam, 1e-8)], ladder))
@@ -499,14 +509,33 @@ def test_complex_section_scan_takes_one_svd_per_cell():
     lam = 0.5 + 1.0j
     grid = [lam, lam.conjugate(), lam, 1.5, 0.3 - 0.7j]
     fam = _sections_with_eigenvalues([lam], 3, complex_entries=True)
-    dims, taken = _counted_scan(fam, grid, ladder)
+    dims, proved, taken = _counted_scan(fam, grid, ladder)
     cells = list(dict.fromkeys(grid))
-    assert taken == len(ladder) * len(cells)
+    assert proved + taken == len(ladder) * len(cells)
     assert dims == _dense_dims(fam, cells, ladder, tols)
     # a complex section is not conjugate-symmetric: lambda carries the
     # planted kernel, its conjugate none
     assert dims[(lam, 1e-8)] == [1, 2, 3]
     assert dims[(lam.conjugate(), 1e-8)] == [0, 0, 0]
+
+
+def test_a_cell_between_the_scan_thresholds_takes_the_svd():
+    # A - lam0 I = Q diag(1e5, 1, ..., 1, 2e-2) Q^T: sigma_min is 2e-7
+    # sigma_max, a kernel at the threshold 1e-6 and none at 1e-8. A Gram
+    # certificate at 1e-8 proves this cell, so the scan must ask it at 1e-6,
+    # where it fails, and read both dims from the SVD
+    lam0, ladder = 0.5, (4, 6, 8)
+
+    def build(n):
+        s = np.r_[1e5, np.ones(n - 2), 2e-2]
+        q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+        return lam0 * np.eye(n) + (q * s) @ q.T
+
+    dims, proved, taken = _counted_scan(build, [lam0], ladder)
+    assert dims == {(complex(lam0), 1e-6): [1, 1, 1], (complex(lam0), 1e-8): [0, 0, 0]}
+    assert (proved, taken) == (0, len(ladder))
+    b = build(8) - lam0 * np.eye(8)
+    assert numlin.corank_zero_bound(numlin.gram_rows(b), 8, min(certify.SCAN_TOLS))
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5])

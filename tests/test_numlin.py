@@ -202,6 +202,18 @@ def test_a_scaled_matrix_is_not_proven():
         assert lower is None or lower > numlin.DEFAULT_TOL * np.sqrt(scale)
 
 
+def test_the_caller_sets_the_threshold():
+    # sigma_min 0.05 with ||B||_F = 1e5: the second shift decides, and its
+    # bound, about 9e-3 = 9e-8 ||B||_F, is a proof at 1e-8 and none at 1e-6
+    b = np.diag([1e5, 1.0, 0.05])
+    gram = numlin.gram_rows(b)
+    lower = numlin.corank_zero_bound(gram, 3, tol_rel=1e-8)
+    assert lower is not None and 1e-8 * 1e5 < lower <= 0.05
+    assert numlin.corank_zero_bound(gram, 3, tol_rel=1e-6) is None
+    # the default is the rank threshold
+    assert numlin.corank_zero_bound(gram, 3) == lower
+
+
 def test_the_gram_diagonal_is_restored_after_every_trial():
     rng = np.random.default_rng(7)
     # sigma_min 0.05: the first shift fails and the second proves; sigma_min

@@ -75,9 +75,11 @@ def test_thm32_builds_one_composition_matrix_and_one_family_per_rung(traced):
 
 def test_ex31_scans_its_grid_once(traced):
     m = traced["ex31-falsify-dirichlet"]
-    # 3 rungs x 35 spectra: the section is real, so each of the grid's 25
-    # conjugate pairs takes one SVD; the table is read from the same scan
-    assert m["linalg.svd.calls"] == 105
+    # the section is real, so the grid's 60 points fold into 35 cells per
+    # rung, each decided once; the Gram certificate proves every cell but
+    # lambda = 1, whose kernel is the constants, so 3 rungs x 1 SVD; the
+    # table is read from the same scan
+    assert m["linalg.svd.calls"] == 3
     assert m["linalg.svd.repeat_frac"] == 0
 
 
@@ -141,8 +143,9 @@ def test_multiplicativity_failure_reads_its_2_norms_from_traced_spectra(traced):
 
 def test_spectral_falsifier_takes_a_builder_of_bare_squares(traced):
     m = traced["spectral_falsifier"]
-    # 3 rungs x one composition matrix, each scanned at 2 grid points
+    # 3 rungs x one composition matrix, each scanned at 2 grid points; the
+    # Gram certificate proves 0.5j, so only lambda = 1 takes an SVD
     assert m["opbuild.composition_matrix.calls"] == 3
-    assert m["linalg.svd.calls"] == 6
+    assert m["linalg.svd.calls"] == 3
     assert m["report"]["verdict"] == "falsified"
     assert [r["kernel_dim"] for r in m["report"]["ladder"]] == [1, 1, 1]
