@@ -308,7 +308,7 @@ def _cell_dims(shifted: np.ndarray) -> tuple:
     gram = numlin.gram_rows(shifted)
     if numlin.corank_zero_bound(gram, shifted.shape[1], max(SCAN_TOLS)) is not None:
         return (0,) * len(SCAN_TOLS)
-    del gram
+    del gram  # freed before the SVD, which copies shifted
     spec = numlin.Spectrum.of(shifted)
     return tuple(spec.kernel_dim(tol) for tol in SCAN_TOLS)
 
